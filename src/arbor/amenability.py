@@ -22,9 +22,9 @@ from .errors import (
     NoBranchStructureError,
     UnsupportedStructureError,
 )
-from .exploration import Ball, explore_ball
+from .exploration import Ball, ball_depths, explore_ball
 from .subsets import SubsetSelection, boundary_of, connected_subsets, is_connected_in
-from .trees import Tree
+from .trees import Tree, reach
 from .trimming import (
     TrimmedView,
     hanging_components,
@@ -403,16 +403,8 @@ def folner_refine_connected(host, members: Iterable, epsilon: Fraction) -> Subse
     best = None
     best_key = None
     while remaining:
-        start = remaining.pop()
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in host.neighbors(v):
-                if u in remaining:
-                    remaining.discard(u)
-                    comp.add(u)
-                    queue.append(u)
+        comp = set(reach(host.neighbors, remaining.pop(), within=remaining))
+        remaining -= comp
         ratio = Fraction(len(bound & comp), len(comp))
         key = (ratio, len(comp), tuple(repr(m) for m in sorted_handles(comp)))
         if best_key is None or key < best_key:
@@ -581,7 +573,7 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
     survives = [
         removed[v] is None and known[v] >= declared.k for v in range(ball.vertex_count)
     ]
-    dist = _ball_depths(ball)
+    dist = ball_depths(ball)
     safe_limit = ball.radius - declared.k - 1
     deg2 = set()
     for v in range(ball.vertex_count):
@@ -595,16 +587,8 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
     for v in deg2:
         if v in seen:
             continue
-        comp = [v]
-        seen.add(v)
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for u in ball.tree.adjacency[x]:
-                if u in deg2 and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    queue.append(u)
+        comp = reach(ball.tree.adjacency.__getitem__, v, within=deg2)
+        seen.update(comp)
         if len(comp) > declared.d:
             raise DeclaredBoundsRefutedError(
                 f"a branchless chain of {len(comp)} vertices survives {declared.k} trim rounds, "
@@ -639,19 +623,6 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
             )
         return {"cheeger_scope": result.scope, "cheeger_floor_observed": result.value}
     return {"cheeger_scope": None, "cheeger_floor_observed": None}
-
-
-def _ball_depths(ball: Ball) -> list[int]:
-    dist = [-1] * ball.vertex_count
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in ball.tree.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredBounds | None = None, d_target: int = 10) -> AmenabilityReport:

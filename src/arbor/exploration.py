@@ -9,10 +9,8 @@ later boundary computations can refuse to guess instead of being wrong.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import BudgetExhaustedError, IncompleteKnowledgeError, InvalidVertexError
-from .trees import Tree
+from .trees import Tree, reach
 
 __all__ = ["TreeAsOracle", "Ball", "explore_ball", "explore_ball_adaptive"]
 
@@ -41,17 +39,7 @@ class TreeAsOracle:
         """Size of the component of u after deleting r. Always finite here."""
         if u not in self.tree.neighbors(r):
             raise ValueError(f"{u} is not a neighbor of {r}")
-        seen = {r, u}
-        queue = deque([u])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.tree.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-                    count += 1
-        return count
+        return len(reach(self.tree.neighbors, u, avoid=(r,)))
 
 
 class Ball:
@@ -62,12 +50,13 @@ class Ball:
     An empty frontier means the exploration exhausted the component and the
     ball is the whole tree.
 
-    ``interior`` is every other id. It is derived from ``frontier`` on its
-    first read and cached, so a ball is read-only after construction:
-    reassigning ``frontier`` (or ``tree``) would leave the cache stale.
+    ``interior`` is every other id, and ``sorted_interior`` the same ids in
+    increasing order. Each is derived from ``frontier`` on its first read and
+    cached, so a ball is read-only after construction: reassigning
+    ``frontier`` (or ``tree``) would leave the caches stale.
     """
 
-    __slots__ = ("oracle", "center", "radius", "tree", "frontier", "handles", "index", "_interior")
+    __slots__ = ("oracle", "center", "radius", "tree", "frontier", "handles", "index", "_interior", "_sorted_interior")
 
     def __init__(self, oracle, center, radius: int, tree: Tree, frontier, handles):
         self.oracle = oracle
@@ -78,6 +67,7 @@ class Ball:
         self.handles = tuple(handles)
         self.index = {h: i for i, h in enumerate(self.handles)}
         self._interior: frozenset[int] | None = None
+        self._sorted_interior: tuple[int, ...] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -92,6 +82,12 @@ class Ball:
         if self._interior is None:
             self._interior = frozenset(range(self.vertex_count)) - self.frontier
         return self._interior
+
+    @property
+    def sorted_interior(self) -> tuple[int, ...]:
+        if self._sorted_interior is None:
+            self._sorted_interior = tuple(v for v in range(self.vertex_count) if v not in self.frontier)
+        return self._sorted_interior
 
     def neighbors(self, v: int):
         if v in self.frontier:
@@ -117,6 +113,20 @@ class Ball:
 
     def __repr__(self) -> str:
         return f"Ball(radius={self.radius}, {self.vertex_count} vertices, frontier={len(self.frontier)})"
+
+
+def ball_depths(ball: Ball) -> list[int]:
+    """Distance from the center of every ball vertex, indexed by local id."""
+    adj = ball.tree.adjacency
+    dist = [-1] * ball.vertex_count
+    dist[0] = 0
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                order.append(u)
+    return dist
 
 
 def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = None) -> Ball:

@@ -861,7 +861,6 @@ def verify_dichotomy(
         "seed": seed,
         "trials": trials,
         "max_vertices": max_vertices,
-        "workers": workers,
     }
     if side == "amenable":
         per_d, rows, rho = _amenable_side(spec, list(d_list), trials, seed, max_vertices, workers)

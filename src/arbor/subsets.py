@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import InvalidVertexError, SearchTooLargeError
+from .trees import reach
 
 __all__ = [
     "SubsetSelection",
@@ -57,18 +58,7 @@ def boundary_of(host, members: Iterable[int]) -> frozenset[int]:
 
 def is_connected_in(host, members: Iterable[int]) -> bool:
     mem = frozenset(members)
-    if not mem:
-        return False
-    start = next(iter(mem))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in host.neighbors(v):
-            if u in mem and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(mem)
+    return bool(mem) and len(reach(host.neighbors, next(iter(mem)), within=mem)) == len(mem)
 
 
 class SubsetSelection:
@@ -138,7 +128,7 @@ def connected_subsets(
     """
     if allowed is None:
         if hasattr(host, "interior"):
-            pool = sorted(host.interior)
+            pool = host.sorted_interior
         else:
             pool = list(range(host.vertex_count))
     else:
@@ -192,13 +182,11 @@ def random_connected_subset(
         raise ValueError("size must be at least 1")
     if allowed is not None:
         allowed_set = set(allowed)
-    elif hasattr(host, "interior"):
-        allowed_set = host.interior  # never mutated below, so no copy
     else:
-        allowed_set = None
+        allowed_set = getattr(host, "interior", None)  # never mutated below, so no copy
     if start is None:
         if allowed_set:
-            start = rng.choice(sorted(allowed_set))
+            start = rng.choice(sorted(allowed_set) if allowed is not None else host.sorted_interior)
         else:
             start = rng.randrange(host.vertex_count)
     members = {start}

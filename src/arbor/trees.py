@@ -1,15 +1,14 @@
 """Finite trees over dense integer ids: construction, basic queries, codes, serialization.
 
-Trees are the only graph class in this package. Operations that would be
-generic graph algorithms elsewhere (connectivity sweeps, edge-complement
-checks) are specialized to trees so that the invariants stay cheap to state
-and to verify at construction time.
+Trees are the only graph class in this package. Construction validates the
+tree invariants once, so downstream code never rechecks them. ``reach`` is
+the one breadth-first walk the package's connectivity and component checks
+share; it works on any ``neighbors`` callable, not only on trees.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidVertexError, NotATreeError
@@ -22,7 +21,6 @@ __all__ = [
     "leaves",
     "branches",
     "induced_subtree",
-    "edge_complement_is_connected",
     "centers",
     "canonical_form",
     "parse_tree",
@@ -98,9 +96,9 @@ class Tree:
                 if v not in neighbor_sets[u]:
                     raise NotATreeError(f"asymmetric adjacency: {v} lists {u} but not vice versa")
         # Connectivity first: it gives the sharper message when both fail.
-        seen = _reachable_from(adj, 0)
+        seen = reach(adj.__getitem__, 0)
         if len(seen) != n:
-            missing = min(set(range(n)) - seen)
+            missing = min(set(range(n)).difference(seen))
             raise NotATreeError(f"disconnected: vertex {missing} is unreachable from vertex 0")
         if twice_edges != 2 * (n - 1):
             raise NotATreeError("contains a cycle")
@@ -165,16 +163,26 @@ class Tree:
         return f"Tree({self.vertex_count} vertices{rooted})"
 
 
-def _reachable_from(adj, start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+def reach(neighbors, start, within=None, avoid=(), cap=None) -> list | None:
+    """Vertices reachable from ``start``, in breadth-first order with ``start`` first.
+
+    The walk steps only onto members of ``within`` when it is given, and never
+    onto a member of ``avoid``; ``start`` itself is always included. Neighbors
+    are visited in the order ``neighbors(v)`` lists them. With ``cap``, the
+    walk stops and returns None as soon as it has found more than ``cap``
+    vertices (``start`` alone never counts as exceeding it).
+    """
+    order = [start]
+    seen = {start, *avoid}
+    for v in order:
+        for u in neighbors(v):
+            if u in seen or (within is not None and u not in within):
+                continue
+            seen.add(u)
+            order.append(u)
+            if cap is not None and len(order) > cap:
+                return None
+    return order
 
 
 def degree(t: Tree, v: int) -> int:
@@ -212,56 +220,6 @@ def induced_subtree(t: Tree, members: Iterable[int]) -> tuple[Tree, dict[int, in
         return Tree(adj, root=root), idx
     except NotATreeError as exc:
         raise NotATreeError(f"induced subgraph is not a tree: {exc}") from exc
-
-
-def edge_complement_is_connected(t: Tree, sub_members: Iterable[int]) -> bool:
-    """Whether the edge-induced graph on the edges outside the subtree is connected.
-
-    ``sub_members`` must induce a connected subtree with at least one edge,
-    and ``t`` must have at least one edge outside it. This is the brute-force
-    reference against which the fast single-boundary-vertex test is checked.
-    """
-    sub = frozenset(int(v) for v in sub_members)
-    if len(sub) < 2:
-        raise ValueError("the subtree needs at least one edge (two vertices)")
-    for v in sub:
-        if not 0 <= v < t.vertex_count:
-            raise InvalidVertexError(f"vertex {v} is out of range")
-    if not _is_connected_members(t, sub):
-        raise ValueError("the subtree members are not connected")
-    remaining: dict[int, list[int]] = {}
-    count = 0
-    for u, v in t.edges():
-        if u in sub and v in sub:
-            continue
-        remaining.setdefault(u, []).append(v)
-        remaining.setdefault(v, []).append(u)
-        count += 1
-    if count == 0:
-        raise ValueError("the host has no edges outside the subtree")
-    start = next(iter(remaining))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in remaining[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(remaining)
-
-
-def _is_connected_members(t: Tree, members: frozenset[int]) -> bool:
-    start = next(iter(members))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in t.adjacency[v]:
-            if u in members and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(members)
 
 
 def centers(t: Tree) -> tuple[int, ...]:

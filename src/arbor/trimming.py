@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InvalidVertexError, UnionRootMismatchError
-from .exploration import Ball, explore_ball
-from .subsets import connected_subsets, is_connected_in
-from .trees import NULL_TREE, NullTree, Tree, canonical_form, induced_subtree
+from .exploration import Ball, ball_depths, explore_ball
+from .subsets import is_connected_in
+from .trees import NULL_TREE, NullTree, Tree, canonical_form, induced_subtree, reach
 
 log = logging.getLogger("arbor.trimming")
 
@@ -43,7 +42,6 @@ __all__ = [
     "max_inessential_at",
     "lift_inessential",
     "lift_subset_through_trims",
-    "leaf_iff_inessential_check",
 ]
 
 
@@ -132,18 +130,6 @@ def trim_orbit(t: Tree, max_steps: int | None = None) -> TrimOrbit:
             return TrimOrbit(tuple(stages), tuple(members), "budget-exhausted")
 
 
-def _ball_distances(ball: Ball) -> list[int]:
-    dist = [-1] * ball.vertex_count
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in ball.tree.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
 def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None:
     """Removal step of v under iterated trimming, or None if v survives k rounds.
 
@@ -156,7 +142,7 @@ def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None
     if k == 0:
         return None
     ball = explore_ball(oracle, k, center=v, max_vertices=max_vertices)
-    dist = _ball_distances(ball)
+    dist = ball_depths(ball)
     adj = ball.tree.adjacency
     alive = [True] * ball.vertex_count
     for t in range(1, k + 1):
@@ -186,7 +172,7 @@ def removal_steps_in_ball(ball: Ball, steps: int) -> tuple[list, list]:
     i.e. the ball is the whole tree).
     """
     n = ball.vertex_count
-    dist = _ball_distances(ball)
+    dist = ball_depths(ball)
     adj = ball.tree.adjacency
     unbounded = not ball.frontier
     known = [steps if unbounded else max(0, min(steps, ball.radius - dist[v])) for v in range(n)]
@@ -321,7 +307,8 @@ def is_inessential(host, members: Iterable) -> bool:
     """Fast test: exactly one member touches the outside.
 
     Equivalent to the edge-complement staying connected, which is what the
-    brute-force oracle in tree-core computes.
+    brute-force reference ``edge_complement_is_connected`` in tests/brute.py
+    computes.
     """
     mem = frozenset(members)
     if len(mem) < 2:
@@ -377,24 +364,6 @@ class HangingComponent:
     members: frozenset | None
 
 
-def _walk_component(oracle, r, u, cap: int):
-    """Collect the component of u in host - r, giving up past cap vertices."""
-    seen = {r, u}
-    comp = [u]
-    queue = deque([u])
-    while queue:
-        v = queue.popleft()
-        for w in oracle.neighbors(v):
-            if w in seen:
-                continue
-            seen.add(w)
-            comp.append(w)
-            if len(comp) > cap:
-                return None
-            queue.append(w)
-    return comp
-
-
 def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingComponent]:
     """Classify each component of host - r as finite (with members), infinite, or unknown.
 
@@ -413,11 +382,11 @@ def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingCompo
             if s > max_vertices:
                 out.append(HangingComponent(u, "finite", int(s), None))
                 continue
-            comp = _walk_component(oracle, r, u, int(s))
+            comp = reach(oracle.neighbors, u, avoid=(r,), cap=int(s))
             assert comp is not None and len(comp) == s
             out.append(HangingComponent(u, "finite", int(s), frozenset(comp)))
         else:
-            comp = _walk_component(oracle, r, u, max_vertices)
+            comp = reach(oracle.neighbors, u, avoid=(r,), cap=max_vertices)
             if comp is None:
                 out.append(HangingComponent(u, "unknown", None, None))
             else:
@@ -495,28 +464,3 @@ def lift_subset_through_trims(oracle, members: Iterable, k: int, max_vertices: i
         cur |= addition
     return frozenset(cur)
 
-
-def leaf_iff_inessential_check(t: Tree, exterior: int) -> bool:
-    """Property check on a finite host with a marked outward direction.
-
-    Treat t as if an infinite branch continued from ``exterior``. Then the
-    host has an inessential subtree iff it has a leaf; this verifies both
-    directions by exhaustive search and returns whether they agree.
-    """
-    if not 0 <= exterior < t.vertex_count:
-        raise InvalidVertexError(f"vertex {exterior} is out of range")
-    has_leaf = any(
-        len(t.adjacency[v]) == 1 and v != exterior for v in range(t.vertex_count)
-    )
-    found = False
-    for sub in connected_subsets(t, t.vertex_count):
-        if len(sub) < 2:
-            continue
-        touching = 0
-        for v in sub:
-            if v == exterior or any(u not in sub for u in t.adjacency[v]):
-                touching += 1
-        if touching == 1:
-            found = True
-            break
-    return found == has_leaf

@@ -3,6 +3,12 @@
 Everything here is deliberately naive: straight from the definitions, no
 shared code with the library beyond the Tree container's accessors
 (vertex_count, neighbors). Slow is fine; these only run on small inputs.
+
+Besides the definitions themselves, two property checks live here:
+``edge_complement_is_connected``, the reference for the library's fast
+inessential test, and ``leaf_iff_inessential_check``, which checks by
+exhaustive search that a host with an outward branch has an inessential
+subtree exactly when it has a leaf.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -93,6 +100,42 @@ def inessential_by_components(t, members) -> bool:
             parent[find(u)] = find(v)
     outside_roots = {find(v) for v in range(t.vertex_count) if v not in mem}
     return len(outside_roots) == 1
+
+
+def edge_complement_is_connected(t, sub_members) -> bool:
+    """Whether the graph formed by the edges outside a subtree is connected.
+
+    The subtree must be connected with at least one edge, and ``t`` must have
+    at least one edge outside it.
+    """
+    sub = set(sub_members)
+    if len(sub) < 2 or not is_connected_subset(t, sub):
+        raise ValueError("the subtree must be connected and have at least one edge")
+    rest: dict[int, list[int]] = {}
+    for v in range(t.vertex_count):
+        for u in t.neighbors(v):
+            if u not in sub or v not in sub:
+                rest.setdefault(v, []).append(u)
+    if not rest:
+        raise ValueError("the host has no edges outside the subtree")
+    return is_connected_subset(SimpleNamespace(neighbors=rest.__getitem__), rest)
+
+
+def leaf_iff_inessential_check(t, exterior: int) -> bool:
+    """Whether "has a leaf" and "has an inessential subtree" agree on ``t``.
+
+    ``t`` is treated as if an infinite branch continued from ``exterior``, so
+    that vertex is never a leaf and always touches the outside. A subtree is
+    inessential when exactly one of its (at least two) members touches the
+    outside.
+    """
+    has_leaf = any(len(t.neighbors(v)) == 1 and v != exterior for v in range(t.vertex_count))
+    has_inessential = any(
+        len(sub) >= 2
+        and sum(1 for v in sub if v == exterior or any(u not in sub for u in t.neighbors(v))) == 1
+        for sub in connected_subsets_by_filter(t, t.vertex_count)
+    )
+    return has_leaf == has_inessential
 
 
 def trim_stages(t) -> list[set[int]]:

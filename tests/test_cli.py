@@ -232,6 +232,8 @@ def test_json_outputs_are_reproducible(quarter_law):
     first = run(*args)
     second = run(*args)
     assert first == second
+    # the worker count is not part of the result, so the JSON does not depend on it
+    assert run(*args[:-1], "1") == first
 
     a = run("classify", "--fixture", "staircase")
     b = run("classify", "--fixture", "staircase")

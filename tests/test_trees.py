@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arbor
 import brute
 from arbor import (
     InvalidVertexError,
@@ -14,7 +15,6 @@ from arbor import (
     branches,
     canonical_form,
     centers,
-    edge_complement_is_connected,
     induced_subtree,
     leaves,
     parse_child_list,
@@ -27,6 +27,7 @@ from arbor import (
     star_tree,
     subdivide_tree,
 )
+from arbor.trees import reach
 
 
 @st.composite
@@ -261,4 +262,38 @@ def test_edge_complement_matches_component_count(t: Tree):
         queue.extend(t.neighbors(v))
     if len(mem) < 2 or len(mem) == t.vertex_count:
         return
-    assert edge_complement_is_connected(t, mem) == brute.inessential_by_components(t, mem)
+    assert brute.edge_complement_is_connected(t, mem) == brute.inessential_by_components(t, mem)
+
+
+@given(random_trees(min_size=1, max_size=12), st.data())
+def test_reach_matches_brute(t: Tree, data):
+    n = t.vertex_count
+    start = data.draw(st.integers(min_value=0, max_value=n - 1))
+    dist = brute.bfs_distances(t, start)
+    # brute fills its distance map in breadth-first order, in adjacency order
+    assert reach(t.neighbors, start) == list(dist)
+
+    within = {v for v in range(n) if data.draw(st.booleans())} | {start}
+    comp = reach(t.neighbors, start, within=within)
+    assert set(comp) <= within and brute.is_connected_subset(t, comp)
+    assert not any(u in within and u not in comp for v in comp for u in t.neighbors(v))
+    assert (len(comp) == len(within)) == brute.is_connected_subset(t, within)
+
+    avoid = ()
+    if n > 1:
+        cut = data.draw(st.sampled_from([v for v in range(n) if v != start]))
+        avoid = (cut,)
+        beyond = brute.bfs_distances(t, cut)
+        # v is cut off from start exactly when cut lies on the path between them
+        cut_off = {v for v in range(n) if dist[cut] + beyond[v] == dist[v]}
+        assert set(reach(t.neighbors, start, avoid=avoid)) == set(range(n)) - cut_off
+
+    full = reach(t.neighbors, start, avoid=avoid)
+    cap = data.draw(st.integers(min_value=1, max_value=n + 1))
+    assert reach(t.neighbors, start, avoid=avoid, cap=cap) == (None if len(full) > cap else full)
+
+
+def test_exports_resolve_once():
+    assert len(arbor.__all__) == len(set(arbor.__all__))
+    for name in arbor.__all__:
+        assert hasattr(arbor, name), name
