@@ -229,7 +229,7 @@ def cmd_gw(args, stdout) -> int:
         return _emit(doc, _OK, args, stdout, text_lines=lines)
 
     if args.gw_command == "events":
-        result = monte_carlo_event(spec, args.event, args.trials, args.seed, workers=args.workers)
+        result = monte_carlo_event(spec, args.event, args.trials, args.seed)
         doc = {"command": "gw events", "law": spec.to_json(), "seed": args.seed}
         doc.update(result.to_json())
         rows = [
@@ -261,12 +261,11 @@ def cmd_gw(args, stdout) -> int:
         d_list,
         args.trials,
         args.seed,
-        max_vertices=args.max_vertices if args.max_vertices else 20000,
+        max_vertices=args.max_vertices,
         truncate_depth=args.truncate_depth,
         n_subsets=args.subsets,
         subset_size=args.subset_size,
         cheeger_max_size=args.cheeger_max_size,
-        workers=args.workers,
     )
     doc = {"command": "gw dichotomy", "seed": args.seed}
     doc.update(report.to_json())
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--event", required=True, help="path(d) or sary(s,d)")
     q.add_argument("--trials", type=int, default=10000)
-    q.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     q = gw_sub.add_parser("growth", help="empirical mean generation size vs mean**n")
     _add_io_flags(q, fixture=False)
@@ -361,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--subsets", type=int, default=1000, help="total random subsets on the bound side")
     q.add_argument("--subset-size", type=int, default=8)
     q.add_argument("--cheeger-max-size", type=int, default=6)
-    q.add_argument("--max-vertices", type=int)
-    q.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    q.add_argument("--max-vertices", type=int, default=20000)
 
     p = sub.add_parser("fixtures", help="built-in infinite trees")
     fix_sub = p.add_subparsers(dest="fixtures_command", required=True)

@@ -465,32 +465,19 @@ def _event_checker(event):
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-def monte_carlo_event(spec: GWSpec, event, trials: int, seed: int, workers: int = 1) -> MonteCarloEventResult:
+def monte_carlo_event(spec: GWSpec, event, trials: int, seed: int) -> MonteCarloEventResult:
     """Estimate the probability of a shape event by independent sampling.
 
     event is "path(d)", "sary(s,d)", a parsed tuple of the same, or
     ("code", canonical_bytes, depth) for an arbitrary depth-truncated shape.
+    Trial t is sample(spec, seed, depth, trial=t) for t in range(trials), so
+    the count of successes depends only on (spec, event, trials, seed).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     ev = parse_event(event) if isinstance(event, str) else tuple(event)
     depth, check, exact_fn = _event_checker(ev)
-
-    def run(lo: int, hi: int) -> int:
-        hits = 0
-        for t in range(lo, hi):
-            if check(sample(spec, seed, depth, trial=t)):
-                hits += 1
-        return hits
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run, bounds[:-1], bounds[1:]))
-    else:
-        successes = run(0, trials)
+    successes = sum(1 for t in range(trials) if check(sample(spec, seed, depth, trial=t)))
     est = successes / trials
     se = math.sqrt(est * (1 - est) / trials)
     name = event if isinstance(event, str) else (f"code@{ev[2]}" if ev[0] == "code" else repr(ev))
@@ -698,7 +685,7 @@ class DichotomyReport:
         return doc
 
 
-def _amenable_side(spec, d_list, trials, seed, max_vertices, workers):
+def _amenable_side(spec, d_list, trials, seed, max_vertices):
     rho = extinction_probability(spec)
     per_d = []
     rows = []
@@ -725,13 +712,7 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices, workers):
             ratio, kind = _scan_witness(smp, d, n)
             return (t, smp.generation_sizes, ratio, kind, attempts)
 
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, range(trials)))
-        else:
-            results = [one(t) for t in range(trials)]
+        results = [one(t) for t in range(trials)]
 
         skipped = sum(1 for res in results if res[1] is None)
         first_try = sum(1 for res in results if res[4] == 1 and res[1] is not None)
@@ -843,7 +824,6 @@ def verify_dichotomy(
     n_subsets: int = 1000,
     subset_size: int = 8,
     cheeger_max_size: int = 6,
-    workers: int = 1,
 ) -> DichotomyReport:
     """Statistical check of the survival dichotomy for an offspring law.
 
@@ -853,9 +833,15 @@ def verify_dichotomy(
     floor 1 - (1-q)^r with r = d disjoint depth windows. Laws whose vertices
     always have at least two children head for the bound side: random
     connected subsets must obey the doubling bound, with slack for the root.
+
+    Trials run one after another; trial t draws from streams keyed by
+    (seed, t), so the report depends only on the arguments. A sample stops
+    before the generation that would take it past max_vertices vertices.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be at least 1")
     side = "nonamenable" if spec.p(0) == 0 and spec.p(1) == 0 else "amenable"
     params = {
         "seed": seed,
@@ -863,7 +849,7 @@ def verify_dichotomy(
         "max_vertices": max_vertices,
     }
     if side == "amenable":
-        per_d, rows, rho = _amenable_side(spec, list(d_list), trials, seed, max_vertices, workers)
+        per_d, rows, rho = _amenable_side(spec, list(d_list), trials, seed, max_vertices)
         params["d_list"] = list(d_list)
         params["extinction_probability"] = rho
         return DichotomyReport(side, spec.to_json(), params, tuple(per_d), None, tuple(rows))

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import InvalidVertexError, UnionRootMismatchError
 from .exploration import Ball, ball_depths, explore_ball
-from .subsets import is_connected_in
+from .subsets import boundary_of, is_connected_in
 from .trees import NULL_TREE, NullTree, Tree, canonical_form, induced_subtree, reach
 
 log = logging.getLogger("arbor.trimming")
@@ -303,6 +303,18 @@ class InessentialSubtree:
         return len(self.members)
 
 
+def _touching(host, mem: frozenset) -> frozenset:
+    """The members with an outside neighbor, after checking the members form a proper subtree."""
+    if len(mem) < 2:
+        raise ValueError("an inessential subtree needs at least one edge (two vertices)")
+    if not is_connected_in(host, mem):
+        raise ValueError("the members are not connected")
+    touching = boundary_of(host, mem)
+    if not touching:
+        raise ValueError("no member has an outside neighbor; the subset is the whole tree")
+    return touching
+
+
 def is_inessential(host, members: Iterable) -> bool:
     """Fast test: exactly one member touches the outside.
 
@@ -310,38 +322,30 @@ def is_inessential(host, members: Iterable) -> bool:
     brute-force reference ``edge_complement_is_connected`` in tests/brute.py
     computes.
     """
-    mem = frozenset(members)
-    if len(mem) < 2:
-        raise ValueError("an inessential subtree needs at least one edge (two vertices)")
-    if not is_connected_in(host, mem):
-        raise ValueError("the members are not connected")
-    touching = 0
-    for v in mem:
-        if any(u not in mem for u in host.neighbors(v)):
-            touching += 1
-    if touching == 0:
-        raise ValueError("no member has an outside neighbor; the subset is the whole tree")
-    return touching == 1
+    return len(_touching(host, frozenset(members))) == 1
 
 
 def make_inessential(host, members: Iterable) -> InessentialSubtree:
+    """The members as an InessentialSubtree; its root is the one member touching the outside.
+
+    That root has a neighbor outside and, the members being connected and at
+    least two, one inside, so its host-degree is at least 2.
+    """
     mem = frozenset(members)
-    if not is_inessential(host, mem):
+    touching = _touching(host, mem)
+    if len(touching) != 1:
         raise ValueError("more than one member has an outside neighbor")
-    root = next(v for v in mem if any(u not in mem for u in host.neighbors(v)))
-    assert len(host.neighbors(root)) >= 2
+    (root,) = touching
     return InessentialSubtree(host, mem, root)
 
 
 def find_root(ines: InessentialSubtree):
     """The unique member with an outside neighbor (revalidated, not trusted)."""
-    roots = [
-        v for v in ines.members
-        if any(u not in ines.members for u in ines.host.neighbors(v))
-    ]
+    roots = boundary_of(ines.host, ines.members)
     if len(roots) != 1:
         raise ValueError(f"subtree is not inessential: {len(roots)} members touch the outside")
-    return roots[0]
+    (root,) = roots
+    return root
 
 
 def union_inessential(a: InessentialSubtree, b: InessentialSubtree) -> InessentialSubtree:

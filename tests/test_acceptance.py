@@ -141,7 +141,7 @@ def test_06_sandwich_inequalities_on_subdivided_ball():
 def test_07_single_child_cascade_estimates_match_analytic():
     start = time.monotonic()
     for law, d in ((GWSpec(("1/2", "1/2")), 2), (GWSpec(("3/10", "7/10")), 3)):
-        res = monte_carlo_event(law, f"path({d})", 100_000, seed=20260818, workers=4)
+        res = monte_carlo_event(law, f"path({d})", 100_000, seed=20260818)
         assert res.exact == law.p(1) ** (d + 1)
         assert res.within(3)
     assert time.monotonic() - start < 30.0
@@ -163,7 +163,7 @@ def test_08_collapse_event_exact_and_sampled():
             assert exact == ref
 
     binary = GWSpec(("1/2", 0, "1/2"))
-    res = monte_carlo_event(binary, "sary(2,1)", 100_000, seed=7, workers=4)
+    res = monte_carlo_event(binary, "sary(2,1)", 100_000, seed=7)
     assert res.exact == Fraction(1, 8)
     assert res.within(3)
 
@@ -193,7 +193,7 @@ def test_10_doubling_laws_never_violate_bounds():
 
 def test_11_survival_side_witness_fraction_beats_floor():
     rep = verify_dichotomy(
-        GWSpec(("1/4", "1/4", "1/2")), [5], trials=2000, seed=17, workers=4
+        GWSpec(("1/4", "1/4", "1/2")), [5], trials=2000, seed=17
     )
     assert rep.side == "amenable"
     entry = rep.per_d[0]
@@ -212,14 +212,14 @@ def test_12_fixed_seed_runs_are_byte_identical(tmp_path):
     invocations = [
         ("gw", "sample", "--input", str(law), "--seed", "5", "--depth", "6"),
         ("gw", "events", "--input", str(law), "--seed", "5",
-         "--event", "path(2)", "--trials", "500", "--workers", "3"),
+         "--event", "path(2)", "--trials", "500"),
         ("gw", "growth", "--input", str(law), "--seed", "5",
          "--generation", "4", "--trials", "300"),
         ("gw", "dichotomy", "--input", str(law), "--seed", "5",
-         "--d-list", "3", "--trials", "30", "--workers", "2"),
+         "--d-list", "3", "--trials", "30"),
         ("gw", "dichotomy", "--input", str(ternary), "--seed", "5",
          "--trials", "2", "--subsets", "20", "--truncate-depth", "3",
-         "--cheeger-max-size", "4", "--workers", "2"),
+         "--cheeger-max-size", "4"),
     ]
     for argv in invocations:
         first, second = io.StringIO(), io.StringIO()

@@ -174,7 +174,7 @@ def test_gw_sample(doubling_law):
 def test_gw_events(quarter_law):
     args = (
         "gw", "events", "--input", quarter_law, "--seed", "3",
-        "--event", "path(1)", "--trials", "400", "--workers", "2",
+        "--event", "path(1)", "--trials", "400",
     )
     code, doc = run_json(*args)
     assert code == 0
@@ -201,7 +201,7 @@ def test_gw_growth(quarter_law):
 def test_gw_dichotomy_both_sides(quarter_law, tmp_path):
     args = (
         "gw", "dichotomy", "--input", quarter_law, "--seed", "5",
-        "--d-list", "2", "--trials", "20", "--workers", "1",
+        "--d-list", "2", "--trials", "20",
     )
     code, doc = run_json(*args)
     assert code == 0
@@ -217,23 +217,32 @@ def test_gw_dichotomy_both_sides(quarter_law, tmp_path):
     code, doc = run_json(
         "gw", "dichotomy", "--input", str(ternary), "--seed", "9",
         "--trials", "2", "--subsets", "10", "--truncate-depth", "3",
-        "--subset-size", "5", "--cheeger-max-size", "4", "--workers", "1",
+        "--subset-size", "5", "--cheeger-max-size", "4",
     )
     assert code == 0
     assert doc["side"] == "nonamenable"
     assert doc["check"]["bound_violations"] == 0
 
 
+def test_gw_dichotomy_vertex_budget(quarter_law):
+    args = ("gw", "dichotomy", "--input", quarter_law, "--seed", "5", "--d-list", "2", "--trials", "3")
+    code, doc = run_json(*args)
+    assert code == 0
+    assert doc["params"]["max_vertices"] == 20000
+
+    code, doc = run_json(*args, "--max-vertices", "0")
+    assert code == 2
+    assert doc["kind"] == "input"
+
+
 def test_json_outputs_are_reproducible(quarter_law):
     args = (
         "gw", "dichotomy", "--input", quarter_law, "--seed", "5",
-        "--d-list", "2", "--trials", "10", "--workers", "2",
+        "--d-list", "2", "--trials", "10",
     )
     first = run(*args)
     second = run(*args)
     assert first == second
-    # the worker count is not part of the result, so the JSON does not depend on it
-    assert run(*args[:-1], "1") == first
 
     a = run("classify", "--fixture", "staircase")
     b = run("classify", "--fixture", "staircase")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +267,29 @@ def test_target_codes():
     assert path_target_code(1) != sary_target_code(2, 1)
 
 
+def test_sample_golden_digest():
+    """Pins sample()'s count arrays bit for bit: a faster sampler must reproduce them.
+
+    The grid covers the (trial,) stream (attempt=None), the (trial, attempt)
+    streams including a nonzero attempt, and samples cut short by the
+    max_vertices budget.
+    """
+    h = hashlib.sha256()
+    budget_hits = 0
+    for seed in (0, 5, 20260818):
+        for trial in (0, 1, 7):
+            for attempt in (None, 0, 3):
+                for max_vertices in (None, 40):
+                    smp = sample(QUARTER_LAW, seed, 8, max_vertices, trial=trial, attempt=attempt)
+                    budget_hits += smp.budget_hit
+                    key = (seed, trial, attempt, max_vertices, smp.truncated_at, smp.budget_hit)
+                    h.update(repr(key).encode())
+                    for c in smp.counts:
+                        h.update(np.asarray(c, dtype="<i8").tobytes())
+    assert budget_hits == 12
+    assert h.hexdigest() == "68ca6a89e12b511c60900d63dc171100cb1def1c3bc163126a012ea48142501e"
+
+
 def test_monte_carlo_event():
     res = monte_carlo_event(BINARY_LAW, "sary(2,1)", 4000, seed=11)
     assert res.exact == Fraction(1, 8)
@@ -277,9 +301,6 @@ def test_monte_carlo_event():
     assert res.within(4)
     doc = res.to_json()
     assert doc["exact"] == "1/8" and doc["exact_float"] == 0.125
-
-    par = monte_carlo_event(BINARY_LAW, "sary(2,1)", 4000, seed=11, workers=3)
-    assert par.successes == res.successes  # per-trial seeding; split is irrelevant
 
     code_ev = ("code", sary_target_code(2, 1), 2)
     by_code = monte_carlo_event(BINARY_LAW, code_ev, 4000, seed=11)
@@ -349,3 +370,5 @@ def test_dichotomy_nonamenable_side():
 
     with pytest.raises(ValueError):
         verify_dichotomy(spec, [], trials=0, seed=1)
+    with pytest.raises(ValueError):
+        verify_dichotomy(spec, [], trials=1, seed=1, max_vertices=0)

@@ -55,6 +55,18 @@ class PlainOracle:
         return self.inner.neighbors(h)
 
 
+class CountingOracle(PlainOracle):
+    """Neighbor oracle that counts its neighbors calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = 0
+
+    def neighbors(self, h):
+        self.calls += 1
+        return self.inner.neighbors(h)
+
+
 @st.composite
 def random_trees(draw: st.DrawFn, min_size: int = 1, max_size: int = 12):
     n = draw(st.integers(min_value=min_size, max_value=max_size))
@@ -272,6 +284,18 @@ def test_make_inessential_and_find_root():
     stale = InessentialSubtree(path_tree(5), frozenset({1, 2, 3}), 1)
     with pytest.raises(ValueError):
         find_root(stale)
+
+
+@given(random_trees(min_size=3, max_size=10))
+def test_make_inessential_reads_no_more_neighbors_than_is_inessential(t: Tree):
+    for sub in connected_subsets(t, t.vertex_count - 1):
+        if len(sub) < 2 or not is_inessential(t, sub):
+            continue
+        test_host, make_host = CountingOracle(t), CountingOracle(t)
+        is_inessential(test_host, sub)
+        ines = make_inessential(make_host, sub)
+        assert make_host.calls <= test_host.calls
+        assert ines.root == find_root(ines)
 
 
 def test_union_inessential():
