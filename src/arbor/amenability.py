@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DeclaredBoundsRefutedError,
     DegenerateImageError,
-    InsufficientWitnessesError,
     NoBranchStructureError,
     UnsupportedStructureError,
 )
@@ -47,8 +46,6 @@ __all__ = [
     "SandwichResult",
     "sandwich_check",
     "min_degree3_bound_check",
-    "folner_refine_connected",
-    "folner_exhausting",
     "DeclaredBounds",
     "ClassifyBudgets",
     "AmenabilityReport",
@@ -384,67 +381,6 @@ def min_degree3_bound_check(host, members: Iterable, exception_vertex=None) -> b
             raise UnsupportedStructureError(f"member {v!r} has degree {d} < 3")
     slack = 2 if exception_vertex in A else 0
     return len(A) <= 2 * len(boundary_of(host, A)) + slack
-
-
-def folner_refine_connected(host, members: Iterable, epsilon: Fraction) -> SubsetSelection:
-    """Extract a connected component whose own ratio is at most epsilon.
-
-    Requires the full subset to satisfy |boundary| <= epsilon * |A| first;
-    some component then meets the same bound by pigeonhole, because in a tree
-    a component's boundary is just the global boundary restricted to it.
-    """
-    A = frozenset(members)
-    if not A:
-        raise ValueError("empty subset")
-    bound = boundary_of(host, A)
-    if Fraction(len(bound), len(A)) > epsilon:
-        raise ValueError("the subset does not satisfy the requested ratio to begin with")
-    remaining = set(A)
-    best = None
-    best_key = None
-    while remaining:
-        comp = set(reach(host.neighbors, remaining.pop(), within=remaining))
-        remaining -= comp
-        ratio = Fraction(len(bound & comp), len(comp))
-        key = (ratio, len(comp), tuple(repr(m) for m in sorted_handles(comp)))
-        if best_key is None or key < best_key:
-            best, best_key = comp, key
-    assert best_key[0] <= epsilon
-    return SubsetSelection(host, best)
-
-
-def folner_exhausting(host, witnesses: Sequence[FolnerCandidate], cover: Sequence[Iterable]) -> list[FolnerCandidate]:
-    """Grow witnesses so that they also swallow the given cover, keeping ratios small.
-
-    Element n of the cover is unioned with the first witness whose size is at
-    least |cover element| squared (the last witness when none is big enough).
-    Each output ratio is asserted against (|B| + |boundary(A)|)/|A|.
-    """
-    if len(witnesses) < 2:
-        raise InsufficientWitnessesError("need at least two witnesses with decreasing ratios")
-    for earlier, later in zip(witnesses, witnesses[1:]):
-        if not later.ratio < earlier.ratio:
-            raise InsufficientWitnessesError("witness ratios must strictly decrease")
-    out = []
-    for n, block in enumerate(cover):
-        B = frozenset(block)
-        pick = len(witnesses) - 1
-        for i, w in enumerate(witnesses):
-            if w.size >= len(B) ** 2:
-                pick = i
-                break
-        w = witnesses[pick]
-        sel = SubsetSelection(host, B | w.members)
-        cap = Fraction(len(B) + len(w.selection.boundary), w.size)
-        assert sel.ratio <= cap
-        out.append(
-            FolnerCandidate(
-                sel,
-                w.provenance,
-                {"cover_index": n, "witness_index": pick, "ratio_cap": cap},
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,6 @@ class SearchTooLargeError(ArborError):
     """An exhaustive enumeration exceeded its work guard."""
 
 
-class UnionRootMismatchError(ArborError, ValueError):
-    """Two hanging subtrees with different roots cannot be merged."""
-
-
 class DegenerateImageError(ArborError):
     """The subset lies inside a single chain interior, so its contraction image is empty."""
 
@@ -45,10 +41,6 @@ class NoBranchStructureError(ArborError):
 
 class UnsupportedStructureError(ArborError):
     """The host's local shape violates a structural assumption of the operation."""
-
-
-class InsufficientWitnessesError(ArborError, ValueError):
-    """Too few shrinking-ratio witnesses to build an exhausting sequence."""
 
 
 class InsufficientDepthError(ArborError, ValueError):

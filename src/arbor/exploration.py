@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import BudgetExhaustedError, IncompleteKnowledgeError, InvalidVertexError
 from .trees import Tree, reach
 
-__all__ = ["TreeAsOracle", "Ball", "explore_ball", "explore_ball_adaptive"]
+__all__ = ["TreeAsOracle", "Ball", "explore_ball"]
 
 
 class TreeAsOracle:
@@ -171,23 +171,3 @@ def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = No
     frontier = [v for v in layer if dist[v] == radius]
     tree = Tree(adj, root=0)
     return Ball(oracle, center, radius, tree, frontier, handles)
-
-
-def explore_ball_adaptive(oracle, max_vertices: int, max_radius: int | None = None, center=None) -> Ball:
-    """The largest-radius ball around ``center`` that fits in ``max_vertices``.
-
-    Returns a complete ball (never more than ``max_radius`` if given). The
-    result may have radius 0.
-    """
-    best = explore_ball(oracle, 0, center=center, max_vertices=max_vertices)
-    r = 0
-    while max_radius is None or r < max_radius:
-        r += 1
-        try:
-            candidate = explore_ball(oracle, r, center=center, max_vertices=max_vertices)
-        except BudgetExhaustedError:
-            break
-        best = candidate
-        if not candidate.frontier:
-            break
-    return best

@@ -297,7 +297,6 @@ class GWSample:
         return Ball(None, (), k, tree, frontier, handles)
 
     def subtree_at(self, label: Sequence[int]) -> "GWSample":
-        self.index_of(label)
         g0 = len(label)
         pos = self.index_of(label) - self._offsets[g0]
         lo, hi = pos, pos + 1
@@ -583,7 +582,7 @@ def _alive_and_sizes(smp: GWSample):
     return alive, sub
 
 
-def _scan_witness(smp: GWSample, d: int, n: int) -> tuple[Fraction | None, str]:
+def _scan_witness(smp: GWSample, n: int) -> tuple[Fraction | None, str]:
     """Smallest boundary ratio found by three vectorized scans; None if nothing helps.
 
     Dead hanging subtrees give 1/size; runs of single-child vertices give
@@ -709,7 +708,7 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
                     break
             if smp.extinct:
                 return (t, None, None, "", attempts)
-            ratio, kind = _scan_witness(smp, d, n)
+            ratio, kind = _scan_witness(smp, n)
             return (t, smp.generation_sizes, ratio, kind, attempts)
 
         results = [one(t) for t in range(trials)]
@@ -761,7 +760,7 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
     from .amenability import cheeger_exact, min_degree3_bound_check
     from .subsets import SubsetSelection, random_connected_subset
 
-    per_trial = max(1, n_subsets // trials)
+    per_trial, extra = divmod(n_subsets, trials)
     rows = []
     violations = 0
     slack_violations = 0
@@ -774,7 +773,8 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
         ball = smp.truncate_ball(truncate_depth)
         rng = _GenAdapter(_rng(seed, (t, 65536)))
         bad = 0
-        for _ in range(per_trial):
+        n_t = per_trial + (1 if t < extra else 0)
+        for _ in range(n_t):
             size = 1 + rng.randrange(subset_size)
             members = random_connected_subset(ball, size, rng)
             checked += 1
@@ -785,7 +785,7 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
             if sel.ratio < Fraction(1, 2) - slack:
                 slack_violations += 1
         violations += bad
-        rows.append((t, per_trial, bad))
+        rows.append((t, n_t, bad))
         res = cheeger_exact(ball, cheeger_max_size)
         root_in = 0 in res.argmin.members
         floor = Fraction(1, 2) - (Fraction(1, res.argmin.size) if root_in else Fraction(0))
@@ -833,6 +833,8 @@ def verify_dichotomy(
     floor 1 - (1-q)^r with r = d disjoint depth windows. Laws whose vertices
     always have at least two children head for the bound side: random
     connected subsets must obey the doubling bound, with slack for the root.
+    The n_subsets subsets are split over the trials as evenly as possible,
+    the first n_subsets % trials trials checking one more.
 
     Trials run one after another; trial t draws from streams keyed by
     (seed, t), so the report depends only on the arguments. A sample stops
@@ -853,6 +855,12 @@ def verify_dichotomy(
         params["d_list"] = list(d_list)
         params["extinction_probability"] = rho
         return DichotomyReport(side, spec.to_json(), params, tuple(per_d), None, tuple(rows))
+    if truncate_depth < 1:
+        raise ValueError("truncate_depth must be at least 1")
+    if n_subsets < 1:
+        raise ValueError("n_subsets must be at least 1")
+    if subset_size < 1:
+        raise ValueError("subset_size must be at least 1")
     params.update(
         {
             "truncate_depth": truncate_depth,

@@ -17,31 +17,11 @@ from .trees import reach
 
 __all__ = [
     "SubsetSelection",
-    "InducedView",
     "boundary_of",
     "is_connected_in",
     "connected_subsets",
     "random_connected_subset",
 ]
-
-
-class InducedView:
-    """A host restricted to a vertex subset, keeping the original ids.
-
-    Unlike induced_subtree this never relabels, so it composes with handle
-    spaces of oracles. Vertices outside ``alive`` simply do not exist here.
-    """
-
-    __slots__ = ("host", "alive")
-
-    def __init__(self, host, alive: Iterable):
-        self.host = host
-        self.alive = frozenset(alive)
-
-    def neighbors(self, v):
-        if v not in self.alive:
-            raise InvalidVertexError(f"vertex {v!r} is not in this view")
-        return tuple(u for u in self.host.neighbors(v) if u in self.alive)
 
 
 def boundary_of(host, members: Iterable[int]) -> frozenset[int]:
@@ -182,6 +162,8 @@ def random_connected_subset(
         raise ValueError("size must be at least 1")
     if allowed is not None:
         allowed_set = set(allowed)
+        if not allowed_set:
+            raise ValueError("allowed must not be empty")
     else:
         allowed_set = getattr(host, "interior", None)  # never mutated below, so no copy
     if start is None:

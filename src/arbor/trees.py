@@ -31,7 +31,6 @@ __all__ = [
     "star_tree",
     "sary_tree",
     "subdivide_tree",
-    "relabel_tree",
 ]
 
 
@@ -405,15 +404,3 @@ def subdivide_tree(t: Tree, times: int = 1) -> Tree:
             nxt += 1
         t = Tree(adj, root=t.root)
     return t
-
-
-def relabel_tree(t: Tree, permutation: Iterable[int]) -> Tree:
-    """Apply ``permutation`` (new id at position old id) to vertices."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(t.vertex_count)):
-        raise ValueError("not a permutation of the vertex ids")
-    adj: list[list[int]] = [[] for _ in range(t.vertex_count)]
-    for v, ns in enumerate(t.adjacency):
-        adj[perm[v]] = [perm[u] for u in ns]
-    root = perm[t.root] if t.root is not None else None
-    return Tree(adj, root=root)

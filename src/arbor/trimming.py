@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import InvalidVertexError, UnionRootMismatchError
+from .errors import InvalidVertexError
 from .exploration import Ball, ball_depths, explore_ball
 from .subsets import boundary_of, is_connected_in
 from .trees import NULL_TREE, NullTree, Tree, canonical_form, induced_subtree, reach
@@ -34,13 +34,8 @@ __all__ = [
     "InessentialSubtree",
     "is_inessential",
     "make_inessential",
-    "find_root",
-    "union_inessential",
     "HangingComponent",
     "hanging_components",
-    "INCOMPLETE",
-    "max_inessential_at",
-    "lift_inessential",
     "lift_subset_through_trims",
 ]
 
@@ -130,6 +125,29 @@ def trim_orbit(t: Tree, max_steps: int | None = None) -> TrimOrbit:
             return TrimOrbit(tuple(stages), tuple(members), "budget-exhausted")
 
 
+def _peel(adj: list, known: list, steps: int):
+    """Iterated leaf removal on a finite piece of a host, one round at a time.
+
+    Yields (t, dead) for rounds t = 1..steps, where dead lists in id order
+    the vertices removed at round t; stops early once a round removes
+    nothing. Vertex w takes part only through round known[w]: after that its
+    degree may depend on vertices outside the piece, so it is never removed.
+    """
+    alive = [True] * len(adj)
+    for t in range(1, steps + 1):
+        dead = [
+            w
+            for w in range(len(adj))
+            if alive[w] and t <= known[w]
+            and sum(1 for u in adj[w] if alive[u]) == 1
+        ]
+        if not dead:
+            return
+        for w in dead:
+            alive[w] = False
+        yield t, dead
+
+
 def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None:
     """Removal step of v under iterated trimming, or None if v survives k rounds.
 
@@ -142,22 +160,9 @@ def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None
     if k == 0:
         return None
     ball = explore_ball(oracle, k, center=v, max_vertices=max_vertices)
-    dist = ball_depths(ball)
-    adj = ball.tree.adjacency
-    alive = [True] * ball.vertex_count
-    for t in range(1, k + 1):
-        horizon = k - t
-        dead = [
-            w
-            for w in range(ball.vertex_count)
-            if alive[w] and dist[w] <= horizon
-            and sum(1 for u in adj[w] if alive[u]) == 1
-        ]
-        if not dead:
-            return None
-        for w in dead:
-            alive[w] = False
-        if not alive[0]:
+    known = [k - d for d in ball_depths(ball)]
+    for t, dead in _peel(ball.tree.adjacency, known, k):
+        if dead[0] == 0:
             return t
     return None
 
@@ -171,24 +176,11 @@ def removal_steps_in_ball(ball: Ball, steps: int) -> tuple[list, list]:
     round radius - d (through every requested round if the frontier is empty,
     i.e. the ball is the whole tree).
     """
-    n = ball.vertex_count
-    dist = ball_depths(ball)
-    adj = ball.tree.adjacency
     unbounded = not ball.frontier
-    known = [steps if unbounded else max(0, min(steps, ball.radius - dist[v])) for v in range(n)]
-    removed: list = [None] * n
-    alive = [True] * n
-    for t in range(1, steps + 1):
-        dead = [
-            w
-            for w in range(n)
-            if alive[w] and t <= known[w]
-            and sum(1 for u in adj[w] if alive[u]) == 1
-        ]
-        if not dead:
-            break
+    known = [steps if unbounded else max(0, min(steps, ball.radius - d)) for d in ball_depths(ball)]
+    removed: list = [None] * ball.vertex_count
+    for t, dead in _peel(ball.tree.adjacency, known, steps):
         for w in dead:
-            alive[w] = False
             removed[w] = t
     return removed, known
 
@@ -339,25 +331,6 @@ def make_inessential(host, members: Iterable) -> InessentialSubtree:
     return InessentialSubtree(host, mem, root)
 
 
-def find_root(ines: InessentialSubtree):
-    """The unique member with an outside neighbor (revalidated, not trusted)."""
-    roots = boundary_of(ines.host, ines.members)
-    if len(roots) != 1:
-        raise ValueError(f"subtree is not inessential: {len(roots)} members touch the outside")
-    (root,) = roots
-    return root
-
-
-def union_inessential(a: InessentialSubtree, b: InessentialSubtree) -> InessentialSubtree:
-    if a.host is not b.host:
-        raise ValueError("the subtrees live in different hosts")
-    if a.root != b.root:
-        raise UnionRootMismatchError(
-            f"roots differ ({a.root!r} vs {b.root!r}); the union need not be inessential"
-        )
-    return make_inessential(a.host, a.members | b.members)
-
-
 @dataclass(frozen=True)
 class HangingComponent:
     """One component of host minus a vertex, as seen from that vertex."""
@@ -395,57 +368,6 @@ def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingCompo
                 out.append(HangingComponent(u, "unknown", None, None))
             else:
                 out.append(HangingComponent(u, "finite", len(comp), frozenset(comp)))
-    return out
-
-
-class _Incomplete:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INCOMPLETE"
-
-
-INCOMPLETE = _Incomplete()
-
-
-def max_inessential_at(oracle, r, max_vertices: int = 2000):
-    """Largest inessential subtree rooted at r buildable from budget-confirmed pieces.
-
-    Returns the union of r with every hanging component confirmed finite and
-    small enough to walk; None when no component is finite; INCOMPLETE when
-    nothing is confirmed finite but some component's status is undecided.
-    """
-    if len(oracle.neighbors(r)) < 2:
-        raise ValueError("the root of an inessential subtree must have degree at least 2")
-    comps = hanging_components(oracle, r, max_vertices)
-    walked = [c for c in comps if c.members is not None]
-    undecided = [c for c in comps if c.status == "unknown" or (c.status == "finite" and c.members is None)]
-    if not walked:
-        return INCOMPLETE if undecided else None
-    members = {r}
-    for c in walked:
-        members |= c.members
-    return make_inessential(oracle, members)
-
-
-def lift_inessential(t: Tree, ines: InessentialSubtree) -> InessentialSubtree:
-    """Pull an inessential subtree of the trimmed tree back into the host.
-
-    ``ines.members`` must be host ids that survive one trim round. Re-attaching
-    the trimmed leaf-children of every non-root member restores inessentiality
-    in the host and grows the subtree by at least one vertex (each non-root
-    member that was a leaf of the trimmed subtree lost a leaf-child to the
-    trim; without re-attaching it that member would touch the outside).
-    """
-    lifted = set(ines.members)
-    for v in ines.members:
-        if v == ines.root:
-            continue
-        for u in t.adjacency[v]:
-            if len(t.adjacency[u]) == 1:
-                lifted.add(u)
-    out = make_inessential(t, lifted)
-    assert out.root == ines.root
     return out
 
 

@@ -1,14 +1,16 @@
 """Definition-level reference implementations used as test oracles.
 
 Everything here is deliberately naive: straight from the definitions, no
-shared code with the library beyond the Tree container's accessors
-(vertex_count, neighbors). Slow is fine; these only run on small inputs.
+shared code with the library beyond the Tree container (its constructor
+and the accessors vertex_count, neighbors). Slow is fine; these only run
+on small inputs.
 
 Besides the definitions themselves, two property checks live here:
 ``edge_complement_is_connected``, the reference for the library's fast
 inessential test, and ``leaf_iff_inessential_check``, which checks by
 exhaustive search that a host with an outward branch has an inessential
-subtree exactly when it has a leaf.
+subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
+for tests that a code or verdict does not depend on the labeling.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import itertools
 from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
+
+from arbor import Tree
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -212,6 +216,18 @@ def random_tree_edges(rng, n: int) -> list[tuple[int, int]]:
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return edges
+
+
+def relabel_tree(t, permutation) -> Tree:
+    """Apply ``permutation`` (new id at position old id) to vertices."""
+    perm = list(permutation)
+    if sorted(perm) != list(range(t.vertex_count)):
+        raise ValueError("not a permutation of the vertex ids")
+    adj: list[list[int]] = [[] for _ in range(t.vertex_count)]
+    for v, ns in enumerate(t.adjacency):
+        adj[perm[v]] = [perm[u] for u in ns]
+    root = perm[t.root] if t.root is not None else None
+    return Tree(adj, root=root)
 
 
 def gw_event_prob_by_enumeration(probs, depth: int, predicate, max_outcomes: int = 10**6) -> Fraction:

@@ -12,8 +12,6 @@ from arbor import (
     DeclaredBounds,
     DeclaredBoundsRefutedError,
     DegenerateImageError,
-    FolnerCandidate,
-    InsufficientWitnessesError,
     SubsetSelection,
     Tree,
     TreeAsOracle,
@@ -23,10 +21,8 @@ from arbor import (
     classify,
     contract_branchless,
     explore_ball,
-    folner_exhausting,
     folner_from_branchless_path,
     folner_from_inessential,
-    folner_refine_connected,
     jsonable,
     make_fixture,
     make_inessential,
@@ -202,39 +198,6 @@ def test_min_degree3_bound():
         min_degree3_bound_check(ball, set())
     with pytest.raises(ValueError):
         min_degree3_bound_check(ball, {1, 2})  # two ball branches, not connected
-
-
-def test_folner_refine_picks_best_component():
-    t = path_tree(10)
-    sel = folner_refine_connected(t, {1, 3, 4, 5, 6}, Fraction(3, 5))
-    assert sel.members == frozenset({3, 4, 5, 6})
-    assert sel.ratio == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        folner_refine_connected(t, {1, 3, 4, 5, 6}, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        folner_refine_connected(t, set(), Fraction(1))
-
-
-def test_folner_exhausting():
-    t = path_tree(30)
-    witnesses = [
-        FolnerCandidate(SubsetSelection(t, {5}), "user"),
-        FolnerCandidate(SubsetSelection(t, set(range(10, 15))), "user"),
-        FolnerCandidate(SubsetSelection(t, set(range(18, 29))), "user"),
-    ]
-    out = folner_exhausting(t, witnesses, [{2, 3}, {6}])
-    assert len(out) == 2
-    assert out[0].detail["witness_index"] == 1
-    assert out[0].members == frozenset({2, 3, 10, 11, 12, 13, 14})
-    assert out[1].detail["witness_index"] == 0
-    assert out[1].members == frozenset({5, 6})
-    for cand in out:
-        assert cand.ratio <= cand.detail["ratio_cap"]
-
-    with pytest.raises(InsufficientWitnessesError):
-        folner_exhausting(t, witnesses[:1], [{2}])
-    with pytest.raises(InsufficientWitnessesError):
-        folner_exhausting(t, [witnesses[1], witnesses[1]], [{2}])
 
 
 def test_declared_bounds():

@@ -235,6 +235,18 @@ def test_gw_dichotomy_vertex_budget(quarter_law):
     assert doc["kind"] == "input"
 
 
+def test_gw_dichotomy_bound_side_inputs(tmp_path):
+    ternary = tmp_path / "law3.json"
+    ternary.write_text(json.dumps({"p": ["0", "0", "0", "1"]}))
+    args = ("gw", "dichotomy", "--input", str(ternary), "--seed", "9", "--trials", "2")
+    for flag, name in (("--truncate-depth", "truncate_depth"), ("--subset-size", "subset_size"),
+                       ("--subsets", "n_subsets")):
+        code, doc = run_json(*args, flag, "0")
+        assert code == 2, flag
+        assert doc["kind"] == "input"
+        assert name in doc["error"]
+
+
 def test_json_outputs_are_reproducible(quarter_law):
     args = (
         "gw", "dichotomy", "--input", quarter_law, "--seed", "5",

@@ -372,3 +372,18 @@ def test_dichotomy_nonamenable_side():
         verify_dichotomy(spec, [], trials=0, seed=1)
     with pytest.raises(ValueError):
         verify_dichotomy(spec, [], trials=1, seed=1, max_vertices=0)
+    for bad in ({"truncate_depth": 0}, {"subset_size": 0}, {"n_subsets": 0}):
+        with pytest.raises(ValueError):
+            verify_dichotomy(spec, [], trials=2, seed=1, **bad)
+
+    uneven = verify_dichotomy(
+        spec, [], trials=3, seed=9, truncate_depth=3, n_subsets=10,
+        subset_size=6, cheeger_max_size=4,
+    )
+    assert uneven.nonamenable["subsets_checked"] == 10
+    assert [r[1] for r in uneven.csv_rows()[1:]] == [4, 3, 3]
+    few = verify_dichotomy(
+        spec, [], trials=3, seed=9, truncate_depth=3, n_subsets=1,
+        subset_size=6, cheeger_max_size=4,
+    )
+    assert few.nonamenable["subsets_checked"] == 1

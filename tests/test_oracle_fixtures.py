@@ -16,7 +16,6 @@ from arbor import (
     UnknownFixtureError,
     canonical_form,
     explore_ball,
-    explore_ball_adaptive,
     list_fixtures,
     make_fixture,
     path_tree,
@@ -111,17 +110,6 @@ def test_ball_handle_roundtrip():
 def test_explore_ball_budget():
     with pytest.raises(BudgetExhaustedError):
         explore_ball(make_fixture("regular(3)"), 10, max_vertices=50)
-
-
-def test_explore_ball_adaptive():
-    ball = explore_ball_adaptive(make_fixture("regular(3)"), max_vertices=30)
-    assert ball.radius == 3
-    assert ball.vertex_count == 22
-    whole = explore_ball_adaptive(TreeAsOracle(path_tree(6)), max_vertices=100)
-    assert whole.frontier == frozenset()
-    assert whole.vertex_count == 6
-    capped = explore_ball_adaptive(make_fixture("regular(3)"), max_vertices=1000, max_radius=2)
-    assert capped.radius == 2
 
 
 def ball_interior_degrees(fixture, radius: int):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import brute
 from arbor import (
-    InducedView,
     SearchTooLargeError,
     SubsetSelection,
     Tree,
@@ -116,10 +115,5 @@ def test_random_connected_subset_respects_allowed_and_start():
     assert 0 in sub
     with pytest.raises(ValueError):
         random_connected_subset(t, 0, rng)
-
-
-def test_induced_view_filters_neighbors():
-    t = path_tree(5)
-    view = InducedView(t, [1, 2, 3])
-    assert tuple(view.neighbors(2)) == (1, 3)
-    assert tuple(view.neighbors(1)) == (2,)
+    with pytest.raises(ValueError):
+        random_connected_subset(path_tree(6), 1, rng, allowed=[])

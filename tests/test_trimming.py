@@ -6,29 +6,22 @@ from hypothesis import strategies as st
 
 import brute
 from arbor import (
-    INCOMPLETE,
-    InducedView,
-    InessentialSubtree,
     InvalidVertexError,
     NULL_TREE,
     Tree,
     TreeAsOracle,
     TrimmedView,
-    UnionRootMismatchError,
     ball_code_sequence,
     boundary_of,
     canonical_form,
     connected_subsets,
     detect_period,
     explore_ball,
-    find_root,
     hanging_components,
     is_inessential,
-    lift_inessential,
     lift_subset_through_trims,
     make_fixture,
     make_inessential,
-    max_inessential_at,
     path_tree,
     removal_steps_in_ball,
     sary_tree,
@@ -37,7 +30,6 @@ from arbor import (
     trim_depth,
     trim_orbit,
     trim_with_members,
-    union_inessential,
 )
 
 
@@ -278,12 +270,8 @@ def test_make_inessential_and_find_root():
     ines = make_inessential(t, {0, 1, 2})
     assert ines.root == 0
     assert ines.size == 3
-    assert find_root(ines) == 0
     with pytest.raises(ValueError):
         make_inessential(path_tree(5), {1, 2, 3})  # two members touch outside
-    stale = InessentialSubtree(path_tree(5), frozenset({1, 2, 3}), 1)
-    with pytest.raises(ValueError):
-        find_root(stale)
 
 
 @given(random_trees(min_size=3, max_size=10))
@@ -295,20 +283,7 @@ def test_make_inessential_reads_no_more_neighbors_than_is_inessential(t: Tree):
         is_inessential(test_host, sub)
         ines = make_inessential(make_host, sub)
         assert make_host.calls <= test_host.calls
-        assert ines.root == find_root(ines)
-
-
-def test_union_inessential():
-    t = star_tree(4)
-    a = make_inessential(t, {0, 1})
-    b = make_inessential(t, {0, 2})
-    u = union_inessential(a, b)
-    assert u.members == frozenset({0, 1, 2}) and u.root == 0
-    p = path_tree(6)
-    with pytest.raises(UnionRootMismatchError):
-        union_inessential(make_inessential(p, {0, 1}), make_inessential(p, {4, 5}))
-    with pytest.raises(ValueError):
-        union_inessential(a, make_inessential(star_tree(4), {0, 1}))
+        assert boundary_of(t, sub) == {ines.root}
 
 
 def test_hanging_components_with_capability():
@@ -336,38 +311,6 @@ def test_hanging_components_finite_but_unwalkable():
     left = by_attach[(8, 0)]
     assert left.status == "finite" and left.size == 45 and left.members is None
     assert by_attach[(10, 0)].status == "infinite"
-
-
-def test_max_inessential_at():
-    ines = max_inessential_at(make_fixture("staircase"), (2, 0))
-    assert ines.root == (2, 0)
-    assert ines.members == frozenset({(2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (0, 0)})
-
-    assert max_inessential_at(make_fixture("regular(3)"), ()) is None
-    assert max_inessential_at(PlainOracle(make_fixture("regular(3)")), (), max_vertices=30) is INCOMPLETE
-    assert max_inessential_at(make_fixture("staircase"), (9, 0), max_vertices=5) is INCOMPLETE
-    with pytest.raises(ValueError):
-        max_inessential_at(make_fixture("zline_pendant"), ("p", 0))
-
-
-@given(random_trees(min_size=4, max_size=12))
-def test_lift_inessential_grows(t: Tree):
-    trimmed, kept = trim_with_members(t)
-    if getattr(trimmed, "vertex_count", 0) < 3:
-        return
-    view = InducedView(t, kept)
-    found = None
-    for sub in connected_subsets(t, 4, allowed=kept):
-        if len(sub) >= 2 and len(sub) < len(kept) and is_inessential(view, sub):
-            found = sub
-            break
-    if found is None:
-        return
-    ines = make_inessential(view, found)
-    lifted = lift_inessential(t, ines)
-    assert lifted.root == ines.root
-    assert lifted.members > ines.members
-    assert is_inessential(t, lifted.members)
 
 
 def test_lift_subset_through_trims_preserves_boundary():
