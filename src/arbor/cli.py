@@ -90,9 +90,6 @@ def _emit(doc, code, args, stdout, text_lines=None, csv_rows=None) -> int:
     if fmt == "json":
         stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif fmt == "csv":
-        if csv_rows is None:
-            stdout.write(json.dumps({"error": "no CSV rendering for this command"}) + "\n")
-            return _INPUT_ERROR
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         stdout.write(buf.getvalue())
@@ -293,11 +290,13 @@ def cmd_fixtures(args, stdout) -> int:
     return _emit(doc, _OK, args, stdout, text_lines=lines)
 
 
-def _add_io_flags(p: argparse.ArgumentParser, fixture: bool = True):
+def _add_io_flags(p: argparse.ArgumentParser, fixture: bool = True, with_csv: bool = False):
     p.add_argument("--input", help="path to a tree file (edge list or child-list JSON)")
     if fixture:
         p.add_argument("--fixture", help="fixture id, e.g. regular(3) or staircase_n(2)")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    # csv only where the command has a table to render, so argparse rejects it before any work
+    formats = ("json", "csv", "text") if with_csv else ("json", "text")
+    p.add_argument("--format", choices=formats, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,19 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-vertices", type=int)
 
     q = gw_sub.add_parser("events", help="Monte Carlo probability of a shape event")
-    _add_io_flags(q, fixture=False)
+    _add_io_flags(q, fixture=False, with_csv=True)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--event", required=True, help="path(d) or sary(s,d)")
     q.add_argument("--trials", type=int, default=10000)
 
     q = gw_sub.add_parser("growth", help="empirical mean generation size vs mean**n")
-    _add_io_flags(q, fixture=False)
+    _add_io_flags(q, fixture=False, with_csv=True)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--generation", type=int, required=True)
     q.add_argument("--trials", type=int, default=10000)
 
     q = gw_sub.add_parser("dichotomy", help="statistical check of the survival dichotomy")
-    _add_io_flags(q, fixture=False)
+    _add_io_flags(q, fixture=False, with_csv=True)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--trials", type=int, default=200)
     q.add_argument("--d-list", default="5", help="comma-separated witness thresholds")
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixtures", help="built-in infinite trees")
     fix_sub = p.add_subparsers(dest="fixtures_command", required=True)
     q = fix_sub.add_parser("list", help="list fixture names")
-    q.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    q.add_argument("--format", choices=("json", "text"), default="json")
 
     return parser
 

@@ -9,17 +9,23 @@ everywhere: generation g of trial t under seed s is drawn from
 
 with an extra spawn component for rejection attempts and for subset draws,
 so every number in a report is reproducible from (seed, trial) alone.
+sample() computes that stream in closed form, seeding once per trial and
+advancing the PCG64 state by the jump's LCG coefficients, so no Generator
+is built per generation; tests/test_gw.py pins it bit for bit with a golden
+digest.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import re
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,6 +155,13 @@ class GWSpec:
         cum[-1] = 1.0
         return cum
 
+    @cached_property
+    def _cum_table(self) -> tuple:
+        """cumulative() built once, as a read-only array and as a tuple for bisect."""
+        cum = self.cumulative()
+        cum.setflags(write=False)
+        return cum, tuple(cum.tolist())
+
     def extinction_probability(self, tol: float = 1e-12) -> float:
         return extinction_probability(self, tol)
 
@@ -178,11 +191,143 @@ def extinction_probability(spec: GWSpec, tol: float = 1e-12, max_iter: int = 1_0
     return x
 
 
-def _rng(seed: int, spawn_key=(), generation: int = 0) -> np.random.Generator:
-    bg = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=tuple(spawn_key)))
-    if generation:
-        bg = bg.jumped(generation)
-    return np.random.Generator(bg)
+def _rng(seed: int, spawn_key=()) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=tuple(spawn_key)))
+    )
+
+
+# numpy's PCG64 (128-bit LCG with XSL-RR output) and the SeedSequence hash
+# that seeds it, reproduced with Python ints.
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # PCG64.jumped(1) advances by this
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool size in 32-bit words
+_DOUBLE_UNIT = 2.0**-53
+# Generations at most this wide are drawn with Python ints (about 1 µs per
+# vertex); wider ones from a numpy Generator set to the same state (about
+# 9 µs per generation, plus 15 µs to build it once per sample). The
+# benchmark's gw-shallow and gw-deep ran within 3% of each other at 12, 32
+# and 64; 12 built Generators for gw-shallow's growth trials and took 2 MB
+# more memory.
+_NARROW_MAX = 32
+
+
+def _words(n) -> list:
+    """n as little-endian 32-bit words, the way SeedSequence splits its inputs."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _hash_mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+@lru_cache(maxsize=32)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool after the seed's words, and the hash constant reached.
+
+    The spawn key's words are mixed in after these, so the pool depends on
+    the seed alone. Entropy shorter than the pool is padded with zero words,
+    as numpy does whenever a spawn key follows.
+    """
+    entropy = _words(seed)
+    entropy += [0] * (_POOL - len(entropy))
+    h = _HASH_INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = (h * _HASH_MULT_A) & _M32
+        v = (v * h) & _M32
+        return v ^ (v >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _hash_mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _hash_mix(pool[dst], hashmix(w))
+    return tuple(pool), h
+
+
+def _state_hashes() -> tuple:
+    """(xor, multiplier) pairs of SeedSequence.generate_state for 4 uint64 words."""
+    out = []
+    h = _HASH_INIT_B
+    for _ in range(2 * _POOL):
+        nxt = (h * _HASH_MULT_B) & _M32
+        out.append((h, nxt))
+        h = nxt
+    return tuple(out)
+
+
+_STATE_HASHES = _state_hashes()
+
+
+def _pcg_start(seed: int, spawn: tuple) -> tuple:
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=spawn)), without numpy."""
+    pool, h = _seed_pool(operator.index(seed))
+    pool = list(pool)
+    for key in spawn:
+        for w in _words(key):
+            for dst in range(_POOL):
+                v = w ^ h
+                h = (h * _HASH_MULT_A) & _M32
+                v = (v * h) & _M32
+                r = (_MIX_L * pool[dst] - _MIX_R * (v ^ (v >> 16))) & _M32  # _hash_mix, inlined
+                pool[dst] = r ^ (r >> 16)
+    words = []
+    for (x, m), v in zip(_STATE_HASHES, pool + pool):
+        v = ((v ^ x) * m) & _M32
+        words.append(v ^ (v >> 16))
+    initstate = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
+    inc = ((words[4] | words[5] << 32) << 65 | (words[6] | words[7] << 32) << 1 | 1) & _M128
+    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc
+
+
+def _lcg_advance(delta: int) -> tuple:
+    """(A, C) with advance(s, delta) = A*s + C*inc mod 2^128 (Brown 1994)."""
+    acc_mult, acc_plus, mult, plus = 1, 0, _PCG_MULT, 1
+    while delta:
+        if delta & 1:
+            acc_mult = (acc_mult * mult) & _M128
+            acc_plus = (acc_plus * mult + plus) & _M128
+        plus = ((mult + 1) * plus) & _M128
+        mult = (mult * mult) & _M128
+        delta >>= 1
+    return acc_mult, acc_plus
+
+
+_JUMP_MULT, _JUMP_PLUS = _lcg_advance(_PCG_JUMP)
+
+
+def _draw_counts(state: int, inc: int, width: int, cum: tuple) -> list:
+    """Child counts for width vertices: Generator.random() doubles looked up in cum."""
+    out = []
+    for _ in range(width):
+        state = (state * _PCG_MULT + inc) & _M128
+        hi = state >> 64
+        x = (hi ^ state) & _M64
+        rot = hi >> 58
+        x = ((x >> rot) | (x << (64 - rot))) & _M64
+        out.append(bisect_right(cum, (x >> 11) * _DOUBLE_UNIT))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,22 +472,44 @@ def sample(
     if max_generation < 0:
         raise ValueError("max_generation must be nonnegative")
     spawn = (trial,) if attempt is None else (trial, attempt)
-    cum = spec.cumulative()
+    state, inc = _pcg_start(seed, spawn)
+    jump_plus = (_JUMP_PLUS * inc) & _M128
+    cum_array, cum = spec._cum_table
+    wide = None
     counts: list[np.ndarray] = []
-    width = 1
-    total = 1
+    sizes = [1]
+
+    def done(budget_hit: bool) -> GWSample:
+        smp = GWSample(spec, seed, trial, tuple(counts), len(counts), budget_hit)
+        smp.__dict__["generation_sizes"] = tuple(sizes)  # fills the cached_property
+        return smp
+
     for gen in range(max_generation):
+        width = sizes[-1]
         if width == 0:
             break
-        rng = _rng(seed, spawn, gen)
-        c = np.searchsorted(cum, rng.random(width), side="right").astype(np.int64)
-        nxt = int(c.sum())
-        if max_vertices is not None and total + nxt > max_vertices:
-            return GWSample(spec, seed, trial, tuple(counts), len(counts), True)
+        if gen:
+            state = (_JUMP_MULT * state + jump_plus) & _M128
+        if width <= _NARROW_MAX:
+            drawn = _draw_counts(state, inc, width, cum)
+            c = np.array(drawn, dtype=np.int64)
+            nxt = sum(drawn)
+        else:
+            if wide is None:
+                wide = np.random.Generator(np.random.PCG64())
+            wide.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            c = np.searchsorted(cum_array, wide.random(width), side="right").astype(np.int64)
+            nxt = int(c.sum())
+        if max_vertices is not None and sum(sizes) + nxt > max_vertices:
+            return done(True)
         counts.append(c)
-        width = nxt
-        total += nxt
-    return GWSample(spec, seed, trial, tuple(counts), len(counts), False)
+        sizes.append(nxt)
+    return done(False)
 
 
 def event_path_prob(spec: GWSpec, d: int) -> Fraction:
@@ -532,11 +699,12 @@ def generation_growth_check(spec: GWSpec, n: int, trials: int, seed: int) -> Gro
         sizes = smp.generation_sizes
         finals[t] = sizes[n] if len(sizes) > n else 0
         if deathless:
-            diffs = np.diff(sizes)
-            if np.any(diffs < 0):
-                monotone = False
-            inc_steps += int(np.count_nonzero(diffs > 0))
-            tot_steps += len(diffs)
+            for a, b in zip(sizes, sizes[1:]):
+                if b < a:
+                    monotone = False
+                elif b > a:
+                    inc_steps += 1
+            tot_steps += len(sizes) - 1
     mean = float(finals.mean())
     target = float(spec.mean**n)
     sd = float(finals.std(ddof=1)) if trials > 1 else 0.0

@@ -16,7 +16,6 @@ from arbor import (
     Tree,
     TreeAsOracle,
     UnsupportedStructureError,
-    boundary_of,
     cheeger_exact,
     classify,
     contract_branchless,
@@ -30,7 +29,6 @@ from arbor import (
     path_tree,
     random_connected_subset,
     sandwich_check,
-    sary_tree,
     star_tree,
     subdivide_tree,
 )

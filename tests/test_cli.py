@@ -90,12 +90,19 @@ def test_cheeger_fixture():
     assert doc["scope"]["radius"] == 4
 
 
-def test_cheeger_has_no_csv():
-    code, doc = run_json(
-        "cheeger", "--fixture", "regular(3)", "--radius", "3", "--format", "csv"
-    )
-    assert code == 2
-    assert "error" in doc
+def test_csv_only_for_table_commands(capsys):
+    # Commands without a table reject csv while parsing, before any work.
+    for argv in (
+        ("cheeger", "--fixture", "regular(3)", "--radius", "3"),
+        ("classify", "--fixture", "zline_pendant"),
+        ("trim", "--fixture", "staircase"),
+        ("gw", "sample", "--input", "law.json", "--seed", "1", "--depth", "2"),
+        ("fixtures", "list"),
+    ):
+        code, text = run(*argv, "--format", "csv")
+        assert code == 2, argv
+        assert text == "", argv
+        assert "invalid choice: 'csv'" in capsys.readouterr().err, argv
 
 
 def test_classify_exit_codes():
@@ -152,6 +159,15 @@ def test_input_validation():
     assert code == 2
 
     assert main([], stdout=io.StringIO()) == 2  # argparse rejects no command
+
+
+def test_gw_negative_seed_is_an_input_error(quarter_law):
+    code, doc = run_json(
+        "gw", "events", "--input", quarter_law, "--seed", "-1", "--event", "path(1)", "--trials", "5"
+    )
+    assert code == 2
+    assert doc["kind"] == "input"
+    assert "non-negative" in doc["error"]
 
 
 def test_gw_requires_law_file():

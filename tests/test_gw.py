@@ -112,15 +112,62 @@ def test_sample_deterministic_and_exact():
         sample(QUARTER_LAW, 1, -1)
 
 
+def stated_stream_counts(spec, seed, key, g, width):
+    """Generation g's child counts drawn as the module docstring states."""
+    bg = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)).jumped(g)
+    draws = np.random.Generator(bg).random(width)
+    return np.searchsorted(spec.cumulative(), draws, side="right")
+
+
 def test_sample_follows_the_stated_stream():
-    # generation g of trial t is drawn from the jumped per-trial stream
-    smp = sample(QUARTER_LAW, 9, 3, trial=4)
-    width = int(smp.counts[0].sum())
-    if width:
-        bg = np.random.PCG64(np.random.SeedSequence(entropy=9, spawn_key=(4,))).jumped(1)
-        draws = np.random.Generator(bg).random(width)
-        expect = np.searchsorted(QUARTER_LAW.cumulative(), draws, side="right")
-        assert np.array_equal(smp.counts[1], expect)
+    # Every generation of every trial, on (trial,) and (trial, attempt) keys,
+    # including a trial >= 2**32 whose key element splits into two words.
+    widths = set()
+    for trial in (*range(200), 2**32 + 3):
+        attempt = None if trial % 2 else trial % 5
+        key = (trial,) if attempt is None else (trial, attempt)
+        smp = sample(QUARTER_LAW, 9, 12, trial=trial, attempt=attempt)
+        for g, c in enumerate(smp.counts):
+            width = smp.generation_sizes[g]
+            widths.add(width)
+            assert np.array_equal(c, stated_stream_counts(QUARTER_LAW, 9, key, g, width)), (trial, g)
+    # Widths 1..38 all occur, so generations on both sides of the narrow/wide
+    # switch in sample() (32 and 33 today) are checked, and so is a wider one.
+    assert set(range(1, 39)) <= widths
+    assert max(widths) > 64
+
+
+def test_sample_input_handling():
+    for bad in ({"seed": -1}, {"trial": -1}, {"attempt": -1}, {"trial": -(2**40)}):
+        args = {"seed": 1, "trial": 0, "attempt": None, **bad}
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            sample(QUARTER_LAW, args["seed"], 3, trial=args["trial"], attempt=args["attempt"])
+    with pytest.raises(TypeError):
+        sample(QUARTER_LAW, 1.0, 3)
+    with pytest.raises(TypeError):
+        sample(QUARTER_LAW, 1, 3, trial=2.0)
+
+    a = monte_carlo_event(QUARTER_LAW, "path(1)", 300, seed=np.int64(7))
+    b = monte_carlo_event(QUARTER_LAW, "path(1)", 300, seed=7)
+    assert a.successes == b.successes
+    x = sample(QUARTER_LAW, np.int64(7), 8, trial=np.int64(4), attempt=np.int64(1))
+    y = sample(QUARTER_LAW, 7, 8, trial=4, attempt=1)
+    assert all(np.array_equal(p, q) for p, q in zip(x.counts, y.counts))
+    assert len(x.counts) == len(y.counts)
+
+
+def test_pcg_start_matches_numpy_seeding():
+    from arbor.galton_watson import _pcg_start
+
+    # Seeds of one word, two words (2**32), and longer than the 4-word pool.
+    seeds = (0, 1, 5, 2**32 - 1, 2**32, 2**64 + 7, 2**128 - 1, 2**128, 2**200 + 12345)
+    keys = [(t,) for t in (0, 3, 2**32 + 5)]
+    keys += [(t, a) for t in (0, 7) for a in (0, 3, 2**40)]
+    keys += [(t, 65536) for t in (0, 2, 2**33)]
+    for seed in seeds:
+        for key in keys:
+            st = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)).state["state"]
+            assert _pcg_start(seed, key) == (st["state"], st["inc"]), (seed, key)
 
 
 def test_sample_budget_discards_whole_generation():
