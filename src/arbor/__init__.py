@@ -23,7 +23,6 @@ from .amenability import (
     cheeger_exact,
     classify,
     contract_branchless,
-    folner_from_branchless_path,
     folner_from_inessential,
     jsonable,
     min_degree3_bound_check,
@@ -56,10 +55,7 @@ from .galton_watson import (
     extinction_probability,
     generation_growth_check,
     monte_carlo_event,
-    parse_event,
-    path_target_code,
     sample,
-    sary_target_code,
     verify_dichotomy,
 )
 from .subsets import (
@@ -73,19 +69,13 @@ from .trees import (
     NULL_TREE,
     NullTree,
     Tree,
-    branches,
     canonical_form,
-    centers,
-    degree,
     induced_subtree,
-    leaves,
     parse_child_list,
     parse_tree,
     path_tree,
     sary_tree,
     serialize_child_list,
-    serialize_tree,
-    star_tree,
     subdivide_tree,
 )
 from .trimming import (
@@ -103,7 +93,6 @@ from .trimming import (
     trim,
     trim_depth,
     trim_orbit,
-    trim_with_members,
 )
 
 __all__ = [
@@ -112,18 +101,12 @@ __all__ = [
     "Tree",
     "NullTree",
     "NULL_TREE",
-    "degree",
-    "leaves",
-    "branches",
-    "centers",
     "induced_subtree",
     "canonical_form",
     "parse_tree",
-    "serialize_tree",
     "parse_child_list",
     "serialize_child_list",
     "path_tree",
-    "star_tree",
     "sary_tree",
     "subdivide_tree",
     # subsets
@@ -140,7 +123,6 @@ __all__ = [
     "make_fixture",
     # trimming
     "trim",
-    "trim_with_members",
     "trim_orbit",
     "TrimOrbit",
     "trim_depth",
@@ -159,7 +141,6 @@ __all__ = [
     "CheegerResult",
     "cheeger_exact",
     "folner_from_inessential",
-    "folner_from_branchless_path",
     "ContractionResult",
     "contract_branchless",
     "SandwichResult",
@@ -177,9 +158,6 @@ __all__ = [
     "extinction_probability",
     "event_path_prob",
     "event_sary_prob",
-    "path_target_code",
-    "sary_target_code",
-    "parse_event",
     "MonteCarloEventResult",
     "monte_carlo_event",
     "GrowthReport",

@@ -13,6 +13,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -23,14 +24,13 @@ from .errors import (
 )
 from .exploration import Ball, ball_depths, explore_ball
 from .subsets import SubsetSelection, boundary_of, connected_subsets, is_connected_in
-from .trees import Tree, reach
+from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
     TrimmedView,
     hanging_components,
     lift_subset_through_trims,
     make_inessential,
     removal_steps_in_ball,
-    sorted_handles,
 )
 
 log = logging.getLogger("arbor.amenability")
@@ -40,7 +40,6 @@ __all__ = [
     "CheegerResult",
     "cheeger_exact",
     "folner_from_inessential",
-    "folner_from_branchless_path",
     "ContractionResult",
     "contract_branchless",
     "SandwichResult",
@@ -90,9 +89,6 @@ class FolnerCandidate:
     @property
     def size(self) -> int:
         return self.selection.size
-
-    def sort_key(self):
-        return (self.ratio, self.size, [repr(m) for m in sorted_handles(self.members)])
 
     def to_json(self) -> dict:
         return {
@@ -176,20 +172,8 @@ def _branchless_run(view: TrimmedView, seed_radius: int, target_len: int) -> lis
     base = view.root
     if base is None:
         return []
-    seen = {base}
-    layer = [base]
-    order = [base]
-    for _ in range(seed_radius):
-        nxt = []
-        for h in layer:
-            for u in view.neighbors(h):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        layer = sorted_handles(nxt)
-        order.extend(layer)
-        if not layer:
-            break
+    layers = islice(bfs_layers(view.neighbors, base), seed_radius + 1)
+    order = [h for layer in layers for h in layer]
     best: list = []
     used = set()
     for s in order:
@@ -218,6 +202,10 @@ def _branchless_run(view: TrimmedView, seed_radius: int, target_len: int) -> lis
 
 
 def _lift_run_candidate(oracle, view: TrimmedView, run: Sequence, max_vertices: int | None) -> FolnerCandidate:
+    """A witness from a degree-2 run of the view, pulled back to the host.
+
+    Its boundary is at most the two run ends, so its ratio is at most 2/len(run).
+    """
     run_set = frozenset(run)
     view_boundary = frozenset(
         h for h in run if any(u not in run_set for u in view.neighbors(h))
@@ -227,36 +215,12 @@ def _lift_run_candidate(oracle, view: TrimmedView, run: Sequence, max_vertices: 
     # The lift re-attaches only trimmed leaves hanging inside the set, so the
     # boundary must come back as the same set of vertices.
     assert sel.boundary == view_boundary
+    assert sel.ratio <= Fraction(2, len(run))
     return FolnerCandidate(
         sel,
         "branchless-path",
         {"trim_level": view.level, "path_vertices": len(run)},
     )
-
-
-def folner_from_branchless_path(
-    oracle,
-    k: int,
-    target_len: int,
-    seed_radius: int = 6,
-    max_vertices: int | None = None,
-) -> FolnerCandidate | None:
-    """A witness built from a degree-2 run of target_len vertices in the k-fold trim.
-
-    The run is pulled back to the host by re-attaching everything trimmed
-    along the way; the boundary survives the lift unchanged (at most the two
-    run ends), so the candidate's ratio is at most 2/target_len. None when no
-    run of the requested length is found within the seed scan.
-    """
-    if target_len < 1:
-        raise ValueError("target_len must be at least 1")
-    view = TrimmedView(oracle, k, max_vertices)
-    run = _branchless_run(view, seed_radius, target_len)
-    if len(run) < target_len:
-        return None
-    cand = _lift_run_candidate(oracle, view, run, max_vertices)
-    assert cand.ratio <= Fraction(2, target_len)
-    return cand
 
 
 @dataclass(frozen=True)
@@ -267,9 +231,6 @@ class ContractionResult:
     stretch: int  # max vertices removed per chain, plus one
     vmap: dict  # kept old id -> new id
     chains: tuple  # (end_a, end_b, interior tuple), all in old ids
-
-    def new_id(self, old: int) -> int:
-        return self.vmap[old]
 
 
 def contract_branchless(t: Tree) -> ContractionResult:
@@ -449,9 +410,8 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     interior vertex; black-box oracles only at the breadth-first earliest
     scan_limit vertices.
     """
-    has_cap = hasattr(oracle, "hanging_component_size")
-    scan = [v for v in range(ball.vertex_count) if v not in ball.frontier]
-    if not has_cap:
+    scan = ball.sorted_interior
+    if not hasattr(oracle, "hanging_component_size"):
         scan = scan[: budgets.scan_limit]
     candidates = []
     found = []

@@ -233,9 +233,10 @@ def cmd_gw(args, stdout) -> int:
             ["event", "trials", "successes", "estimate", "std_error", "exact"],
             [result.event, result.trials, result.successes, result.estimate, result.std_error, result.exact],
         ]
-        lines = [f"estimate: {result.estimate:.6g} (SE {result.std_error:.3g})"]
-        if result.exact is not None:
-            lines.append(f"exact: {result.exact} = {float(result.exact):.6g}")
+        lines = [
+            f"estimate: {result.estimate:.6g} (SE {result.std_error:.3g})",
+            f"exact: {result.exact} = {float(result.exact):.6g}",
+        ]
         return _emit(doc, _OK, args, stdout, text_lines=lines, csv_rows=rows)
 
     if args.gw_command == "growth":

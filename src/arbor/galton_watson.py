@@ -26,13 +26,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientDepthError, InvalidVertexError
 from .exploration import Ball
-from .trees import Tree, canonical_form, path_tree, sary_tree
+from .trees import Tree
 
 log = logging.getLogger("arbor.galton_watson")
 
@@ -43,9 +43,6 @@ __all__ = [
     "extinction_probability",
     "event_path_prob",
     "event_sary_prob",
-    "path_target_code",
-    "sary_target_code",
-    "parse_event",
     "MonteCarloEventResult",
     "monte_carlo_event",
     "GrowthReport",
@@ -89,10 +86,6 @@ class GWSpec:
         while len(probs) > 1 and probs[-1] == 0:
             probs.pop()
         object.__setattr__(self, "probabilities", tuple(probs))
-
-    @classmethod
-    def from_probs(cls, probs: Iterable, family: dict | None = None) -> "GWSpec":
-        return cls(tuple(probs), family)
 
     @classmethod
     def poisson(cls, lam: float, truncation: float = 1e-12) -> "GWSpec":
@@ -391,19 +384,6 @@ class GWSample:
             pos, g = parent, g - 1
         return tuple(reversed(parts))
 
-    def index_of(self, label: Sequence[int]) -> int:
-        label = tuple(label)
-        if len(label) >= len(self.generation_sizes):
-            raise InvalidVertexError(f"label {label!r} is deeper than the sample")
-        pos = 0
-        for g, sib in enumerate(label):
-            c = self.counts[g]
-            if not 1 <= sib <= int(c[pos]):
-                raise InvalidVertexError(f"label {label!r} names a missing child")
-            before = int(np.cumsum(c)[pos - 1]) if pos else 0
-            pos = before + sib - 1
-        return self._offsets[len(label)] + pos
-
     def to_tree(self) -> Tree:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         off = self._offsets
@@ -440,20 +420,6 @@ class GWSample:
             off = t._offsets
             frontier = frozenset(range(off[t.truncated_at], off[t.truncated_at + 1]))
         return Ball(None, (), k, tree, frontier, handles)
-
-    def subtree_at(self, label: Sequence[int]) -> "GWSample":
-        g0 = len(label)
-        pos = self.index_of(label) - self._offsets[g0]
-        lo, hi = pos, pos + 1
-        new_counts = []
-        for g in range(g0, self.truncated_at):
-            c = self.counts[g]
-            new_counts.append(c[lo:hi].copy())
-            cs = np.cumsum(c)
-            lo, hi = (int(cs[lo - 1]) if lo else 0), int(cs[hi - 1])
-            if lo == hi:
-                break
-        return GWSample(self.spec, self.seed, self.trial, tuple(new_counts), len(new_counts), self.budget_hit)
 
 
 def sample(
@@ -536,14 +502,6 @@ def event_sary_prob(spec: GWSpec, s: int, d: int) -> Fraction:
     return q * spec.p(0) ** (s**d)
 
 
-def path_target_code(d: int) -> bytes:
-    return canonical_form(path_tree(d + 2, root=0), rooted=True)
-
-
-def sary_target_code(s: int, d: int) -> bytes:
-    return canonical_form(sary_tree(s, d), rooted=True)
-
-
 _EVENT_RE = re.compile(r"\s*(path|sary)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
 
 
@@ -571,83 +529,61 @@ class MonteCarloEventResult:
     successes: int
     estimate: float
     std_error: float
-    exact: Fraction | None
+    exact: Fraction
 
     def within(self, sigmas: float) -> bool:
-        if self.exact is None:
-            raise ValueError("no exact value to compare against")
         slack = sigmas * self.std_error
         return abs(self.estimate - float(self.exact)) <= max(slack, 1e-15)
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "event": self.event,
             "trials": self.trials,
             "successes": self.successes,
             "estimate": self.estimate,
             "std_error": self.std_error,
+            "exact": str(self.exact),
+            "exact_float": float(self.exact),
         }
-        if self.exact is not None:
-            doc["exact"] = str(self.exact)
-            doc["exact_float"] = float(self.exact)
-        return doc
 
 
-def _event_checker(event):
-    """Returns (depth to sample, per-sample predicate, exact probability or None)."""
+def _event_checker(event: tuple):
+    """Returns (depth to sample, per-sample predicate, exact probability as a function of the law)."""
+    if event[0] == "path":
+        d = event[1]
 
-    def path_check(d):
         def check(smp: GWSample) -> bool:
             c = smp.counts
             return len(c) == d + 1 and all(len(a) == 1 and a[0] == 1 for a in c)
 
-        return check
+        return d + 1, check, lambda spec: event_path_prob(spec, d)
+    _, s, d = event
 
-    def sary_check(s, d):
-        def check(smp: GWSample) -> bool:
-            c = smp.counts
-            if len(c) != d + 1:
-                return False
-            # Per-vertex counts, not generation totals: a generation can sum
-            # to s^g without every vertex having exactly s children.
-            return all(bool(np.all(c[i] == s)) for i in range(d)) and bool(np.all(c[d] == 0))
+    def check(smp: GWSample) -> bool:
+        c = smp.counts
+        if len(c) != d + 1:
+            return False
+        # Per-vertex counts, not generation totals: a generation can sum
+        # to s^g without every vertex having exactly s children.
+        return all(bool(np.all(c[i] == s)) for i in range(d)) and bool(np.all(c[d] == 0))
 
-        return check
-
-    kind = event[0]
-    if kind == "path":
-        d = event[1]
-        return d + 1, path_check(d), lambda spec: event_path_prob(spec, d)
-    if kind == "sary":
-        s, d = event[1], event[2]
-        return d + 1, sary_check(s, d), lambda spec: event_sary_prob(spec, s, d)
-    if kind == "code":
-        code, depth = event[1], event[2]
-
-        def check(smp: GWSample) -> bool:
-            return canonical_form(smp.to_tree(), rooted=True) == code
-
-        return depth, check, lambda spec: None
-    raise ValueError(f"unknown event kind {kind!r}")
+    return d + 1, check, lambda spec: event_sary_prob(spec, s, d)
 
 
-def monte_carlo_event(spec: GWSpec, event, trials: int, seed: int) -> MonteCarloEventResult:
+def monte_carlo_event(spec: GWSpec, event: str, trials: int, seed: int) -> MonteCarloEventResult:
     """Estimate the probability of a shape event by independent sampling.
 
-    event is "path(d)", "sary(s,d)", a parsed tuple of the same, or
-    ("code", canonical_bytes, depth) for an arbitrary depth-truncated shape.
-    Trial t is sample(spec, seed, depth, trial=t) for t in range(trials), so
-    the count of successes depends only on (spec, event, trials, seed).
+    event is "path(d)" or "sary(s,d)". Trial t is sample(spec, seed, depth,
+    trial=t) for t in range(trials), so the count of successes depends only
+    on (spec, event, trials, seed).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    ev = parse_event(event) if isinstance(event, str) else tuple(event)
-    depth, check, exact_fn = _event_checker(ev)
+    depth, check, exact_fn = _event_checker(parse_event(event))
     successes = sum(1 for t in range(trials) if check(sample(spec, seed, depth, trial=t)))
     est = successes / trials
     se = math.sqrt(est * (1 - est) / trials)
-    name = event if isinstance(event, str) else (f"code@{ev[2]}" if ev[0] == "code" else repr(ev))
-    return MonteCarloEventResult(name, trials, successes, est, se, exact_fn(spec))
+    return MonteCarloEventResult(event, trials, successes, est, se, exact_fn(spec))
 
 
 @dataclass(frozen=True)
@@ -996,11 +932,12 @@ def verify_dichotomy(
     """Statistical check of the survival dichotomy for an offspring law.
 
     Laws that allow death (or lone children) head for the witness side: for
-    each d, surviving trees are scanned for subsets of boundary ratio at most
-    1/d, and the success fraction is compared against the collapse-event
-    floor 1 - (1-q)^r with r = d disjoint depth windows. Laws whose vertices
-    always have at least two children head for the bound side: random
-    connected subsets must obey the doubling bound, with slack for the root.
+    each d in the nonempty d_list, all d >= 1, surviving trees are scanned
+    for subsets of boundary ratio at most 1/d, and the success fraction is
+    compared against the collapse-event floor 1 - (1-q)^r with r = d
+    disjoint depth windows. Laws whose vertices always have at least two
+    children head for the bound side: random connected subsets must obey
+    the doubling bound, with slack for the root.
     The n_subsets subsets are split over the trials as evenly as possible,
     the first n_subsets % trials trials checking one more.
 
@@ -1019,8 +956,11 @@ def verify_dichotomy(
         "max_vertices": max_vertices,
     }
     if side == "amenable":
-        per_d, rows, rho = _amenable_side(spec, list(d_list), trials, seed, max_vertices)
-        params["d_list"] = list(d_list)
+        d_list = list(d_list)
+        if not d_list or min(d_list) < 1:
+            raise ValueError("d_list needs at least one d, and every d must be at least 1")
+        per_d, rows, rho = _amenable_side(spec, d_list, trials, seed, max_vertices)
+        params["d_list"] = d_list
         params["extinction_probability"] = rho
         return DichotomyReport(side, spec.to_json(), params, tuple(per_d), None, tuple(rows))
     if truncate_depth < 1:

@@ -1,9 +1,10 @@
-"""Finite trees over dense integer ids: construction, basic queries, codes, serialization.
+"""Finite trees over dense integer ids: construction, canonical codes, parsing.
 
 Trees are the only graph class in this package. Construction validates the
 tree invariants once, so downstream code never rechecks them. ``reach`` is
 the one breadth-first walk the package's connectivity and component checks
-share; it works on any ``neighbors`` callable, not only on trees.
+share, and ``bfs_layers`` the layer-by-layer walk of the trim-level scans;
+both work on any ``neighbors`` callable, not only on trees.
 """
 
 from __future__ import annotations
@@ -17,18 +18,12 @@ __all__ = [
     "Tree",
     "NullTree",
     "NULL_TREE",
-    "degree",
-    "leaves",
-    "branches",
     "induced_subtree",
-    "centers",
     "canonical_form",
     "parse_tree",
-    "serialize_tree",
     "parse_child_list",
     "serialize_child_list",
     "path_tree",
-    "star_tree",
     "sary_tree",
     "subdivide_tree",
 ]
@@ -184,19 +179,33 @@ def reach(neighbors, start, within=None, avoid=(), cap=None) -> list | None:
     return order
 
 
-def degree(t: Tree, v: int) -> int:
-    """Number of neighbors of ``v`` in ``t``."""
-    return t.degree(v)
+def sorted_handles(handles: Iterable) -> list:
+    """Deterministic ordering that tolerates mixed handle shapes."""
+    handles = list(handles)
+    try:
+        return sorted(handles)
+    except TypeError:
+        return sorted(handles, key=repr)
 
 
-def leaves(t: Tree) -> frozenset[int]:
-    """Vertices of degree exactly 1. A degree-0 vertex is not a leaf."""
-    return frozenset(v for v in range(t.vertex_count) if len(t.adjacency[v]) == 1)
+def bfs_layers(neighbors, start) -> Iterator[list]:
+    """The breadth-first layers around ``start``, each in ``sorted_handles`` order.
 
-
-def branches(t: Tree) -> frozenset[int]:
-    """Vertices of degree 3 or more."""
-    return frozenset(v for v in range(t.vertex_count) if len(t.adjacency[v]) >= 3)
+    Yields ``[start]``, then the vertices one step further out, and so on
+    until a layer is empty. A layer's neighbors are only asked for when the
+    next layer is requested, so a caller that stops early explores no further.
+    """
+    seen = {start}
+    layer = [start]
+    while layer:
+        yield layer
+        nxt = []
+        for v in layer:
+            for u in neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = sorted_handles(nxt)
 
 
 def induced_subtree(t: Tree, members: Iterable[int]) -> tuple[Tree, dict[int, int]]:
@@ -312,17 +321,6 @@ def parse_tree(text: str) -> Tree:
     return Tree.from_edges(edges, root=root)
 
 
-def serialize_tree(t: Tree) -> str:
-    lines = []
-    if t.root is None and t.vertex_count == 1:
-        # The format names vertices only through edges or the root line.
-        raise ValueError("an unrooted single-vertex tree has no edge-list form")
-    if t.root is not None:
-        lines.append(f"root {t.root}")
-    lines.extend(f"{u} {v}" for u, v in t.edges())
-    return "\n".join(lines) + "\n"
-
-
 def parse_child_list(data: str | Mapping) -> Tree:
     """Parse the rooted child-list JSON form {"root": id, "children": {id: [ids]}}."""
     doc = json.loads(data) if isinstance(data, str) else data
@@ -365,11 +363,6 @@ def path_tree(n: int, root: int | None = None) -> Tree:
         adj[v].append(v + 1)
         adj[v + 1].append(v)
     return Tree(adj, root=root)
-
-
-def star_tree(leaf_count: int) -> Tree:
-    adj = [[i for i in range(1, leaf_count + 1)]] + [[0] for _ in range(leaf_count)]
-    return Tree(adj)
 
 
 def sary_tree(s: int, depth: int) -> Tree:

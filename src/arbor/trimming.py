@@ -12,18 +12,27 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 from .errors import InvalidVertexError
 from .exploration import Ball, ball_depths, explore_ball
 from .subsets import boundary_of, is_connected_in
-from .trees import NULL_TREE, NullTree, Tree, canonical_form, induced_subtree, reach
+from .trees import (
+    NULL_TREE,
+    NullTree,
+    Tree,
+    bfs_layers,
+    canonical_form,
+    induced_subtree,
+    reach,
+    sorted_handles,
+)
 
 log = logging.getLogger("arbor.trimming")
 
 __all__ = [
     "trim",
-    "trim_with_members",
     "TrimOrbit",
     "trim_orbit",
     "trim_depth",
@@ -38,15 +47,6 @@ __all__ = [
     "hanging_components",
     "lift_subset_through_trims",
 ]
-
-
-def sorted_handles(handles: Iterable) -> list:
-    """Deterministic ordering that tolerates mixed handle shapes."""
-    handles = list(handles)
-    try:
-        return sorted(handles)
-    except TypeError:
-        return sorted(handles, key=repr)
 
 
 def trim_with_members(t: Tree) -> tuple[Tree | NullTree, tuple[int, ...]]:
@@ -227,22 +227,10 @@ class TrimmedView:
         return self._root
 
     def _find_root(self):
-        start = self.oracle.root
-        seen = {start}
-        layer = [start]
-        for depth in range(self.level + 1):
-            for h in sorted_handles(layer):
+        for layer in islice(bfs_layers(self.oracle.neighbors, self.oracle.root), self.level + 1):
+            for h in layer:
                 if self.survives(h):
                     return h
-            if depth == self.level:
-                break
-            nxt = []
-            for h in layer:
-                for u in self.oracle.neighbors(h):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            layer = nxt
         return None
 
 
@@ -252,6 +240,8 @@ def ball_code_sequence(oracle, radius: int, steps: int, max_vertices: int | None
     Entry j describes the j-fold trimmed tree, rebased at its surviving
     basepoint. If some stage is empty its code is b"*" and the sequence ends.
     """
+    if radius < 0 or steps < 0:
+        raise ValueError("radius and steps must be nonnegative")
     codes: list[bytes] = []
     for j in range(steps + 1):
         view = TrimmedView(oracle, j, max_vertices)

@@ -11,6 +11,8 @@ inessential test, and ``leaf_iff_inessential_check``, which checks by
 exhaustive search that a host with an outward branch has an inessential
 subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
+``star_tree`` and ``serialize_tree`` build small hosts and tree files for
+the tests.
 """
 
 from __future__ import annotations
@@ -228,6 +230,21 @@ def relabel_tree(t, permutation) -> Tree:
         adj[perm[v]] = [perm[u] for u in ns]
     root = perm[t.root] if t.root is not None else None
     return Tree(adj, root=root)
+
+
+def star_tree(leaf_count: int) -> Tree:
+    """One center (vertex 0) joined to leaves 1..leaf_count."""
+    return Tree([list(range(1, leaf_count + 1))] + [[0]] * leaf_count)
+
+
+def serialize_tree(t) -> str:
+    """The edge-list file format: an optional ``root <id>`` line, then one ``u v`` line per edge."""
+    if t.root is None and t.vertex_count == 1:
+        # The format names vertices only through edges or the root line.
+        raise ValueError("an unrooted single-vertex tree has no edge-list form")
+    lines = [f"root {t.root}"] if t.root is not None else []
+    lines.extend(f"{v} {u}" for v in range(t.vertex_count) for u in t.neighbors(v) if u > v)
+    return "\n".join(lines) + "\n"
 
 
 def gw_event_prob_by_enumeration(probs, depth: int, predicate, max_outcomes: int = 10**6) -> Fraction:

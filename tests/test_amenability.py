@@ -15,12 +15,12 @@ from arbor import (
     SubsetSelection,
     Tree,
     TreeAsOracle,
+    TrimmedView,
     UnsupportedStructureError,
     cheeger_exact,
     classify,
     contract_branchless,
     explore_ball,
-    folner_from_branchless_path,
     folner_from_inessential,
     jsonable,
     make_fixture,
@@ -29,9 +29,10 @@ from arbor import (
     path_tree,
     random_connected_subset,
     sandwich_check,
-    star_tree,
     subdivide_tree,
 )
+from arbor.amenability import _branchless_run, _lift_run_candidate
+from brute import star_tree
 
 
 @st.composite
@@ -87,25 +88,34 @@ def test_folner_from_inessential_single_attach():
     assert cand.detail["subtree_size"] == 4
 
 
+def branchless_run(oracle, k: int, target_len: int, seed_radius: int = 6):
+    """The trim-level-k view and the run classify would lift from it."""
+    view = TrimmedView(oracle, k)
+    return view, _branchless_run(view, seed_radius, target_len)
+
+
 def test_folner_from_branchless_path_on_line():
     z = make_fixture("zline_pendant")
-    cand = folner_from_branchless_path(z, 0, 10)
-    assert cand is not None
+    view, run = branchless_run(z, 0, 10)
+    assert len(run) == 10
+    cand = _lift_run_candidate(z, view, run, None)
     assert cand.ratio <= Fraction(2, 10)
     assert len(cand.selection.boundary) <= 2
     assert ("p", 0) not in cand.members  # degree-3 origin blocks level-0 runs
 
-    lifted = folner_from_branchless_path(z, 1, 10)
-    assert lifted is not None
+    view, run = branchless_run(z, 1, 10)
+    assert len(run) == 10
+    lifted = _lift_run_candidate(z, view, run, None)
     assert (("p", 0) in lifted.members) == ((("z", 0)) in lifted.members)
     assert lifted.detail["trim_level"] == 1
+    # every prefix lifts to a candidate of ratio at most 2/length
+    for length in range(1, len(run) + 1):
+        assert _lift_run_candidate(z, view, run[:length], None).ratio <= Fraction(2, length)
 
 
 def test_folner_from_branchless_path_absent():
-    assert folner_from_branchless_path(make_fixture("regular(3)"), 0, 4) is None
-    assert folner_from_branchless_path(TreeAsOracle(star_tree(4)), 0, 3) is None
-    with pytest.raises(ValueError):
-        folner_from_branchless_path(make_fixture("zline_pendant"), 0, 0)
+    assert branchless_run(make_fixture("regular(3)"), 0, 4)[1] == []
+    assert branchless_run(TreeAsOracle(star_tree(4)), 0, 3)[1] == []
 
 
 def test_contract_branchless():
@@ -119,7 +129,7 @@ def test_contract_branchless():
     assert p.tree.vertex_count == 2
     assert p.stretch == 4
     assert p.chains == ((0, 4, (1, 2, 3)),)
-    assert p.new_id(0) == 0 and p.new_id(4) == 1
+    assert p.vmap == {0: 0, 4: 1}
 
     flat = contract_branchless(path_tree(2))
     assert flat.stretch == 1 and flat.chains == ()

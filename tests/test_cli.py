@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from arbor import path_tree, serialize_tree
+from arbor import path_tree
 from arbor.cli import main
+from brute import serialize_tree
 
 
 def run(*argv):
@@ -69,6 +70,14 @@ def test_trim_fixture_periodicity():
     assert doc["periodic"] is True
     assert doc["period"] == 2
     assert len(doc["codes"]) == 7
+
+
+def test_trim_fixture_rejects_negative_radius_and_steps():
+    for flag, value in (("--radius", "-1"), ("--steps", "-2")):
+        code, doc = run_json("trim", "--fixture", "staircase", flag, value)
+        assert code == 2, flag
+        assert doc["kind"] == "input"
+        assert "nonnegative" in doc["error"]
 
 
 def test_cheeger_file(tree_file):
@@ -249,6 +258,16 @@ def test_gw_dichotomy_vertex_budget(quarter_law):
     code, doc = run_json(*args, "--max-vertices", "0")
     assert code == 2
     assert doc["kind"] == "input"
+
+
+def test_gw_dichotomy_rejects_bad_d_list(quarter_law):
+    for d_list in ("0", ",", "2,-1"):
+        code, doc = run_json(
+            "gw", "dichotomy", "--input", quarter_law, "--seed", "5", "--d-list", d_list, "--trials", "3"
+        )
+        assert code == 2, d_list
+        assert doc["kind"] == "input"
+        assert "d_list" in doc["error"]
 
 
 def test_gw_dichotomy_bound_side_inputs(tmp_path):

@@ -16,14 +16,11 @@ from arbor import (
     extinction_probability,
     generation_growth_check,
     monte_carlo_event,
-    parse_event,
-    path_target_code,
-    path_tree,
     sample,
-    sary_target_code,
     sary_tree,
     verify_dichotomy,
 )
+from arbor.galton_watson import parse_event
 
 QUARTER_LAW = GWSpec(("1/4", "1/4", "1/2"))
 BINARY_LAW = GWSpec(("1/2", "0", "1/2"))
@@ -193,19 +190,16 @@ def test_sample_extinction_and_zero_depth():
 
 def test_labels_and_indices_roundtrip():
     smp = sample(DOUBLING_LAW, 1, 3)
-    assert smp.label_of(0) == ()
-    assert smp.index_of(()) == 0
-    assert smp.index_of((1,)) == 1
-    assert smp.index_of((2,)) == 2
-    assert smp.index_of((1, 1)) == 3
+    assert [smp.label_of(i) for i in range(4)] == [(), (1,), (2,), (1, 1)]
+    # In to_tree() ids, vertex i's children carry its label extended by 1, 2, ...
+    t = smp.to_tree()
+    labels = [smp.label_of(i) for i in range(smp.vertex_count)]
+    assert len(set(labels)) == smp.vertex_count
     for i in range(smp.vertex_count):
-        assert smp.index_of(smp.label_of(i)) == i
+        kids = [u for u in t.neighbors(i) if u > i]
+        assert [labels[u] for u in kids] == [labels[i] + (j,) for j in range(1, len(kids) + 1)]
     with pytest.raises(InvalidVertexError):
         smp.label_of(smp.vertex_count)
-    with pytest.raises(InvalidVertexError):
-        smp.index_of((3,))
-    with pytest.raises(InvalidVertexError):
-        smp.index_of((1,) * 10)
 
 
 def test_to_tree_shape():
@@ -213,7 +207,7 @@ def test_to_tree_shape():
     t = smp.to_tree()
     assert t.vertex_count == 7
     assert t.root == 0
-    assert canonical_form(t, rooted=True) == sary_target_code(2, 2)
+    assert canonical_form(t, rooted=True) == canonical_form(sary_tree(2, 2), rooted=True)
     assert len(t.neighbors(0)) == 2
     assert sorted(len(t.neighbors(v)) for v in range(7)) == [1, 1, 1, 1, 2, 3, 3]
 
@@ -247,18 +241,6 @@ def test_truncate_ball():
 
     dead = sample(GWSpec((1,)), 3, 5)
     assert dead.truncate_ball(4).frontier == frozenset()
-
-
-def test_subtree_at():
-    smp = sample(DOUBLING_LAW, 1, 3)
-    sub = smp.subtree_at((1,))
-    assert sub.generation_sizes == (1, 2, 4)
-    assert canonical_form(sub.to_tree(), rooted=True) == sary_target_code(2, 2)
-
-    whole = smp.subtree_at(())
-    assert all(np.array_equal(x, y) for x, y in zip(whole.counts, smp.counts))
-    with pytest.raises(InvalidVertexError):
-        smp.subtree_at((3,))
 
 
 def test_event_probs_match_enumeration():
@@ -308,12 +290,6 @@ def test_parse_event():
             parse_event(bad)
 
 
-def test_target_codes():
-    assert path_target_code(0) == canonical_form(path_tree(2, root=0), rooted=True)
-    assert sary_target_code(2, 2) == canonical_form(sary_tree(2, 2), rooted=True)
-    assert path_target_code(1) != sary_target_code(2, 1)
-
-
 def test_sample_golden_digest():
     """Pins sample()'s count arrays bit for bit: a faster sampler must reproduce them.
 
@@ -349,12 +325,6 @@ def test_monte_carlo_event():
     doc = res.to_json()
     assert doc["exact"] == "1/8" and doc["exact_float"] == 0.125
 
-    code_ev = ("code", sary_target_code(2, 1), 2)
-    by_code = monte_carlo_event(BINARY_LAW, code_ev, 4000, seed=11)
-    assert by_code.successes == res.successes
-    assert by_code.exact is None
-    with pytest.raises(ValueError):
-        by_code.within(3)
     with pytest.raises(ValueError):
         monte_carlo_event(BINARY_LAW, "path(1)", 0, seed=1)
 
@@ -392,6 +362,17 @@ def test_dichotomy_amenable_side():
 
     again = verify_dichotomy(QUARTER_LAW, [2], trials=50, seed=5)
     assert again.to_json() == rep.to_json()
+
+
+def test_dichotomy_rejects_bad_d_list(monkeypatch):
+    import arbor.galton_watson as gw
+
+    drawn = []
+    monkeypatch.setattr(gw, "sample", lambda *args, **kwargs: drawn.append(args))
+    for d_list in ([], [0], [2, 0], [-1]):
+        with pytest.raises(ValueError, match="d_list"):
+            verify_dichotomy(QUARTER_LAW, d_list, trials=2, seed=1)
+    assert drawn == []  # rejected before any sampling
 
 
 def test_dichotomy_nonamenable_side():

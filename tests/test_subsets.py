@@ -14,8 +14,8 @@ from arbor import (
     is_connected_in,
     path_tree,
     random_connected_subset,
-    star_tree,
 )
+from brute import star_tree
 
 
 @st.composite

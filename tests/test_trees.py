@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -14,21 +15,17 @@ from arbor import (
     NotATreeError,
     NULL_TREE,
     Tree,
-    branches,
     canonical_form,
-    centers,
     induced_subtree,
-    leaves,
     parse_child_list,
     parse_tree,
     path_tree,
     sary_tree,
     serialize_child_list,
-    serialize_tree,
-    star_tree,
     subdivide_tree,
 )
-from arbor.trees import reach
+from arbor.trees import bfs_layers, centers, reach
+from brute import serialize_tree, star_tree
 
 
 @st.composite
@@ -80,7 +77,7 @@ def test_single_vertex():
     t = Tree([[]])
     assert t.vertex_count == 1
     assert t.neighbors(0) == ()
-    assert leaves(t) == frozenset()  # degree 0 is not a leaf
+    assert t.degree(0) == 0
     assert centers(t) == (0,)
 
 
@@ -111,13 +108,13 @@ def test_equality_respects_root():
     assert hash(path_tree(3, root=1)) == hash(path_tree(3, root=1))
 
 
+def degrees(t: Tree) -> list[int]:
+    return [t.degree(v) for v in range(t.vertex_count)]
+
+
 def test_leaves_and_branches():
-    t = star_tree(4)
-    assert leaves(t) == frozenset({1, 2, 3, 4})
-    assert branches(t) == frozenset({0})
-    p = path_tree(5)
-    assert leaves(p) == frozenset({0, 4})
-    assert branches(p) == frozenset()
+    assert degrees(star_tree(4)) == [4, 1, 1, 1, 1]
+    assert degrees(path_tree(5)) == [1, 2, 2, 2, 1]
 
 
 def test_sary_tree_counts():
@@ -125,7 +122,7 @@ def test_sary_tree_counts():
     assert t.vertex_count == 15
     assert t.root == 0
     assert t.degree(0) == 2
-    assert len(leaves(t)) == 8
+    assert degrees(t).count(1) == 8
     assert sary_tree(1, 4).vertex_count == 5
     assert sary_tree(3, 0).vertex_count == 1
 
@@ -283,6 +280,26 @@ def test_reach_matches_brute(t: Tree, data):
     full = reach(t.neighbors, start, avoid=avoid)
     cap = data.draw(st.integers(min_value=1, max_value=n + 1))
     assert reach(t.neighbors, start, avoid=avoid, cap=cap) == (None if len(full) > cap else full)
+
+
+@given(random_trees(), st.data())
+def test_bfs_layers_match_brute(t: Tree, data):
+    start = data.draw(st.integers(min_value=0, max_value=t.vertex_count - 1))
+    dist = brute.bfs_distances(t, start)
+    expected = [sorted(v for v in dist if dist[v] == d) for d in range(max(dist.values()) + 1)]
+    assert list(bfs_layers(t.neighbors, start)) == expected
+
+    asked = []
+
+    def neighbors(v):
+        asked.append(v)
+        return t.neighbors(v)
+
+    # a layer's neighbors are asked for only when the next layer is requested
+    assert list(islice(bfs_layers(neighbors, start), 1)) == [[start]]
+    assert asked == []
+    assert list(islice(bfs_layers(neighbors, start), 2)) == expected[:2]
+    assert asked == [start]
 
 
 def test_exports_resolve_once():

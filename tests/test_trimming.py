@@ -25,12 +25,12 @@ from arbor import (
     path_tree,
     removal_steps_in_ball,
     sary_tree,
-    star_tree,
     trim,
     trim_depth,
     trim_orbit,
-    trim_with_members,
 )
+from arbor.trimming import trim_with_members
+from brute import star_tree
 
 
 class PlainOracle:
