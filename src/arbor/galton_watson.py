@@ -502,6 +502,55 @@ def event_sary_prob(spec: GWSpec, s: int, d: int) -> Fraction:
     return q * spec.p(0) ** (s**d)
 
 
+# Below exp(-1075 ln 2), half the smallest subnormal, a value rounds to 0.0.
+_LOG_UNDERFLOW = -1075 * math.log(2)
+
+
+def _log_bounds(p: Fraction) -> tuple:
+    """(log p, a bound on the float error of its terms), valid far below float range."""
+    a, b = math.log(p.numerator), math.log(p.denominator)
+    return a - b, abs(a) + b
+
+
+def _collapse_q(spec: GWSpec, d: int) -> float:
+    """max over s of float(event_sary_prob(spec, s, d)), computing few of them exactly.
+
+    log event_sary_prob = E1 log p(s) + E2 log p(0) with E1 = sum of s^i for
+    i < d and E2 = s^d. A float estimate of it, raised by 1e-9 times the size
+    of every term it is summed from plus 1, bounds it from above. An s whose
+    bound lies below _LOG_UNDERFLOW rounds to 0.0; one whose bound lies below
+    log q for the q found so far rounds to at most q, because float() of a
+    Fraction is correctly rounded and so monotone. Neither can change the
+    max, so only the rest are computed exactly, in decreasing-bound order.
+    For s >= 2 the value is at most 2^-E1, since E2 >= E1 and p(s) + p(0) <= 1
+    puts one of them at or below 1/2; so from the first s >= 2 with E1 > 1075
+    on, every value rounds to 0.0 and none is estimated.
+    """
+    p0 = spec.p(0)
+    if p0 == 0:
+        return 0.0
+    log_p0, size_p0 = _log_bounds(p0)
+    bounds = []
+    for s in range(1, spec.max_children + 1):
+        e1 = sum(s**i for i in range(d))
+        if s > 1 and e1 > 1075:
+            break
+        ps = spec.p(s)
+        if ps == 0:
+            continue
+        log_ps, size_ps = _log_bounds(ps)
+        e2 = s**d
+        est = e1 * log_ps + e2 * log_p0
+        bounds.append((est + 1e-9 * (e1 * size_ps + e2 * size_p0) + 1, s))
+    bounds.sort(reverse=True)
+    q = 0.0
+    for bound, s in bounds:
+        if bound < _LOG_UNDERFLOW or (q > 0 and bound < math.log(q)):
+            break
+        q = max(q, float(event_sary_prob(spec, s, d)))
+    return q
+
+
 _EVENT_RE = re.compile(r"\s*(path|sary)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
 
 
@@ -670,17 +719,14 @@ def _alive_and_sizes(smp: GWSample):
     sub[L] = np.ones(sizes[L], dtype=np.int64)
     for g in range(L - 1, -1, -1):
         c = smp.counts[g]
-        w_next = sizes[g + 1]
-        if w_next == 0:
-            any_alive = np.zeros(len(c), dtype=np.int64)
-            size_sum = np.zeros(len(c), dtype=np.int64)
-        else:
-            cs = np.cumsum(c)
-            starts = np.minimum(np.concatenate(([0], cs[:-1])), w_next - 1)
-            any_alive = np.add.reduceat(alive[g + 1].astype(np.int64), starts)
-            size_sum = np.add.reduceat(sub[g + 1], starts)
-            any_alive[c == 0] = 0
-            size_sum[c == 0] = 0
+        # Vertex j's children are entries starts[j]:ends[j] of generation
+        # g + 1, so prefix sums give each child block's total.
+        ends = np.cumsum(c)
+        starts = ends - c
+        alive_sums = np.concatenate(([0], np.cumsum(alive[g + 1])))
+        size_sums = np.concatenate(([0], np.cumsum(sub[g + 1])))
+        any_alive = alive_sums[ends] - alive_sums[starts]
+        size_sum = size_sums[ends] - size_sums[starts]
         alive[g] = any_alive > 0
         sub[g] = 1 + size_sum
     return alive, sub
@@ -691,49 +737,44 @@ def _scan_witness(smp: GWSample, n: int) -> tuple[Fraction | None, str]:
 
     Dead hanging subtrees give 1/size; runs of single-child vertices give
     (2 or 1)/length; the depth n-1 ball gives an exact ratio that is at most
-    r/n whenever generation n has at most r vertices.
+    r/n whenever generation n has at most r vertices. Ratios are compared as
+    integer pairs by cross-multiplication; on a tie the first offer stands.
     """
     L = smp.truncated_at
     sizes = smp.generation_sizes
-    best: tuple[Fraction, str] | None = None
+    best = None  # (numerator, denominator, kind)
 
-    def offer(ratio: Fraction, kind: str):
+    def offer(num: int, den: int, kind: str):
         nonlocal best
-        if best is None or ratio < best[0]:
-            best = (ratio, kind)
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, kind)
 
     alive, sub = _alive_and_sizes(smp)
     for g in range(1, L):
-        if sizes[g] == 0:
-            break
-        parent_alive = np.repeat(alive[g - 1], smp.counts[g - 1])
-        mask = ~alive[g] & parent_alive
-        if np.any(mask):
-            biggest = int(sub[g][mask].max())
-            offer(Fraction(1, biggest), "dead-subtree")
+        mask = ~alive[g] & np.repeat(alive[g - 1], smp.counts[g - 1])
+        if mask.any():
+            offer(1, int(sub[g][mask].max()), "dead-subtree")
 
     run_prev = None
     for g in range(L):
         flags = (smp.counts[g] == 1).astype(np.int64)
-        if g == 0:
-            run = flags
-        else:
-            run = flags * (1 + np.repeat(run_prev, smp.counts[g - 1]))
-        if len(run) and run.max() > 0:
-            m = int(run.max())
-            offer(Fraction(2, m), "single-child-run")
-            if np.any(run == g + 1):
-                offer(Fraction(1, g + 1), "single-child-run")
+        run = flags if g == 0 else flags * (1 + np.repeat(run_prev, smp.counts[g - 1]))
+        m = int(run.max()) if len(run) else 0
+        if m:
+            offer(2, m, "single-child-run")
+            # A run at generation g is at most g + 1 long, and exactly that
+            # when it starts at the root.
+            if m == g + 1:
+                offer(1, m, "single-child-run")
         run_prev = run
 
     if L >= n and sizes[n] > 0:
         boundary = int(np.count_nonzero(smp.counts[n - 1]))
-        volume = int(sum(sizes[:n]))
-        offer(Fraction(boundary, volume), "shallow-ball")
+        offer(boundary, sum(sizes[:n]), "shallow-ball")
 
     if best is None:
         return None, ""
-    return best
+    return Fraction(best[0], best[1]), best[2]
 
 
 class _GenAdapter:
@@ -796,10 +837,7 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
         r = d
         n = d * d
         horizon = n + d + 1
-        q = 0.0
-        for s in range(1, spec.max_children + 1):
-            if spec.p(s) > 0 and spec.p(0) > 0:
-                q = max(q, float(event_sary_prob(spec, s, d)))
+        q = _collapse_q(spec, d)
         floor = 1.0 - (1.0 - q) ** r
 
         def one(t: int):
@@ -935,7 +973,13 @@ def verify_dichotomy(
     each d in the nonempty d_list, all d >= 1, surviving trees are scanned
     for subsets of boundary ratio at most 1/d, and the success fraction is
     compared against the collapse-event floor 1 - (1-q)^r with r = d
-    disjoint depth windows. Laws whose vertices always have at least two
+    disjoint depth windows. q is the largest float(event_sary_prob(spec, s,
+    d)) over s, the chance that the tree is the complete s-ary tree of depth
+    d. Only the s whose float log-space upper bound shows the value neither
+    rounds to 0.0 nor lies below the largest value found so far get the
+    exact Fraction; since float() of a Fraction is correctly rounded, and
+    so monotone, the skipped ones cannot change the max, and q equals the
+    max over every s. Laws whose vertices always have at least two
     children head for the bound side: random connected subsets must obey
     the doubling bound, with slack for the root.
     The n_subsets subsets are split over the trials as evenly as possible,

@@ -12,7 +12,8 @@ exhaustive search that a host with an outward branch has an inessential
 subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
 ``star_tree`` and ``serialize_tree`` build small hosts and tree files for
-the tests.
+the tests. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
+references for the dichotomy's collapse floor and witness scan.
 """
 
 from __future__ import annotations
@@ -295,3 +296,60 @@ def sary_event_predicate(s: int, d: int):
         return all(c == 0 for c in gens[d])
 
     return check
+
+
+def collapse_q_by_exact_max(spec, d: int) -> float:
+    """The collapse-floor q: the max over s of the exact complete s-ary event probability, as a float."""
+    from arbor import event_sary_prob
+
+    q = 0.0
+    for s in range(1, spec.max_children + 1):
+        if spec.p(s) > 0 and spec.p(0) > 0:
+            q = max(q, float(event_sary_prob(spec, s, d)))
+    return q
+
+
+def scan_witness_by_bfs(t, last_generation: int, n: int) -> tuple[Fraction | None, str]:
+    """The witness scan from plain BFS depths of a sampled tree rooted at t.root.
+
+    Vertices at depth last_generation have undrawn children. Candidates are
+    listed kind by kind (dead subtrees, single-child runs, the depth n-1
+    ball) and the first smallest ratio wins.
+    """
+    depth = bfs_distances(t, t.root)
+    parent = {v: u for v in depth for u in t.neighbors(v) if depth[u] == depth[v] - 1}
+    children = {v: [u for u in t.neighbors(v) if depth[u] == depth[v] + 1] for v in depth}
+
+    def subtree(v):
+        out, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            out.append(u)
+            stack.extend(children[u])
+        return out
+
+    def alive(v):
+        return any(depth[u] == last_generation for u in subtree(v))
+
+    candidates = []
+    for v in sorted(depth):
+        if 1 <= depth[v] < last_generation and not alive(v) and alive(parent[v]):
+            candidates.append((ratio(t, subtree(v)), "dead-subtree"))
+    for v in sorted(depth):
+        if depth[v] >= last_generation:
+            continue
+        chain = []
+        u = v
+        while u is not None and len(children[u]) == 1:
+            chain.append(u)
+            u = parent.get(u)
+        if chain:
+            candidates.append((Fraction(2, len(chain)), "single-child-run"))
+            if u is None:  # the run reaches the root: only its lower end has a neighbor outside
+                candidates.append((ratio(t, chain), "single-child-run"))
+    if last_generation >= n and any(depth[v] == n for v in depth):
+        candidates.append((ratio(t, [v for v in depth if depth[v] < n]), "shallow-ball"))
+    if not candidates:
+        return None, ""
+    low = min(r for r, _ in candidates)
+    return next(c for c in candidates if c[0] == low)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -247,6 +248,24 @@ def test_gw_dichotomy_both_sides(quarter_law, tmp_path):
     assert code == 0
     assert doc["side"] == "nonamenable"
     assert doc["check"]["bound_violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "law, d_list",
+    [({"family": "poisson", "lambda": 1.5}, ("--d-list", "4,5")), ({"family": "poisson", "lambda": 1.2}, ())],
+)
+def test_gw_dichotomy_poisson_floors_are_quick(tmp_path, law, d_list):
+    # Exact powers p(s)^(s^i) of every s would take minutes on these laws,
+    # so the floors must come from the pruned max. Few trials keep the
+    # bound about the floors rather than the sampling.
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps(law))
+    start = time.perf_counter()
+    code, doc = run_json("gw", "dichotomy", "--input", str(path), "--seed", "3", "--trials", "20", *d_list)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert doc["side"] == "amenable"
+    assert all(0 < e["collapse_event_prob"] < 0.01 for e in doc["per_d"])
 
 
 def test_gw_dichotomy_vertex_budget(quarter_law):

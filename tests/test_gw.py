@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import brute
 from arbor import (
@@ -20,7 +22,7 @@ from arbor import (
     sary_tree,
     verify_dichotomy,
 )
-from arbor.galton_watson import parse_event
+from arbor.galton_watson import _collapse_q, _scan_witness, parse_event
 
 QUARTER_LAW = GWSpec(("1/4", "1/4", "1/2"))
 BINARY_LAW = GWSpec(("1/2", "0", "1/2"))
@@ -280,6 +282,79 @@ def test_event_probs_degenerate():
         event_path_prob(QUARTER_LAW, -1)
     with pytest.raises(ValueError):
         event_sary_prob(QUARTER_LAW, 0, 1)
+
+
+@st.composite
+def rational_laws(draw):
+    """Offspring laws on 0..6 children with small integer weights; p(0) may be zero."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=2, max_size=7).filter(any))
+    return GWSpec(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@given(rational_laws(), st.integers(1, 3))
+def test_collapse_q_matches_exact_max_on_rational_laws(spec, d):
+    assert _collapse_q(spec, d) == brute.collapse_q_by_exact_max(spec, d)
+
+
+TINY = Fraction(1, 10**400)
+# Every term underflows on these, so q is 0.0.
+UNDERFLOWING_LAWS = [GWSpec((TINY, 1 - TINY)), GWSpec((Fraction(1, 2**600), 0, 1 - Fraction(1, 2**600)))]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # p(1) = 0: a wide collapse can beat the narrow one
+        GWSpec(("1/2", 0, "1/100", 0, 0, "49/100")),
+        GWSpec(("1/3", 0, 0, 0, 0, 0, 0, 0, "2/3")),
+        *UNDERFLOWING_LAWS,
+        # q is about 1e-320, a subnormal float just above the underflow cut
+        GWSpec((Fraction(1, 10**320), 1 - Fraction(1, 10**320))),
+        # an entry far below float range next to ordinary ones
+        GWSpec(("1/3", "1/3", Fraction(1, 3) - TINY, TINY)),
+        GWSpec(("1/4", TINY, Fraction(3, 4) - TINY)),
+        GWSpec.poisson(1.0),
+        GWSpec.poisson(1.5),
+        GWSpec.poisson(3.0),
+        # small ratios keep the unpruned reference quick at d = 3
+        GWSpec.geometric("1/4"),
+        GWSpec.geometric("1/8"),
+        QUARTER_LAW,
+    ],
+)
+def test_collapse_q_matches_exact_max(spec):
+    for d in (1, 2, 3):
+        q = _collapse_q(spec, d)
+        assert q == brute.collapse_q_by_exact_max(spec, d), d
+        assert (q == 0.0) == (spec in UNDERFLOWING_LAWS)
+
+
+def test_collapse_q_poisson_depth_four():
+    # The exact max over s, computed once with the unpruned loop (about 25 s).
+    assert _collapse_q(GWSpec.poisson(1.5), 4) == 0.002799989623882845
+
+
+def test_scan_witness_matches_bfs_reference():
+    cases = [
+        (QUARTER_LAW, 2, 2000),
+        (QUARTER_LAW, 3, 2000),
+        (GWSpec.poisson(1.5), 2, 2000),
+        (GWSpec(("1/2", "1/2")), 3, 2000),
+        (QUARTER_LAW, 3, 40),
+        (GWSpec.poisson(1.5), 3, 60),
+    ]
+    budget_hits = 0
+    kinds = set()
+    for spec, d, max_vertices in cases:
+        n = d * d
+        for trial in range(40):
+            smp = sample(spec, 17, n + d + 1, max_vertices, trial=trial)
+            budget_hits += smp.budget_hit
+            got = _scan_witness(smp, n)
+            assert got == brute.scan_witness_by_bfs(smp.to_tree(), smp.truncated_at, n), (spec, d, trial)
+            kinds.add(got[1])
+    assert budget_hits >= 20
+    assert kinds == {"", "dead-subtree", "single-child-run", "shallow-ball"}
 
 
 def test_parse_event():
