@@ -66,11 +66,8 @@ from .subsets import (
     random_connected_subset,
 )
 from .trees import (
-    NULL_TREE,
-    NullTree,
     Tree,
     canonical_form,
-    induced_subtree,
     parse_child_list,
     parse_tree,
     path_tree,
@@ -90,7 +87,6 @@ from .trimming import (
     lift_subset_through_trims,
     make_inessential,
     removal_steps_in_ball,
-    trim,
     trim_depth,
     trim_orbit,
 )
@@ -99,9 +95,6 @@ __all__ = [
     "__version__",
     # trees
     "Tree",
-    "NullTree",
-    "NULL_TREE",
-    "induced_subtree",
     "canonical_form",
     "parse_tree",
     "parse_child_list",
@@ -122,7 +115,6 @@ __all__ = [
     "list_fixtures",
     "make_fixture",
     # trimming
-    "trim",
     "trim_orbit",
     "TrimOrbit",
     "trim_depth",

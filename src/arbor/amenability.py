@@ -22,7 +22,7 @@ from .errors import (
     NoBranchStructureError,
     UnsupportedStructureError,
 )
-from .exploration import Ball, ball_depths, explore_ball
+from .exploration import Ball, explore_ball
 from .subsets import SubsetSelection, boundary_of, connected_subsets, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
@@ -469,13 +469,12 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
     survives = [
         removed[v] is None and known[v] >= declared.k for v in range(ball.vertex_count)
     ]
-    dist = ball_depths(ball)
     safe_limit = ball.radius - declared.k - 1
     deg2 = set()
     for v in range(ball.vertex_count):
         if not survives[v]:
             continue
-        if ball.frontier and dist[v] > safe_limit:
+        if ball.frontier and ball.depths[v] > safe_limit:
             continue
         if sum(1 for u in ball.tree.adjacency[v] if survives[u]) == 2:
             deg2.add(v)

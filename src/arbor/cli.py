@@ -183,19 +183,25 @@ def cmd_classify(args, stdout) -> int:
     )
     report = classify(oracle, budgets, declared=declared, d_target=args.d_target)
     doc = {"command": "classify", **source, **report.to_json()}
+    code = _INCONCLUSIVE if report.verdict == "inconclusive" else _OK
+    lines = _classify_lines(report, args.d_target) if args.format == "text" else None
+    return _emit(doc, code, args, stdout, text_lines=lines)
+
+
+def _classify_lines(report, d_target: int) -> list[str]:
+    """The text rendering of a classify report: the verdict and the best witness per d."""
     lines = [f"verdict: {report.verdict}"]
     if report.certificate:
         lines.append(f"certified lower bound: {report.certificate['lower_bound']}")
     lines.append("d  best_ratio  provenance")
-    for d in range(1, args.d_target + 1):
+    for d in range(1, d_target + 1):
         eligible = [w for w in report.witnesses if w.ratio <= Fraction(1, d)]
         if eligible:
             best = min(eligible, key=lambda w: (w.ratio, w.size))
             lines.append(f"{d}  {best.ratio}  {best.provenance}")
         else:
             lines.append(f"{d}  -  -")
-    code = _INCONCLUSIVE if report.verdict == "inconclusive" else _OK
-    return _emit(doc, code, args, stdout, text_lines=lines)
+    return lines
 
 
 def cmd_gw(args, stdout) -> int:
@@ -231,11 +237,11 @@ def cmd_gw(args, stdout) -> int:
         doc.update(result.to_json())
         rows = [
             ["event", "trials", "successes", "estimate", "std_error", "exact"],
-            [result.event, result.trials, result.successes, result.estimate, result.std_error, result.exact],
+            [result.event, result.trials, result.successes, result.estimate, result.std_error, doc["exact"]],
         ]
         lines = [
             f"estimate: {result.estimate:.6g} (SE {result.std_error:.3g})",
-            f"exact: {result.exact} = {float(result.exact):.6g}",
+            f"exact: {doc['exact']} = {doc['exact_float']:.6g}",
         ]
         return _emit(doc, _OK, args, stdout, text_lines=lines, csv_rows=rows)
 

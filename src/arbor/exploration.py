@@ -50,21 +50,28 @@ class Ball:
     An empty frontier means the exploration exhausted the component and the
     ball is the whole tree.
 
+    ``depths[v]`` is the distance of id v from the center, recorded by the
+    walk that built the ball, so no caller walks it again.
+
     ``interior`` is every other id, and ``sorted_interior`` the same ids in
     increasing order. Each is derived from ``frontier`` on its first read and
     cached, so a ball is read-only after construction: reassigning
     ``frontier`` (or ``tree``) would leave the caches stale.
     """
 
-    __slots__ = ("oracle", "center", "radius", "tree", "frontier", "handles", "index", "_interior", "_sorted_interior")
+    __slots__ = (
+        "oracle", "center", "radius", "tree", "frontier", "handles", "depths", "index",
+        "_interior", "_sorted_interior",
+    )
 
-    def __init__(self, oracle, center, radius: int, tree: Tree, frontier, handles):
+    def __init__(self, oracle, center, radius: int, tree: Tree, frontier, handles, depths):
         self.oracle = oracle
         self.center = center
         self.radius = radius
         self.tree = tree
         self.frontier = frozenset(frontier)
         self.handles = tuple(handles)
+        self.depths = tuple(depths)
         self.index = {h: i for i, h in enumerate(self.handles)}
         self._interior: frozenset[int] | None = None
         self._sorted_interior: tuple[int, ...] | None = None
@@ -115,20 +122,6 @@ class Ball:
         return f"Ball(radius={self.radius}, {self.vertex_count} vertices, frontier={len(self.frontier)})"
 
 
-def ball_depths(ball: Ball) -> list[int]:
-    """Distance from the center of every ball vertex, indexed by local id."""
-    adj = ball.tree.adjacency
-    dist = [-1] * ball.vertex_count
-    dist[0] = 0
-    order = [0]
-    for v in order:
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                order.append(u)
-    return dist
-
-
 def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = None) -> Ball:
     """Breadth-first exploration out to ``radius`` edges from ``center``.
 
@@ -170,4 +163,4 @@ def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = No
             break
     frontier = [v for v in layer if dist[v] == radius]
     tree = Tree(adj, root=0)
-    return Ball(oracle, center, radius, tree, frontier, handles)
+    return Ball(oracle, center, radius, tree, frontier, handles, dist)

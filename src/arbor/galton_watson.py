@@ -24,6 +24,7 @@ import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -419,7 +420,8 @@ class GWSample:
         else:
             off = t._offsets
             frontier = frozenset(range(off[t.truncated_at], off[t.truncated_at + 1]))
-        return Ball(None, (), k, tree, frontier, handles)
+        depths = [g for g, w in enumerate(t.generation_sizes) for _ in range(w)]
+        return Ball(None, (), k, tree, frontier, handles, depths)
 
 
 def sample(
@@ -571,6 +573,12 @@ def parse_event(text: str) -> tuple:
     return ("sary", s, d)
 
 
+def _fraction_str(q: Fraction) -> str:
+    """``str(q)`` for any size: Decimal renders ints past the interpreter's int-to-str digit limit."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 @dataclass(frozen=True)
 class MonteCarloEventResult:
     event: str
@@ -591,7 +599,7 @@ class MonteCarloEventResult:
             "successes": self.successes,
             "estimate": self.estimate,
             "std_error": self.std_error,
-            "exact": str(self.exact),
+            "exact": _fraction_str(self.exact),
             "exact_float": float(self.exact),
         }
 

@@ -1,24 +1,24 @@
 """Finite trees over dense integer ids: construction, canonical codes, parsing.
 
 Trees are the only graph class in this package. Construction validates the
-tree invariants once, so downstream code never rechecks them. ``reach`` is
-the one breadth-first walk the package's connectivity and component checks
-share, and ``bfs_layers`` the layer-by-layer walk of the trim-level scans;
-both work on any ``neighbors`` callable, not only on trees.
+tree invariants once, so downstream code never rechecks them. Three walks
+are shared by the rest of the package: ``reach``, the breadth-first walk of
+the connectivity and component checks; ``bfs_layers``, the layer-by-layer
+walk of the trim-level scans; and ``peel``, the one leaf-removal loop behind
+centers, trim orbits and trim depths. ``reach`` and ``bfs_layers`` work on
+any ``neighbors`` callable, not only on trees.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import count
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidVertexError, NotATreeError
 
 __all__ = [
     "Tree",
-    "NullTree",
-    "NULL_TREE",
-    "induced_subtree",
     "canonical_form",
     "parse_tree",
     "parse_child_list",
@@ -27,29 +27,6 @@ __all__ = [
     "sary_tree",
     "subdivide_tree",
 ]
-
-
-class NullTree:
-    """Sentinel for the result of removing every vertex.
-
-    Deliberately distinct from the one-vertex tree: graphs here always have a
-    nonempty vertex set, so "nothing survived" needs its own object.
-    """
-
-    __slots__ = ()
-    _instance = None
-    vertex_count = 0
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NullTree"
-
-
-NULL_TREE = NullTree()
 
 
 class Tree:
@@ -208,51 +185,43 @@ def bfs_layers(neighbors, start) -> Iterator[list]:
         layer = sorted_handles(nxt)
 
 
-def induced_subtree(t: Tree, members: Iterable[int]) -> tuple[Tree, dict[int, int]]:
-    """Induced subgraph on ``members``, relabeled to dense ids.
+def peel(adj, known) -> Iterator[tuple[int, list[int]]]:
+    """Iterated leaf removal on a finite tree or piece of one, a round at a time.
 
-    Returns the new tree and the old-id to new-id map. The members must be
-    nonempty and connected in ``t``; otherwise this raises NotATreeError.
-    The root is carried over when it belongs to the subset.
+    Yields (t, dead) for rounds t = 1, 2, ..., where dead lists in id order
+    the vertices of degree 1 among those still present, all removed at once;
+    stops at the first round that removes nothing. Vertex w takes part only
+    through round known[w]: after that its degree may depend on vertices the
+    caller cannot see, so it is never removed. A vertex is looked at only when
+    its degree drops to 1, so a whole call costs O(n log n) at most.
     """
-    ordered = sorted(set(int(v) for v in members))
-    if not ordered:
-        raise NotATreeError("empty vertex subset")
-    for v in ordered:
-        if not 0 <= v < t.vertex_count:
-            raise InvalidVertexError(f"vertex {v} is out of range")
-    idx = {v: i for i, v in enumerate(ordered)}
-    adj = [[idx[u] for u in t.adjacency[v] if u in idx] for v in ordered]
-    root = idx[t.root] if t.root in idx else None
-    try:
-        return Tree(adj, root=root), idx
-    except NotATreeError as exc:
-        raise NotATreeError(f"induced subgraph is not a tree: {exc}") from exc
+    deg = [len(ns) for ns in adj]
+    gone = [False] * len(adj)
+    layer = [w for w, d in enumerate(deg) if d == 1]
+    for t in count(1):
+        dead = sorted(w for w in layer if deg[w] == 1 and known[w] >= t)
+        if not dead:
+            return
+        for w in dead:
+            gone[w] = True
+        layer = []
+        for w in dead:
+            for u in adj[w]:
+                if not gone[u]:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        layer.append(u)
+        yield t, dead
 
 
 def centers(t: Tree) -> tuple[int, ...]:
-    """The one or two eccentricity-minimizing vertices, by iterated leaf removal."""
+    """The one or two eccentricity-minimizing vertices: what the peel leaves, or its last round."""
     n = t.vertex_count
-    if n == 1:
-        return (0,)
-    if n == 2:
-        return (0, 1)
-    deg = [len(ns) for ns in t.adjacency]
-    alive = [True] * n
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            for u in t.adjacency[v]:
-                if alive[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        remaining -= len(layer)
-        layer = nxt
-    return tuple(sorted(v for v in range(n) if alive[v]))
+    gone = set()
+    dead = []
+    for _, dead in peel(t.adjacency, [n] * n):
+        gone.update(dead)
+    return tuple(v for v in range(n) if v not in gone) or tuple(dead)
 
 
 def _rooted_code(t: Tree, root: int) -> bytes:
@@ -270,15 +239,13 @@ def _rooted_code(t: Tree, root: int) -> bytes:
     return code[root]
 
 
-def canonical_form(t: Tree | NullTree, rooted: bool | None = None) -> bytes:
+def canonical_form(t: Tree, rooted: bool | None = None) -> bytes:
     """Canonical byte code; equal codes mean isomorphic trees.
 
     With ``rooted`` left as None, the tree's own root decides: rooted trees
     get a root-respecting code, unrooted trees are canonicalized at the
     center (ties broken by the lexicographically smaller code).
     """
-    if isinstance(t, NullTree):
-        return b"*"
     if rooted is None:
         rooted = t.root is not None
     if rooted:

@@ -4,7 +4,8 @@ The trimming operator removes every degree-1 vertex at once. Iterating it on
 a finite tree always reaches a fixed point (a single vertex, or nothing);
 on infinite trees its behavior is probed locally: whether a vertex survives
 k rounds of trimming depends only on its radius-k ball, which is what makes
-oracle-driven computation exact.
+oracle-driven computation exact. Every trimming computation here, on a whole
+finite tree or on a ball, runs on the one leaf-removal loop ``trees.peel``.
 """
 
 from __future__ import annotations
@@ -16,23 +17,13 @@ from itertools import islice
 from typing import Iterable
 
 from .errors import InvalidVertexError
-from .exploration import Ball, ball_depths, explore_ball
+from .exploration import Ball, explore_ball
 from .subsets import boundary_of, is_connected_in
-from .trees import (
-    NULL_TREE,
-    NullTree,
-    Tree,
-    bfs_layers,
-    canonical_form,
-    induced_subtree,
-    reach,
-    sorted_handles,
-)
+from .trees import Tree, bfs_layers, canonical_form, peel, reach, sorted_handles
 
 log = logging.getLogger("arbor.trimming")
 
 __all__ = [
-    "trim",
     "TrimOrbit",
     "trim_orbit",
     "trim_depth",
@@ -49,47 +40,52 @@ __all__ = [
 ]
 
 
-def trim_with_members(t: Tree) -> tuple[Tree | NullTree, tuple[int, ...]]:
-    """One trimming round, plus the ids (in t) of the surviving vertices."""
-    keep = [v for v in range(t.vertex_count) if len(t.adjacency[v]) != 1]
-    if not keep:
-        return NULL_TREE, ()
-    sub, _ = induced_subtree(t, keep)
-    return sub, tuple(keep)
-
-
-def trim(t: Tree) -> Tree | NullTree:
-    """The tree minus all its leaves (degree-1 vertices); NullTree if nothing survives."""
-    return trim_with_members(t)[0]
+def _removal_rounds(adj, known) -> list:
+    """The round at which peel removes each vertex, None for the vertices it keeps."""
+    removed: list = [None] * len(adj)
+    for t, dead in peel(adj, known):
+        for w in dead:
+            removed[w] = t
+    return removed
 
 
 @dataclass(frozen=True)
 class TrimOrbit:
     """The trajectory of a finite tree under iterated trimming.
 
-    ``stages[0]`` is the input; ``members[j]`` holds the original-id vertex
-    set of stage j, so every stage is viewable as an induced subtree of the
-    input.
+    ``removed_at[v]`` is the round at which vertex v is trimmed, or None if
+    v is still present after all ``rounds`` rounds; stage j of the orbit is
+    every v with removed_at[v] None or above j. The orbit ends with a
+    single vertex (``stabilized``), with nothing (``extinct``), or at the
+    round cap with leaves still present (``budget-exhausted``).
     """
 
-    stages: tuple
-    members: tuple
+    removed_at: tuple
+    rounds: int
     status: str
     stabilized_at: int | None = None
     extinct_at: int | None = None
 
     def stage_sizes(self) -> tuple[int, ...]:
-        return tuple(s.vertex_count for s in self.stages)
+        gone = [0] * (self.rounds + 1)
+        for t in self.removed_at:
+            if t is not None:
+                gone[t] += 1
+        sizes = [len(self.removed_at)]
+        for g in gone[1:]:
+            sizes.append(sizes[-1] - g)
+        return tuple(sizes)
 
     def membership_at(self, v: int, k: int) -> bool:
         """Whether vertex v (original id) belongs to the k-fold trim."""
-        if k < len(self.members):
-            return v in self.members[k]
-        if self.status == "stabilized":
-            return v in self.members[-1]
-        if self.status == "extinct":
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if k > self.rounds and self.status == "budget-exhausted":
+            raise ValueError(f"orbit truncated before step {k}")
+        if not 0 <= v < len(self.removed_at):
             return False
-        raise ValueError(f"orbit truncated before step {k}")
+        t = self.removed_at[v]
+        return t is None or t > k
 
     def to_json(self) -> dict:
         doc = {"stages": list(self.stage_sizes()), "status": self.status}
@@ -101,51 +97,18 @@ class TrimOrbit:
 
 
 def trim_orbit(t: Tree, max_steps: int | None = None) -> TrimOrbit:
+    """Trim t until one vertex or nothing is left, or for at most max_steps rounds."""
     if max_steps is not None and max_steps <= 0:
         raise ValueError("max_steps must be positive (or None for no bound)")
-    stages: list = [t]
-    members: list = [frozenset(range(t.vertex_count))]
-    current = t
-    ids = list(range(t.vertex_count))
-    step = 0
-    while True:
-        nxt, kept_local = trim_with_members(current)
-        if not isinstance(nxt, NullTree) and len(kept_local) == current.vertex_count:
-            return TrimOrbit(tuple(stages), tuple(members), "stabilized", stabilized_at=step)
-        step += 1
-        kept = [ids[i] for i in kept_local]
-        stages.append(nxt)
-        members.append(frozenset(kept))
-        if isinstance(nxt, NullTree):
-            return TrimOrbit(tuple(stages), tuple(members), "extinct", extinct_at=step)
-        current, ids = nxt, kept
-        if max_steps is not None and step >= max_steps:
-            if all(len(ns) != 1 for ns in current.adjacency):
-                return TrimOrbit(tuple(stages), tuple(members), "stabilized", stabilized_at=step)
-            return TrimOrbit(tuple(stages), tuple(members), "budget-exhausted")
-
-
-def _peel(adj: list, known: list, steps: int):
-    """Iterated leaf removal on a finite piece of a host, one round at a time.
-
-    Yields (t, dead) for rounds t = 1..steps, where dead lists in id order
-    the vertices removed at round t; stops early once a round removes
-    nothing. Vertex w takes part only through round known[w]: after that its
-    degree may depend on vertices outside the piece, so it is never removed.
-    """
-    alive = [True] * len(adj)
-    for t in range(1, steps + 1):
-        dead = [
-            w
-            for w in range(len(adj))
-            if alive[w] and t <= known[w]
-            and sum(1 for u in adj[w] if alive[u]) == 1
-        ]
-        if not dead:
-            return
-        for w in dead:
-            alive[w] = False
-        yield t, dead
+    n = t.vertex_count
+    removed = tuple(_removal_rounds(t.adjacency, [n if max_steps is None else max_steps] * n))
+    rounds = max(filter(None, removed), default=0)
+    left = removed.count(None)
+    if left == 0:
+        return TrimOrbit(removed, rounds, "extinct", extinct_at=rounds)
+    if left == 1:
+        return TrimOrbit(removed, rounds, "stabilized", stabilized_at=rounds)
+    return TrimOrbit(removed, rounds, "budget-exhausted")
 
 
 def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None:
@@ -160,8 +123,8 @@ def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None
     if k == 0:
         return None
     ball = explore_ball(oracle, k, center=v, max_vertices=max_vertices)
-    known = [k - d for d in ball_depths(ball)]
-    for t, dead in _peel(ball.tree.adjacency, known, k):
+    known = [k - d for d in ball.depths]
+    for t, dead in peel(ball.tree.adjacency, known):
         if dead[0] == 0:
             return t
     return None
@@ -172,17 +135,15 @@ def removal_steps_in_ball(ball: Ball, steps: int) -> tuple[list, list]:
 
     Returns (removed_at, known_through): removed_at[v] is the 1-based step at
     which v is trimmed, or None if v is still alive after known_through[v]
-    rounds. A vertex at distance d from the center is only decidable through
-    round radius - d (through every requested round if the frontier is empty,
-    i.e. the ball is the whole tree).
+    rounds. A vertex at distance d = ball.depths[v] from the center is only
+    decidable through round radius - d (through every requested round if the
+    frontier is empty, i.e. the ball is the whole tree). Both lists come from
+    one run of ``trees.peel`` capped by known_through, the same per-vertex
+    removal record a ``TrimOrbit`` keeps for a whole finite tree.
     """
     unbounded = not ball.frontier
-    known = [steps if unbounded else max(0, min(steps, ball.radius - d)) for d in ball_depths(ball)]
-    removed: list = [None] * ball.vertex_count
-    for t, dead in _peel(ball.tree.adjacency, known, steps):
-        for w in dead:
-            removed[w] = t
-    return removed, known
+    known = [steps if unbounded else max(0, min(steps, ball.radius - d)) for d in ball.depths]
+    return _removal_rounds(ball.tree.adjacency, known), known
 
 
 class TrimmedView:

@@ -13,7 +13,9 @@ subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
 ``star_tree`` and ``serialize_tree`` build small hosts and tree files for
 the tests. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
-references for the dichotomy's collapse floor and witness scan.
+references for the dichotomy's collapse floor and witness scan, and
+``peel_by_rescan``, which rescans every vertex every round, is the
+reference for the library's leaf-removal loop ``trees.peel``.
 """
 
 from __future__ import annotations
@@ -164,6 +166,29 @@ def trim_stages(t) -> list[set[int]]:
             break
         alive = nxt
     return stages
+
+
+def peel_by_rescan(adj: list, known: list, steps: int):
+    """Iterated leaf removal on a finite piece of a host, one round at a time.
+
+    Yields (t, dead) for rounds t = 1..steps, where dead lists in id order
+    the vertices removed at round t; stops early once a round removes
+    nothing. Vertex w takes part only through round known[w]: after that its
+    degree may depend on vertices outside the piece, so it is never removed.
+    """
+    alive = [True] * len(adj)
+    for t in range(1, steps + 1):
+        dead = [
+            w
+            for w in range(len(adj))
+            if alive[w] and t <= known[w]
+            and sum(1 for u in adj[w] if alive[u]) == 1
+        ]
+        if not dead:
+            return
+        for w in dead:
+            alive[w] = False
+        yield t, dead
 
 
 def removal_step(stages: list[set[int]], v: int) -> int | None:

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from arbor import path_tree
+from arbor import GWSpec, event_sary_prob, path_tree
 from arbor.cli import main
 from brute import serialize_tree
 
@@ -212,6 +215,38 @@ def test_gw_events(quarter_law):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][0] == "event"
     assert rows[1][1] == "400"
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Lift the int/str digit limit for parsing; interpreters before 3.10.7 have none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_gw_events_exact_past_int_digit_limit(tmp_path):
+    law = tmp_path / "poisson.json"
+    law.write_text(json.dumps({"family": "poisson", "lambda": 1.5}))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    args = ("gw", "events", "--input", str(law), "--seed", "1", "--event", "sary(8,3)", "--trials", "20")
+    code, doc = run_json(*args)
+    assert code == 0
+    assert len(doc["exact"]) > 4300
+    with no_int_digit_limit():
+        assert Fraction(doc["exact"]) == event_sary_prob(GWSpec.from_json(json.loads(law.read_text())), 8, 3)
+    code, text = run(*args, "--format", "csv")
+    assert code == 0 and list(csv.reader(io.StringIO(text)))[1][5] == doc["exact"]
+    code, text = run(*args, "--format", "text")
+    assert code == 0 and text.splitlines()[1].startswith(f"exact: {doc['exact']} = ")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_gw_growth(quarter_law):

@@ -245,6 +245,16 @@ def test_truncate_ball():
     assert dead.truncate_ball(4).frontier == frozenset()
 
 
+@pytest.mark.parametrize("spec", [QUARTER_LAW, BINARY_LAW, DOUBLING_LAW, GWSpec((1,))])
+def test_truncate_ball_depths_match_bfs(spec):
+    for seed in range(6):
+        smp = sample(spec, seed, 5)
+        for k in range(min(5, smp.truncated_at) + 1):
+            ball = smp.truncate_ball(k)
+            dist = brute.bfs_distances(ball.tree, 0)
+            assert ball.depths == tuple(dist[v] for v in range(ball.vertex_count))
+
+
 def test_event_probs_match_enumeration():
     cases = [
         (QUARTER_LAW, ("path", 1)),

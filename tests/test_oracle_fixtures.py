@@ -80,6 +80,17 @@ def test_explore_ball_matches_distances():
         assert dist[v] == abs(ball.handle_of(v) - 3)
 
 
+@pytest.mark.parametrize("name", ["regular(3)", "sary(2)", "zline_pendant", "threereg_plus_ray", "staircase"])
+def test_ball_depths_match_bfs(name: str):
+    for radius in range(5):
+        ball = explore_ball(make_fixture(name), radius)
+        assert ball.frontier or radius == 0
+        dist = brute.bfs_distances(ball.tree, 0)
+        assert ball.depths == tuple(dist[v] for v in range(ball.vertex_count))
+    whole = explore_ball(TreeAsOracle(path_tree(6, root=2)), 10)
+    assert whole.depths == (0, 1, 1, 2, 2, 3)
+
+
 def test_exhausted_ball_has_empty_frontier():
     t = path_tree(5)
     ball = explore_ball(TreeAsOracle(t), 10)

@@ -2,7 +2,7 @@ import importlib
 import json
 import pkgutil
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -13,10 +13,8 @@ import brute
 from arbor import (
     InvalidVertexError,
     NotATreeError,
-    NULL_TREE,
     Tree,
     canonical_form,
-    induced_subtree,
     parse_child_list,
     parse_tree,
     path_tree,
@@ -24,7 +22,7 @@ from arbor import (
     serialize_child_list,
     subdivide_tree,
 )
-from arbor.trees import bfs_layers, centers, reach
+from arbor.trees import bfs_layers, centers, peel, reach
 from brute import serialize_tree, star_tree
 
 
@@ -138,23 +136,6 @@ def test_subdivide_keeps_original_ids():
     assert 1 not in s.neighbors(0)
 
 
-def test_induced_subtree():
-    t = path_tree(5)
-    sub, idx = induced_subtree(t, [1, 2, 3])
-    assert sub.vertex_count == 3
-    assert idx == {1: 0, 2: 1, 3: 2}
-    with pytest.raises(NotATreeError):
-        induced_subtree(t, [0, 2])
-
-
-def test_induced_subtree_carries_root():
-    t = path_tree(5, root=2)
-    sub, idx = induced_subtree(t, [1, 2, 3])
-    assert sub.root == idx[2]
-    sub2, _ = induced_subtree(t, [3, 4])
-    assert sub2.root is None
-
-
 @given(random_trees())
 def test_parse_serialize_roundtrip(t: Tree):
     if t.root is None and t.vertex_count == 1:
@@ -205,6 +186,27 @@ def test_centers_match_eccentricity(t: Tree):
     assert set(centers(t)) == brute.eccentricity_centers(t)
 
 
+def check_peel(adj, known):
+    ours = list(peel(adj, known))
+    assert ours == list(brute.peel_by_rescan(adj, known, max(known)))
+    assert all(dead == sorted(dead) for _, dead in ours)
+
+
+@given(random_trees(), st.data())
+def test_peel_matches_rescan(t: Tree, data):
+    known = data.draw(st.lists(st.integers(min_value=0, max_value=7), min_size=t.vertex_count, max_size=t.vertex_count))
+    check_peel(t.adjacency, known)
+
+
+def test_peel_on_one_and_two_vertices():
+    for known in ([0], [1], [5]):
+        check_peel(Tree([[]]).adjacency, known)
+    for known in product(range(3), repeat=2):
+        check_peel(path_tree(2).adjacency, list(known))
+    assert list(peel(path_tree(2).adjacency, [1, 1])) == [(1, [0, 1])]
+    assert list(peel(path_tree(2).adjacency, [1, 0])) == [(1, [0])]  # vertex 1 is held back
+
+
 @given(random_trees())
 def test_canonical_form_relabel_invariant(t: Tree):
     rng = random.Random(17)
@@ -223,7 +225,6 @@ def test_canonical_form_agrees_with_reference(a: Tree, b: Tree):
 
 
 def test_canonical_form_rooted_vs_unrooted():
-    assert canonical_form(NULL_TREE) == b"*"
     p = path_tree(3)
     assert canonical_form(p.with_root(0), rooted=True) != canonical_form(
         p.with_root(1), rooted=True

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 import brute
 from arbor import (
     InvalidVertexError,
-    NULL_TREE,
     Tree,
     TreeAsOracle,
     TrimmedView,
     ball_code_sequence,
     boundary_of,
-    canonical_form,
     connected_subsets,
     detect_period,
     explore_ball,
@@ -25,11 +23,9 @@ from arbor import (
     path_tree,
     removal_steps_in_ball,
     sary_tree,
-    trim,
     trim_depth,
     trim_orbit,
 )
-from arbor.trimming import trim_with_members
 from brute import star_tree
 
 
@@ -66,33 +62,45 @@ def random_trees(draw: st.DrawFn, min_size: int = 1, max_size: int = 12):
     return Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
 
 
+def stage_members(orbit, n: int, k: int) -> set[int]:
+    return {v for v in range(n) if orbit.membership_at(v, k)}
+
+
 def test_trim_basics():
-    t5, kept = trim_with_members(path_tree(5))
-    assert kept == (1, 2, 3)
-    assert canonical_form(t5, rooted=False) == canonical_form(path_tree(3), rooted=False)
-    assert trim(path_tree(2)) is NULL_TREE
-    assert trim(Tree([[]])).vertex_count == 1  # an isolated vertex is not a leaf
-    assert trim(star_tree(5)).vertex_count == 1
+    assert stage_members(trim_orbit(path_tree(5), max_steps=1), 5, 1) == {1, 2, 3}
+    assert trim_orbit(path_tree(2)).stage_sizes() == (2, 0)
+    assert trim_orbit(Tree([[]])).stage_sizes() == (1,)  # an isolated vertex is not a leaf
+    assert trim_orbit(star_tree(5)).stage_sizes() == (6, 1)
 
 
 @given(random_trees())
 def test_trim_matches_reference(t: Tree):
     stages = brute.trim_stages(t)
-    _, kept = trim_with_members(t)
-    assert set(kept) == stages[1]
+    assert stage_members(trim_orbit(t, max_steps=1), t.vertex_count, 1) == stages[1]
 
 
 @given(random_trees())
 def test_orbit_matches_reference(t: Tree):
-    orbit = trim_orbit(t)
+    n = t.vertex_count
     stages = brute.trim_stages(t)
-    if orbit.status == "stabilized":
-        expected = stages[:-1]  # reference repeats the fixed point once
-    else:
-        assert orbit.status == "extinct"
-        expected = stages
-    assert [set(m) for m in orbit.members] == expected
-    assert orbit.stage_sizes() == tuple(len(s) for s in expected)
+    stabilized = stages[-1] == stages[-2]  # the reference repeats a fixed point once
+    last = len(stages) - 2 if stabilized else len(stages) - 1  # rounds to the fixed point
+    for m in (None, *range(1, n + 2)):
+        orbit = trim_orbit(t, max_steps=m)
+        if m is not None and m < last:
+            assert orbit.status == "budget-exhausted"
+            assert orbit.stabilized_at is None and orbit.extinct_at is None
+            assert orbit.stage_sizes() == tuple(len(s) for s in stages[: m + 1])
+            with pytest.raises(ValueError):
+                orbit.membership_at(0, m + 1)
+            asked = m
+        else:
+            assert orbit.status == ("stabilized" if stabilized else "extinct")
+            assert (orbit.stabilized_at if stabilized else orbit.extinct_at) == last
+            assert orbit.stage_sizes() == tuple(len(s) for s in stages[: last + 1])
+            asked = n + 2
+        for k in range(asked + 1):
+            assert stage_members(orbit, n, k) == stages[min(k, last)]
 
 
 def test_orbit_knowns():
@@ -103,7 +111,8 @@ def test_orbit_knowns():
     k2 = trim_orbit(path_tree(2))
     assert k2.stage_sizes() == (2, 0)
     assert k2.status == "extinct" and k2.extinct_at == 1
-    assert k2.stages[-1] is NULL_TREE
+    assert k2.removed_at == (1, 1)
+    assert stage_members(k2, 2, 1) == set()
 
     binary = trim_orbit(sary_tree(2, 4))
     assert binary.stage_sizes() == (31, 15, 7, 3, 1)
@@ -125,6 +134,8 @@ def test_orbit_membership_queries():
     assert trim_orbit(path_tree(9), max_steps=4).status == "stabilized"
     with pytest.raises(ValueError):
         trim_orbit(path_tree(9), max_steps=0)
+    with pytest.raises(ValueError):
+        orbit.membership_at(2, -1)
 
 
 @given(random_trees(), st.integers(min_value=1, max_value=5))
