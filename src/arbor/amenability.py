@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .exploration import Ball, explore_ball
-from .subsets import SubsetSelection, boundary_of, connected_subsets, is_connected_in
+from .subsets import SubsetSelection, _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
     TrimmedView,
@@ -120,32 +120,41 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
 
     For an infinite host explored through a Ball this is a certified upper
     bound on the true infimum, since every enumerated boundary is exact.
-    Ties go to the smaller, then lexicographically earlier subset.
+    Ties go to the smaller subset, then to the one whose sorted members'
+    ``repr`` strings compare first, so {10} comes before {9}.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    allowed = None if region is None else sorted_handles(set(region))
-    best = None
-    best_key = None
+    pool = _pool(host, region)
+    best = None  # members of the best subset so far, with its boundary count and size
+    best_b = best_k = 0
+    best_tag = None  # its repr tie-break key, built on the first tie
     count = 0
-    for sub in connected_subsets(host, max_size, allowed=allowed, guard=guard):
+    for sub, b in _walk(host, max_size, pool, guard):
         count += 1
-        bound = boundary_of(host, sub)
-        ratio = Fraction(len(bound), len(sub))
-        rough = (ratio, len(sub))
-        if best is not None and rough > best_key[:2]:
-            continue
-        key = (ratio, len(sub), tuple(repr(m) for m in sorted_handles(sub)))
-        if best is None or key < best_key:
-            best = sub
-            best_key = key
+        k = len(sub)
+        if best is not None:
+            # b/k against best_b/best_k, as integer cross-products
+            cmp = b * best_k - best_b * k
+            if cmp > 0 or (cmp == 0 and k > best_k):
+                continue
+            if cmp == 0 and k == best_k:
+                members = [pool[r] for r in sub]
+                tag = tuple(repr(m) for m in sorted_handles(members))
+                if best_tag is None:
+                    best_tag = tuple(repr(m) for m in sorted_handles(best))
+                if tag >= best_tag:
+                    continue
+                best, best_tag = members, tag
+                continue
+        best, best_b, best_k, best_tag = [pool[r] for r in sub], b, k, None
     if best is None:
         raise ValueError("no admissible subsets: the search region is empty")
     argmin = FolnerCandidate(SubsetSelection(host, best), "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
-    if allowed is not None:
-        scope["region_size"] = len(allowed)
-    return CheegerResult(best_key[0], argmin, scope)
+    if region is not None:
+        scope["region_size"] = len(pool)
+    return CheegerResult(Fraction(best_b, best_k), argmin, scope)
 
 
 def folner_from_inessential(ines) -> FolnerCandidate:

@@ -414,11 +414,15 @@ class GWSample:
         """The depth-k tree as a Ball whose frontier is the deepest generation."""
         t = self.truncate(k)
         tree = t.to_tree()
-        handles = tuple(t.label_of(i) for i in range(t.vertex_count))
+        # One pass over the generations: child j of parent p has label[p] + (j,), as in label_of.
+        handles = [()]
+        off = t._offsets
+        for g, c in enumerate(t.counts):
+            for label, n in zip(handles[off[g]:off[g + 1]], c.tolist()):
+                handles.extend([label + (j,) for j in range(1, n + 1)])
         if t.extinct:
             frontier = frozenset()
         else:
-            off = t._offsets
             frontier = frozenset(range(off[t.truncated_at], off[t.truncated_at + 1]))
         depths = [g for g, w in enumerate(t.generation_sizes) for _ in range(w)]
         return Ball(None, (), k, tree, frontier, handles, depths)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidVertexError, SearchTooLargeError
 from .trees import reach
@@ -94,6 +94,79 @@ class SubsetSelection:
         return f"SubsetSelection({len(self.members)} members)"
 
 
+def _pool(host, allowed: Iterable | None) -> Sequence:
+    """The vertices an enumeration may use, in increasing order; a vertex's index is its rank."""
+    if allowed is not None:
+        return sorted(set(allowed))
+    if hasattr(host, "interior"):
+        return host.sorted_interior
+    return list(range(host.vertex_count))
+
+
+def _walk(host, max_size: int, pool: Sequence, guard: int) -> Iterator[tuple[list[int], int]]:
+    """Every connected subset of 1..max_size pool vertices, with its inner-boundary size.
+
+    Yields ``(sub, boundary_count)``, where ``sub`` lists the members' ranks
+    in ``pool``; the list is reused, so copy it to keep it. The order is the
+    ESU scheme (Wernicke 2006): each subset is anchored at its lowest rank
+    and grown only through its newest member's exclusive neighbors, so none
+    comes twice. ``inside[r]`` counts rank r's neighbors in the subset, which
+    keeps both the exclusive-neighbor test and the boundary count at
+    O(deg w) per step on any host. A member's neighbors are asked for once,
+    when it first joins a subset. Each extension is one unit of work; past
+    ``guard`` units, SearchTooLargeError.
+    """
+    rank = {v: i for i, v in enumerate(pool)}
+    deg = [0] * len(pool)
+    near: list = [None] * len(pool)  # near[r]: ranks of r's neighbors in the pool
+    inside = [0] * len(pool)
+    in_sub = [False] * len(pool)
+    sub: list[int] = []
+    bound = 0
+    work = 0
+    for anchor in range(len(pool)):
+        exts = [[anchor]]  # exts[i]: candidates still to try as member i after sub[:i]
+        while exts:
+            ext = exts[-1]
+            if not ext:
+                exts.pop()
+                if sub:  # its last member has no extension left: it leaves
+                    w = sub.pop()
+                    in_sub[w] = False
+                    if inside[w] < deg[w]:
+                        bound -= 1
+                    for u in near[w]:
+                        if in_sub[u] and inside[u] == deg[u]:
+                            bound += 1
+                        inside[u] -= 1
+                continue
+            w = ext.pop()
+            if sub:
+                work += 1
+                if work > guard:
+                    raise SearchTooLargeError(
+                        f"connected-subset enumeration exceeded the work budget ({guard})"
+                    )
+            ns = near[w]
+            if ns is None:
+                hs = host.neighbors(pool[w])
+                deg[w] = len(hs)
+                ns = near[w] = [rank[u] for u in hs if u in rank]
+            sub.append(w)
+            in_sub[w] = True
+            for u in ns:
+                inside[u] += 1
+                if in_sub[u] and inside[u] == deg[u]:
+                    bound -= 1
+            if inside[w] < deg[w]:
+                bound += 1
+            yield sub, bound
+            if len(sub) < max_size:
+                exts.append(ext + [u for u in ns if u > anchor and not in_sub[u] and inside[u] == 1])
+            else:
+                exts.append([])  # full size: the next step drops w again
+
+
 def connected_subsets(
     host,
     max_size: int,
@@ -103,46 +176,18 @@ def connected_subsets(
     """Enumerate every connected subset of 1..max_size vertices, each exactly once.
 
     Subsets are anchored at their smallest allowed vertex and grown only
-    through exclusive neighborhoods, so no subset is produced twice. The
+    through exclusive neighborhoods, so no subset is produced twice. Each
+    vertex's count of neighbors inside the current subset is kept up to date
+    as members join and leave, so no step rebuilds a neighborhood union. The
     ``guard`` caps total extension work; past it, SearchTooLargeError.
+    Singletons alone (``max_size`` 1) ask the host for no neighbors.
     """
-    if allowed is None:
-        if hasattr(host, "interior"):
-            pool = host.sorted_interior
-        else:
-            pool = list(range(host.vertex_count))
-    else:
-        pool = sorted(set(allowed))
-    allowed_set = set(pool)
-    order = {v: i for i, v in enumerate(pool)}
-    work = 0
-
-    def extend(sub: list[int], ext: list[int], anchor_rank: int) -> Iterator[frozenset[int]]:
-        nonlocal work
-        while ext:
-            w = ext.pop()
-            work += 1
-            if work > guard:
-                raise SearchTooLargeError(
-                    f"connected-subset enumeration exceeded the work budget ({guard})"
-                )
-            new_sub = sub + [w]
-            yield frozenset(new_sub)
-            if len(new_sub) < max_size:
-                in_sub = set(new_sub)
-                closed = in_sub.union(*(host.neighbors(x) for x in sub)) if sub else in_sub
-                new_ext = [u for u in ext]
-                for u in host.neighbors(w):
-                    if u in allowed_set and u not in closed and order[u] > anchor_rank:
-                        new_ext.append(u)
-                yield from extend(new_sub, new_ext, anchor_rank)
-
-    for v in pool:
-        yield frozenset((v,))
-        if max_size > 1:
-            rank = order[v]
-            ext = [u for u in host.neighbors(v) if u in allowed_set and order[u] > rank]
-            yield from extend([v], ext, rank)
+    pool = _pool(host, allowed)
+    if max_size <= 1:
+        yield from (frozenset((v,)) for v in pool)
+        return
+    for sub, _ in _walk(host, max_size, pool, guard):
+        yield frozenset(map(pool.__getitem__, sub))
 
 
 def random_connected_subset(

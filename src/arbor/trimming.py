@@ -82,8 +82,9 @@ class TrimOrbit:
             raise ValueError("k must be nonnegative")
         if k > self.rounds and self.status == "budget-exhausted":
             raise ValueError(f"orbit truncated before step {k}")
-        if not 0 <= v < len(self.removed_at):
-            return False
+        n = len(self.removed_at)
+        if not 0 <= v < n:
+            raise InvalidVertexError(f"vertex {v} is out of range (0..{n - 1})")
         t = self.removed_at[v]
         return t is None or t > k
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: straight from the definitions, no
 shared code with the library beyond the Tree container (its constructor
-and the accessors vertex_count, neighbors). Slow is fine; these only run
-on small inputs.
+and the accessors vertex_count, neighbors) and the SearchTooLargeError
+type. Slow is fine; these only run on small inputs.
 
 Besides the definitions themselves, two property checks live here:
 ``edge_complement_is_connected``, the reference for the library's fast
@@ -11,11 +11,14 @@ inessential test, and ``leaf_iff_inessential_check``, which checks by
 exhaustive search that a host with an outward branch has an inessential
 subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
-``star_tree`` and ``serialize_tree`` build small hosts and tree files for
-the tests. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
+``star_tree``, ``random_graph`` and ``serialize_tree`` build small hosts
+and tree files for the tests. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
 references for the dichotomy's collapse floor and witness scan, and
 ``peel_by_rescan``, which rescans every vertex every round, is the
 reference for the library's leaf-removal loop ``trees.peel``.
+``connected_subsets_by_closed_union`` is the library's former subset
+enumeration, the reference for the order in which ``connected_subsets``
+yields subsets and for where its work guard trips.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
 
-from arbor import Tree
+from arbor import SearchTooLargeError, Tree
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -79,15 +82,62 @@ def connected_subsets_by_filter(t, max_size: int, allowed=None) -> set[frozenset
     return found
 
 
-def cheeger_by_enumeration(t, max_size: int, allowed=None) -> Fraction:
-    best = None
-    for sub in connected_subsets_by_filter(t, max_size, allowed):
-        r = ratio(t, sub)
-        if best is None or r < best:
-            best = r
-    if best is None:
+def cheeger_by_enumeration(t, max_size: int, allowed=None) -> tuple[Fraction, frozenset[int], int]:
+    """The least ratio, its argmin and the number of connected subsets of 1..max_size vertices.
+
+    Ties go to the smaller subset, then to the one whose sorted members'
+    repr strings compare first.
+    """
+    subs = connected_subsets_by_filter(t, max_size, allowed)
+    if not subs:
         raise ValueError("no subsets to enumerate")
-    return best
+    best = min(subs, key=lambda sub: (ratio(t, sub), len(sub), tuple(repr(m) for m in sorted(sub))))
+    return ratio(t, best), best, len(subs)
+
+
+def connected_subsets_by_closed_union(host, max_size: int, allowed=None, guard: int = 10**7):
+    """The library's former connected-subset enumeration, kept as the order reference.
+
+    The same ESU order, but each extension step rebuilds the closed
+    neighborhood of the whole subset as a set union.
+    """
+    if allowed is None:
+        if hasattr(host, "interior"):
+            pool = host.sorted_interior
+        else:
+            pool = list(range(host.vertex_count))
+    else:
+        pool = sorted(set(allowed))
+    allowed_set = set(pool)
+    order = {v: i for i, v in enumerate(pool)}
+    work = 0
+
+    def extend(sub, ext, anchor_rank):
+        nonlocal work
+        while ext:
+            w = ext.pop()
+            work += 1
+            if work > guard:
+                raise SearchTooLargeError(
+                    f"connected-subset enumeration exceeded the work budget ({guard})"
+                )
+            new_sub = sub + [w]
+            yield frozenset(new_sub)
+            if len(new_sub) < max_size:
+                in_sub = set(new_sub)
+                closed = in_sub.union(*(host.neighbors(x) for x in sub)) if sub else in_sub
+                new_ext = [u for u in ext]
+                for u in host.neighbors(w):
+                    if u in allowed_set and u not in closed and order[u] > anchor_rank:
+                        new_ext.append(u)
+                yield from extend(new_sub, new_ext, anchor_rank)
+
+    for v in pool:
+        yield frozenset((v,))
+        if max_size > 1:
+            rank = order[v]
+            ext = [u for u in host.neighbors(v) if u in allowed_set and order[u] > rank]
+            yield from extend([v], ext, rank)
 
 
 def inessential_by_components(t, members) -> bool:
@@ -244,6 +294,17 @@ def random_tree_edges(rng, n: int) -> list[tuple[int, int]]:
             heapq.heappush(leaves, x)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return edges
+
+
+def random_graph(rng, n: int, extra_edges: int) -> SimpleNamespace:
+    """A connected host with cycles: a random tree on n vertices plus up to extra_edges more edges."""
+    adj = [set() for _ in range(n)]
+    edges = random_tree_edges(rng, n) + [tuple(rng.sample(range(n), 2)) for _ in range(extra_edges)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    adjacency = [tuple(sorted(ns)) for ns in adj]
+    return SimpleNamespace(neighbors=adjacency.__getitem__, vertex_count=n)
 
 
 def relabel_tree(t, permutation) -> Tree:

@@ -12,6 +12,7 @@ from arbor import (
     DeclaredBounds,
     DeclaredBoundsRefutedError,
     DegenerateImageError,
+    IncompleteKnowledgeError,
     SubsetSelection,
     Tree,
     TreeAsOracle,
@@ -42,12 +43,28 @@ def random_trees(draw: st.DrawFn, min_size: int = 2, max_size: int = 10):
     return Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
 
 
-@given(random_trees(), st.integers(min_value=1, max_value=6))
-def test_cheeger_matches_enumeration(t: Tree, max_size: int):
-    result = cheeger_exact(t, max_size)
-    assert result.value == brute.cheeger_by_enumeration(t, max_size)
+@given(random_trees(min_size=1, max_size=12), st.integers(min_value=1, max_value=6), st.data())
+def test_cheeger_matches_enumeration(t: Tree, max_size: int, data):
+    region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=1), label="region")
+    result = cheeger_exact(t, max_size, region=region)
+    value, argmin, count = brute.cheeger_by_enumeration(t, max_size, region)
+    assert result.value == value
+    assert result.argmin.members == argmin
+    assert result.scope["subsets_enumerated"] == count
     assert result.argmin.ratio == result.value
-    assert brute.is_connected_subset(t, result.argmin.members)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+)
+def test_cheeger_matches_enumeration_on_graphs_with_cycles(seed: int, n: int, extra: int, max_size: int):
+    host = brute.random_graph(random.Random(seed), n, extra)
+    result = cheeger_exact(host, max_size)
+    value, argmin, count = brute.cheeger_by_enumeration(host, max_size)
+    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
 
 
 def test_cheeger_deterministic_tiebreak():
@@ -57,6 +74,10 @@ def test_cheeger_deterministic_tiebreak():
     assert a.argmin.members == b.argmin.members
     assert a.value == Fraction(1, 3)  # an end segment beats interior ones
     assert a.argmin.members == frozenset({0, 1, 2})
+    # equal ratio and size: the sorted members' repr strings decide, and "10" < "9"
+    assert cheeger_exact(path_tree(12), 1, region=[9, 10]).argmin.members == frozenset({10})
+    # {3}, {4} and {3, 4} all have ratio 1 in this region: the smaller size wins first
+    assert cheeger_exact(path_tree(8), 2, region=[3, 4]).argmin.members == frozenset({3})
 
 
 def test_cheeger_region_and_errors():
@@ -68,6 +89,10 @@ def test_cheeger_region_and_errors():
         cheeger_exact(t, 0)
     with pytest.raises(ValueError):
         cheeger_exact(t, 3, region=[])
+    ball = explore_ball(make_fixture("regular(3)"), 2)
+    for max_size in (1, 3):  # a region reaching the frontier has no exact boundary
+        with pytest.raises(IncompleteKnowledgeError):
+            cheeger_exact(ball, max_size, region=range(ball.vertex_count))
 
 
 def test_cheeger_on_regular_ball():

@@ -255,6 +255,15 @@ def test_truncate_ball_depths_match_bfs(spec):
             assert ball.depths == tuple(dist[v] for v in range(ball.vertex_count))
 
 
+@pytest.mark.parametrize("spec", [QUARTER_LAW, BINARY_LAW, DOUBLING_LAW, GWSpec((1,))])
+def test_truncate_ball_handles_are_labels(spec):
+    for seed in range(6):
+        smp = sample(spec, seed, 5)
+        for k in range(min(5, smp.truncated_at) + 1):
+            cut = smp.truncate(k)
+            assert smp.truncate_ball(k).handles == tuple(cut.label_of(i) for i in range(cut.vertex_count))
+
+
 def test_event_probs_match_enumeration():
     cases = [
         (QUARTER_LAW, ("path", 1)),

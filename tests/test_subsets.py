@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 import brute
 from arbor import (
+    IncompleteKnowledgeError,
     SearchTooLargeError,
     SubsetSelection,
     Tree,
     boundary_of,
     connected_subsets,
+    explore_ball,
     is_connected_in,
+    make_fixture,
     path_tree,
     random_connected_subset,
 )
@@ -85,6 +88,89 @@ def test_enumeration_guard_trips():
     t = star_tree(12)
     with pytest.raises(SearchTooLargeError):
         list(connected_subsets(t, 8, guard=50))
+
+
+def _until_guard(subsets) -> tuple[list, bool]:
+    """The subsets yielded before the work guard trips, and whether it tripped."""
+    got = []
+    try:
+        for sub in subsets:
+            got.append(sub)
+    except SearchTooLargeError:
+        return got, True
+    return got, False
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=7),
+)
+def test_enumeration_order_matches_reference_on_trees(seed: int, n: int, max_size: int):
+    rng = random.Random(seed)
+    t = Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
+    assert list(connected_subsets(t, max_size)) == list(brute.connected_subsets_by_closed_union(t, max_size))
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+)
+def test_enumeration_order_matches_reference_on_graphs_with_cycles(seed: int, n: int, extra: int, max_size: int):
+    host = brute.random_graph(random.Random(seed), n, extra)
+    got = list(connected_subsets(host, max_size))
+    assert got == list(brute.connected_subsets_by_closed_union(host, max_size))
+    assert set(got) == brute.connected_subsets_by_filter(host, max_size)
+
+
+@given(
+    st.sampled_from(["regular(3)", "regular(4)", "staircase", "zline_pendant"]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=7),
+    st.none() | st.integers(min_value=0, max_value=10**6),
+)
+def test_enumeration_order_matches_reference_on_balls(fixture: str, radius: int, max_size: int, seed):
+    ball = explore_ball(make_fixture(fixture), radius)
+    allowed = None
+    if seed is not None:
+        allowed = random.Random(seed).sample(ball.sorted_interior, len(ball.interior) // 2 + 1)
+    got = list(connected_subsets(ball, max_size, allowed=allowed))
+    assert got == list(brute.connected_subsets_by_closed_union(ball, max_size, allowed=allowed))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
+def test_enumeration_guard_trips_at_the_reference_work_count(seed: int, max_size: int):
+    rng = random.Random(seed)
+    t = Tree.from_edges(brute.random_tree_edges(rng, 9), vertex_count=9)
+    ref_total = len(list(brute.connected_subsets_by_closed_union(t, max_size)))
+    for guard in range(ref_total + 1):
+        got = _until_guard(connected_subsets(t, max_size, guard=guard))
+        assert got == _until_guard(brute.connected_subsets_by_closed_union(t, max_size, guard=guard))
+
+
+class _CountingHost:
+    """A ball that counts the neighbor lookups made through it."""
+
+    def __init__(self, ball):
+        self.ball = ball
+        self.calls = 0
+
+    def neighbors(self, v):
+        self.calls += 1
+        return self.ball.neighbors(v)
+
+
+def test_singleton_enumeration_asks_for_no_neighbors():
+    ball = explore_ball(make_fixture("regular(3)"), 2)
+    host = _CountingHost(ball)
+    everything = range(ball.vertex_count)  # the frontier too
+    got = list(connected_subsets(host, 1, allowed=everything))
+    assert got == [frozenset((v,)) for v in everything]
+    assert host.calls == 0
+    with pytest.raises(IncompleteKnowledgeError):
+        list(connected_subsets(ball, 2, allowed=everything))
 
 
 def test_random_connected_subset_properties():

@@ -136,6 +136,9 @@ def test_orbit_membership_queries():
         trim_orbit(path_tree(9), max_steps=0)
     with pytest.raises(ValueError):
         orbit.membership_at(2, -1)
+    for v in (-1, 5):  # ids outside 0..n-1 are an error, not "trimmed away"
+        with pytest.raises(InvalidVertexError):
+            orbit.membership_at(v, 0)
 
 
 @given(random_trees(), st.integers(min_value=1, max_value=5))
