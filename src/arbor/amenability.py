@@ -337,7 +337,11 @@ def min_degree3_bound_check(host, members: Iterable, exception_vertex=None) -> b
     so those are what get validated: every member needs degree >= 3, except
     the designated vertex which may have degree 2.
     """
-    A = frozenset(members)
+    return _degree3_bound(host, frozenset(members), exception_vertex)[0]
+
+
+def _degree3_bound(host, A: frozenset, exception_vertex) -> tuple:
+    """min_degree3_bound_check's verdict on A, and the boundary of A it was computed from."""
     if not A:
         raise ValueError("empty subset")
     if not is_connected_in(host, A):
@@ -350,7 +354,8 @@ def min_degree3_bound_check(host, members: Iterable, exception_vertex=None) -> b
         elif d < 3:
             raise UnsupportedStructureError(f"member {v!r} has degree {d} < 3")
     slack = 2 if exception_vertex in A else 0
-    return len(A) <= 2 * len(boundary_of(host, A)) + slack
+    boundary = boundary_of(host, A)
+    return len(A) <= 2 * len(boundary) + slack, boundary
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .amenability import (
@@ -306,7 +307,9 @@ def _add_io_flags(p: argparse.ArgumentParser, fixture: bool = True, with_csv: bo
     p.add_argument("--format", choices=formats, default="json")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="arbor", description=__doc__)
     parser.add_argument("--version", action="version", version=f"arbor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,10 @@ so every number in a report is reproducible from (seed, trial) alone.
 sample() computes that stream in closed form, seeding once per trial and
 advancing the PCG64 state by the jump's LCG coefficients, so no Generator
 is built per generation; tests/test_gw.py pins it bit for bit with a golden
-digest.
+digest. monte_carlo_event and generation_growth_check draw the same streams
+for a batch of trials at once (_generations), with the 128-bit arithmetic
+done in 32-bit limbs of numpy arrays; tests/test_gw.py checks every trial
+against sample().
 """
 
 from __future__ import annotations
@@ -203,12 +206,11 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4  # SeedSequence's default pool size in 32-bit words
 _DOUBLE_UNIT = 2.0**-53
-# Generations at most this wide are drawn with Python ints (about 1 µs per
-# vertex); wider ones from a numpy Generator set to the same state (about
-# 9 µs per generation, plus 15 µs to build it once per sample). The
-# benchmark's gw-shallow and gw-deep ran within 3% of each other at 12, 32
-# and 64; 12 built Generators for gw-shallow's growth trials and took 2 MB
-# more memory.
+# sample() draws generations at most this wide with Python ints (about 1 µs
+# per vertex), and wider ones from a numpy Generator set to the same state
+# (about 9 µs per generation, plus 15 µs to build it once per sample). The
+# benchmark's gw-deep, whose dichotomy trials go through sample(), ran
+# within 3% at 12, 32 and 64.
 _NARROW_MAX = 32
 
 
@@ -322,6 +324,17 @@ def _draw_counts(state: int, inc: int, width: int, cum: tuple) -> list:
         x = ((x >> rot) | (x << (64 - rot))) & _M64
         out.append(bisect_right(cum, (x >> 11) * _DOUBLE_UNIT))
     return out
+
+
+def _generator_counts(gen: np.random.Generator, state: int, inc: int, width: int, cum: np.ndarray) -> np.ndarray:
+    """Child counts for width vertices, drawn by gen's PCG64 set to (state, inc)."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.searchsorted(cum, gen.random(width), side="right").astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,19 +482,187 @@ def sample(
         else:
             if wide is None:
                 wide = np.random.Generator(np.random.PCG64())
-            wide.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            c = np.searchsorted(cum_array, wide.random(width), side="right").astype(np.int64)
+            c = _generator_counts(wide, state, inc, width, cum_array)
             nxt = int(c.sum())
         if max_vertices is not None and sum(sizes) + nxt > max_vertices:
             return done(True)
         counts.append(c)
         sizes.append(nxt)
     return done(False)
+
+
+# The streams of many trials at once, as sample() draws them one trial at a
+# time. A 128-bit value is held as four 32-bit limbs, least significant first,
+# in a uint64 array of shape (4, n). A product of two limbs fits in 64 bits;
+# column sums of them may wrap, which numpy arrays do silently, and only
+# their low 32 bits are kept.
+_BATCH_TRIALS = 1 << 14  # trials seeded together; a power of two, so no batch mixes one- and two-word trial ids
+_BATCH_VERTICES = 1 << 12  # vertices drawn in one numpy pass; on a 2-core box 2^12 ran faster than 2^14 or 2^16
+# A trial whose generation is wider than this draws it from a numpy Generator
+# set to its state, as sample() does: about 9 µs per generation, against 100
+# to 200 ns per vertex in limb arithmetic. On the same box, caps of 64, 128
+# and 192 timed alike on growth runs of wide laws, and 32 and 256 slower.
+_BATCH_WIDTH_MAX = 128
+
+
+def _limbs(x: int) -> np.ndarray:
+    """x mod 2^128 as a (4, 1) limb array."""
+    return np.array([[(x >> shift) & _M32] for shift in (0, 32, 64, 96)], dtype=np.uint64)
+
+
+_MULT_LIMBS, _MULT_LESS_ONE_LIMBS = _limbs(_PCG_MULT), _limbs(_PCG_MULT - 1)
+_JUMP_MULT_LIMBS, _JUMP_PLUS_LIMBS = _limbs(_JUMP_MULT), _limbs(_JUMP_PLUS)
+# Limb pairs (i, j) with i + j <= 3, grouped by column i + j.
+_MUL_I = np.array([0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
+_MUL_J = np.array([0, 1, 0, 2, 1, 0, 3, 2, 1, 0])
+
+
+def _mul128(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y mod 2^128, limb-wise; a (4, 1) operand broadcasts."""
+    p = x[_MUL_I] * y[_MUL_J]
+    lo, hi = p & _M32, p >> 32
+    c1 = hi[0] + lo[1] + lo[2]
+    c2 = hi[1] + hi[2] + lo[3] + lo[4] + lo[5] + (c1 >> 32)
+    c3 = hi[3] + hi[4] + hi[5] + p[6] + p[7] + p[8] + p[9] + (c2 >> 32)
+    return np.stack((lo[0], c1 & _M32, c2 & _M32, c3 & _M32))
+
+
+def _add128(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y mod 2^128, limb-wise; a (4, 1) operand broadcasts."""
+    s = x + y
+    s[1] += s[0] >> 32
+    s[2] += s[1] >> 32
+    s[3] += s[2] >> 32
+    return s & _M32
+
+
+def _int128(limbs: np.ndarray) -> int:
+    """The Python int of one column of a limb array."""
+    return sum(int(v) << shift for v, shift in zip(limbs, (0, 32, 64, 96)))
+
+
+@lru_cache(maxsize=None)
+def _step_table(bits: int) -> np.ndarray:
+    """Limb array of shape (4, 2^bits) whose column k is c_k = 1 + M + ... + M^(k-1), M the LCG multiplier.
+
+    k LCG steps take s to M^k s + c_k inc, which is s + c_k ((M - 1) s + inc)
+    since (M - 1) c_k = M^k - 1. Built by doubling on first use:
+    c_(half + j) = M^half c_j + c_half.
+    """
+    if bits == 0:
+        c = _limbs(0)
+    else:
+        c = _step_table(bits - 1)
+        m_half, c_half = (_limbs(x) for x in _lcg_advance(1 << (bits - 1)))
+        c = np.concatenate((c, _add128(_mul128(m_half, c), c_half)), axis=1)
+    c.setflags(write=False)
+    return c
+
+
+def _trial_streams(seed: int, first: int, stop: int) -> tuple:
+    """Limb arrays (state, inc) of _pcg_start(seed, (t,)) for t in first..stop-1.
+
+    SeedSequence's hash constant advances once per word of the spawn key, so
+    all the trial ids must split into the same number of 32-bit words.
+    """
+    pool, h = _seed_pool(operator.index(seed))
+    pool = list(pool)
+    n_words = len(_words(first))
+    if len(_words(stop - 1)) != n_words:
+        raise ValueError("trial ids of different word counts")
+    ids = np.arange(first, stop, dtype=np.uint64)
+    for i in range(n_words):
+        w = (ids >> (32 * i)) & _M32
+        for dst in range(_POOL):
+            v = w ^ h
+            h = (h * _HASH_MULT_A) & _M32
+            v = (v * h) & _M32
+            r = (_MIX_L * pool[dst] - _MIX_R * (v ^ (v >> 16))) & _M32  # _hash_mix, on arrays
+            pool[dst] = r ^ (r >> 16)
+    words = []
+    for (x, m), v in zip(_STATE_HASHES, pool + pool):
+        v = ((v ^ x) * m) & _M32
+        words.append(v ^ (v >> 16))
+    w0, w1, w2, w3, w4, w5, w6, w7 = words
+    initstate = np.stack((w2, w3, w0, w1))
+    # inc = (w4, w5, w6, w7 as in _pcg_start) << 1 | 1, carrying bit 31 of each limb into the next
+    inc = np.stack(((w6 << 1) | 1, (w7 << 1) | (w6 >> 31), (w4 << 1) | (w7 >> 31), (w5 << 1) | (w4 >> 31))) & _M32
+    return _add128(_mul128(_MULT_LIMBS, _add128(inc, initstate)), inc), inc
+
+
+def _draw_narrow(cum, state, step, widths, sel, target, sizes, match) -> None:
+    """Draw the current generation of trials sel into sizes and match.
+
+    state is each trial's LCG state and step = (M - 1) state + inc its next
+    increment, so vertex j (from 0) is drawn from state + c_(j+1) step: the
+    gathered table column, then XSL-RR and Generator.random()'s double,
+    looked up in cum.
+    """
+    widths = widths[sel]
+    ends = np.cumsum(widths)
+    lo = 0
+    while lo < len(sel):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, base + _BATCH_VERTICES, side="right"))
+        w = widths[lo:hi]
+        starts = ends[lo:hi] - w - base
+        owner = np.repeat(sel[lo:hi], w)
+        k = np.arange(int(ends[hi - 1]) - base) - np.repeat(starts, w) + 1
+        c = _step_table(int(w.max()).bit_length())
+        s = _add128(state.take(owner, axis=1), _mul128(c.take(k, axis=1), step.take(owner, axis=1)))
+        x = (s[0] ^ s[2]) | ((s[1] ^ s[3]) << 32)  # XSL-RR: (high ^ low) rotated right by the top 6 bits
+        rot = s[3] >> 26
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        counts = np.searchsorted(cum, (x >> 11) * _DOUBLE_UNIT, side="right")
+        sizes[sel[lo:hi]] = np.add.reduceat(counts, starts)
+        if target is not None:
+            match[sel[lo:hi]] = ~np.logical_or.reduceat(counts != target, starts)
+        lo = hi
+
+
+def _generations(spec: GWSpec, seed: int, trials: int, depth: int, target=None):
+    """Generations 0..depth-1 of trials 0..trials-1, drawn batch by batch, as sample() draws them.
+
+    Yields (g, ids, widths, sizes) for each batch of trials and each
+    generation g: the trials still drawn, the sizes of their generation g
+    and of generation g + 1. A trial is no longer drawn once extinct, nor,
+    given target, once a count of its generation g differs from target(g);
+    such a trial is left out of ids from that generation on. Generation g of
+    trial t is keyed by (seed, t, g) alone, so dropping a trial changes no
+    draw of another.
+    """
+    cum = spec._cum_table[0]
+    gen = None  # the Generator for wide generations, built on first need
+    for first in range(0, trials, _BATCH_TRIALS):
+        stop = min(first + _BATCH_TRIALS, trials)
+        state, inc = _trial_streams(seed, first, stop)
+        jump_plus = _mul128(_JUMP_PLUS_LIMBS, inc)
+        # (M - 1) s + inc; a jump multiplies it by _JUMP_MULT, as (M - 1) _JUMP_PLUS + 1 = _JUMP_MULT
+        step = _add128(_mul128(_MULT_LESS_ONE_LIMBS, state), inc)
+        ids = np.arange(first, stop)
+        widths = np.ones(len(ids), dtype=np.int64)
+        for g in range(depth):
+            if g:
+                state = _add128(_mul128(_JUMP_MULT_LIMBS, state), jump_plus)
+                step = _mul128(_JUMP_MULT_LIMBS, step)
+            t = None if target is None else target(g)
+            sizes = np.empty(len(ids), dtype=np.int64)
+            match = np.ones(len(ids), dtype=bool)
+            wide = widths > _BATCH_WIDTH_MAX
+            _draw_narrow(cum, state, step, widths, np.flatnonzero(~wide), t, sizes, match)
+            for i in np.flatnonzero(wide):
+                if gen is None:
+                    gen = np.random.Generator(np.random.PCG64())
+                s_i = _int128(state[:, i])
+                inc_i = (_int128(step[:, i]) - (_PCG_MULT - 1) * s_i) & _M128
+                counts = _generator_counts(gen, s_i, inc_i, int(widths[i]), cum)
+                sizes[i] = counts.sum()
+                match[i] = t is None or bool((counts == t).all())
+            yield g, ids[match], widths[match], sizes[match]
+            keep = match & (sizes > 0)
+            if not keep.any():
+                break
+            ids, widths, state, step, jump_plus = ids[keep], sizes[keep], state[:, keep], step[:, keep], jump_plus[:, keep]
 
 
 def event_path_prob(spec: GWSpec, d: int) -> Fraction:
@@ -608,43 +789,32 @@ class MonteCarloEventResult:
         }
 
 
-def _event_checker(event: tuple):
-    """Returns (depth to sample, per-sample predicate, exact probability as a function of the law)."""
-    if event[0] == "path":
-        d = event[1]
-
-        def check(smp: GWSample) -> bool:
-            c = smp.counts
-            return len(c) == d + 1 and all(len(a) == 1 and a[0] == 1 for a in c)
-
-        return d + 1, check, lambda spec: event_path_prob(spec, d)
-    _, s, d = event
-
-    def check(smp: GWSample) -> bool:
-        c = smp.counts
-        if len(c) != d + 1:
-            return False
-        # Per-vertex counts, not generation totals: a generation can sum
-        # to s^g without every vertex having exactly s children.
-        return all(bool(np.all(c[i] == s)) for i in range(d)) and bool(np.all(c[d] == 0))
-
-    return d + 1, check, lambda spec: event_sary_prob(spec, s, d)
-
-
 def monte_carlo_event(spec: GWSpec, event: str, trials: int, seed: int) -> MonteCarloEventResult:
     """Estimate the probability of a shape event by independent sampling.
 
-    event is "path(d)" or "sary(s,d)". Trial t is sample(spec, seed, depth,
-    trial=t) for t in range(trials), so the count of successes depends only
-    on (spec, event, trials, seed).
+    event is "path(d)" or "sary(s,d)". Trial t draws the streams of
+    sample(spec, seed, d + 1, trial=t) for t in range(trials), so the count
+    of successes depends only on (spec, event, trials, seed). Trials are
+    drawn in batches, one generation at a time, and a trial stops at the
+    first vertex whose count rules the event out; the streams are unchanged,
+    because each generation's is keyed by (seed, trial, generation).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    depth, check, exact_fn = _event_checker(parse_event(event))
-    successes = sum(1 for t in range(trials) if check(sample(spec, seed, depth, trial=t)))
+    parsed = parse_event(event)
+    if parsed[0] == "path":
+        _, d = parsed
+        target = lambda g: 1
+    else:
+        # Per-vertex counts, not generation totals: a generation can sum to
+        # s^g without every vertex having exactly s children.
+        _, s, d = parsed
+        target = lambda g: s if g < d else 0
+    successes = sum(len(ids) for g, ids, _, _ in _generations(spec, seed, trials, d + 1, target) if g == d)
+    exact = event_path_prob(spec, d) if parsed[0] == "path" else event_sary_prob(spec, s, d)
     est = successes / trials
     se = math.sqrt(est * (1 - est) / trials)
-    return MonteCarloEventResult(event, trials, successes, est, se, exact_fn(spec))
+    return MonteCarloEventResult(event, trials, successes, est, se, exact)
 
 
 @dataclass(frozen=True)
@@ -681,27 +851,26 @@ def generation_growth_check(spec: GWSpec, n: int, trials: int, seed: int) -> Gro
     When no vertex can die the size sequence must be nondecreasing, and each
     step increases strictly unless every vertex of the step has exactly one
     child, so the strict-increase frequency is floored by 1 - p1 per step.
+
+    Trial t draws the streams of sample(spec, seed, n, trial=t). Trials are
+    drawn in batches, one generation at a time, and an extinct trial stops
+    early; the streams are unchanged, because each generation's is keyed by
+    (seed, trial, generation).
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     finals = np.zeros(trials)
     deathless = spec.p(0) == 0
-    monotone: bool | None = None
+    monotone: bool | None = True if deathless else None
     inc_steps = 0
     tot_steps = 0
-    if deathless:
-        monotone = True
-    for t in range(trials):
-        smp = sample(spec, seed, n, trial=t)
-        sizes = smp.generation_sizes
-        finals[t] = sizes[n] if len(sizes) > n else 0
+    for g, ids, widths, sizes in _generations(spec, seed, trials, n):
         if deathless:
-            for a, b in zip(sizes, sizes[1:]):
-                if b < a:
-                    monotone = False
-                elif b > a:
-                    inc_steps += 1
-            tot_steps += len(sizes) - 1
+            monotone = monotone and not bool((sizes < widths).any())
+            inc_steps += int(np.count_nonzero(sizes > widths))
+            tot_steps += len(ids)
+        if g == n - 1:
+            finals[ids] = sizes
     mean = float(finals.mean())
     target = float(spec.mean**n)
     sd = float(finals.std(ddof=1)) if trials > 1 else 0.0
@@ -911,8 +1080,8 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
 
 
 def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subsets, subset_size, cheeger_max_size):
-    from .amenability import cheeger_exact, min_degree3_bound_check
-    from .subsets import SubsetSelection, random_connected_subset
+    from .amenability import _degree3_bound, cheeger_exact
+    from .subsets import random_connected_subset
 
     per_trial, extra = divmod(n_subsets, trials)
     rows = []
@@ -932,11 +1101,12 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
             size = 1 + rng.randrange(subset_size)
             members = random_connected_subset(ball, size, rng)
             checked += 1
-            if not min_degree3_bound_check(ball, members, exception_vertex=0):
+            # min_degree3_bound_check, keeping the boundary for the ratio
+            holds, boundary = _degree3_bound(ball, members, 0)
+            if not holds:
                 bad += 1
-            sel = SubsetSelection(ball, members)
-            slack = Fraction(1, sel.size) if 0 in members else Fraction(0)
-            if sel.ratio < Fraction(1, 2) - slack:
+            slack = Fraction(1, len(members)) if 0 in members else Fraction(0)
+            if Fraction(len(boundary), len(members)) < Fraction(1, 2) - slack:
                 slack_violations += 1
         violations += bad
         rows.append((t, n_t, bad))

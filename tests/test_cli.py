@@ -183,6 +183,30 @@ def test_gw_negative_seed_is_an_input_error(quarter_law):
     assert "non-negative" in doc["error"]
 
 
+def test_main_reuses_one_parser(quarter_law, capsys):
+    from arbor.cli import build_parser
+
+    events = ("gw", "events", "--input", quarter_law, "--event", "path(1)")
+    cases = [
+        (events, 2),  # no --seed: argparse exits 2
+        (("--version",), 0),
+        ((*events, "--seed", "1", "--format", "yaml"), 2),
+        ((*events, "--seed", "3", "--trials", "50"), 0),
+    ]
+    seen = {}
+    for _ in range(3):
+        for argv, code in cases:
+            result = run(*argv)
+            streams = capsys.readouterr()
+            assert result[0] == code, argv
+            # stdout given to main, then the process's stdout (--version) and stderr (usage errors)
+            assert seen.setdefault(argv, (result, streams.out, streams.err)) == (result, streams.out, streams.err)
+    assert seen[cases[1][0]][1].startswith("arbor ")
+    assert "required: --seed" in seen[cases[0][0]][2]
+    assert json.loads(seen[cases[3][0]][0][1])["trials"] == 50
+    assert build_parser() is build_parser()
+
+
 def test_gw_requires_law_file():
     code, doc = run_json("gw", "sample", "--seed", "1", "--depth", "2")
     assert code == 2

@@ -1,9 +1,11 @@
 import hashlib
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import brute
@@ -22,6 +24,7 @@ from arbor import (
     sary_tree,
     verify_dichotomy,
 )
+import arbor.galton_watson as gw
 from arbor.galton_watson import _collapse_q, _scan_witness, parse_event
 
 QUARTER_LAW = GWSpec(("1/4", "1/4", "1/2"))
@@ -405,6 +408,141 @@ def test_sample_golden_digest():
                         h.update(np.asarray(c, dtype="<i8").tobytes())
     assert budget_hits == 12
     assert h.hexdigest() == "68ca6a89e12b511c60900d63dc171100cb1def1c3bc163126a012ea48142501e"
+
+
+# Laws for the batched engine: dyadic, non-dyadic, deathless, Poisson and
+# geometric. Under {0,0,0,1} generation g has 3^g vertices and under
+# Poisson(4) about 4^g, past _NARROW_MAX and _BATCH_WIDTH_MAX.
+ENGINE_LAWS = [
+    QUARTER_LAW,
+    GWSpec(("3/10", "7/10")),
+    GWSpec(("1/3", "1/3", "1/3")),
+    GWSpec((0, "1/2", "1/2")),
+    GWSpec((0, 0, 0, 1)),
+    GWSpec.poisson(1.5),
+    GWSpec.poisson(4.0),
+    GWSpec.geometric("1/2"),
+]
+# Seeds of one word, of several words (SeedSequence entropy past 32 bits), and a numpy integer.
+ENGINE_SEEDS = st.sampled_from([0, 1, 2**32, 2**32 + 9, 2**70 + 3, np.int64(5)]) | st.integers(0, 2**66)
+# The default batch sizes, and sizes small enough that a few trials span several batches.
+SMALL_BATCHES = {"_BATCH_TRIALS": 8, "_BATCH_VERTICES": 16, "_BATCH_WIDTH_MAX": 4}
+BATCH_SIZES = st.sampled_from([{name: getattr(gw, name) for name in SMALL_BATCHES}, SMALL_BATCHES])
+
+
+def sary_target(s: int, d: int):
+    """The per-vertex count sary(s,d) asks of generation g; path(d) is s = 1 with d past the depth."""
+    return lambda g: s if g < d else 0
+
+
+def generations_by_sample(spec, seed, trials, depth, target=None) -> dict:
+    """g -> [(trial, size of generation g, size of g + 1)] that gw._generations must yield, from sample()."""
+    out = {}
+    for t in range(trials):
+        smp = sample(spec, seed, depth, trial=t)
+        for g, c in enumerate(smp.counts):
+            if target is not None and not np.all(c == target(g)):
+                break
+            out.setdefault(g, []).append((t, smp.generation_sizes[g], smp.generation_sizes[g + 1]))
+    return out
+
+
+def batched_generations(spec, seed, trials, depth, target=None) -> dict:
+    out = {}
+    for g, ids, widths, sizes in gw._generations(spec, seed, trials, depth, target):
+        out.setdefault(g, []).extend(zip(ids.tolist(), widths.tolist(), sizes.tolist()))
+    return {g: rows for g, rows in out.items() if rows}
+
+
+@given(
+    st.sampled_from(ENGINE_LAWS),
+    ENGINE_SEEDS,
+    st.integers(1, 40),
+    st.integers(1, 7),
+    st.none() | st.tuples(st.integers(1, 3), st.integers(0, 8)),
+    BATCH_SIZES,
+)
+# Generation 2 of {0,0,0,1} has 9 vertices, drawn past _BATCH_WIDTH_MAX = 4: a miss, then a match.
+@example(ENGINE_LAWS[4], 1, 3, 4, (3, 2), SMALL_BATCHES)
+@example(ENGINE_LAWS[4], 1, 3, 4, (3, 3), SMALL_BATCHES)
+def test_batched_generations_match_sample(spec, seed, trials, depth, event, batches):
+    target = None if event is None else sary_target(*event)
+    with mock.patch.multiple(gw, **batches):
+        got = batched_generations(spec, seed, trials, depth, target)
+    assert got == generations_by_sample(spec, seed, trials, depth, target)
+
+
+def growth_by_sample(spec, n, trials, seed) -> dict:
+    """generation_growth_check's report, from one sample() per trial."""
+    finals = np.zeros(trials)
+    deathless = spec.p(0) == 0
+    monotone = True if deathless else None
+    inc_steps = tot_steps = 0
+    for t in range(trials):
+        sizes = sample(spec, seed, n, trial=t).generation_sizes
+        finals[t] = sizes[n] if len(sizes) > n else 0
+        if deathless:
+            monotone = monotone and all(b >= a for a, b in zip(sizes, sizes[1:]))
+            inc_steps += sum(b > a for a, b in zip(sizes, sizes[1:]))
+            tot_steps += len(sizes) - 1
+    mean = float(finals.mean())
+    se = (float(finals.std(ddof=1)) if trials > 1 else 0.0) / np.sqrt(trials)
+    freq = inc_steps / tot_steps if deathless else None
+    return {"mean_final": mean, "std_error": se, "monotone": monotone, "strict_increase_freq": freq}
+
+
+@given(
+    st.sampled_from(ENGINE_LAWS),
+    ENGINE_SEEDS,
+    st.integers(1, 30),
+    st.integers(0, 4),
+    st.sampled_from(["path({d})", "sary(1,{d})", "sary(2,{d})", "sary(3,{d})"]),
+    BATCH_SIZES,
+)
+def test_event_and_growth_match_sample(spec, seed, trials, d, event, batches):
+    event = event.format(d=d)
+    parsed = parse_event(event)
+    check = brute.path_event_predicate(d) if parsed[0] == "path" else brute.sary_event_predicate(*parsed[1:])
+    expected = sum(
+        check([tuple(c.tolist()) for c in sample(spec, seed, d + 1, trial=t).counts]) for t in range(trials)
+    )
+    with mock.patch.multiple(gw, **batches), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # impossible events are part of the sweep
+        res = monte_carlo_event(spec, event, trials, seed)
+        report = generation_growth_check(spec, d + 1, trials, seed).to_json()
+    assert res.successes == expected
+    assert {k: report[k] for k in ("mean_final", "std_error", "monotone", "strict_increase_freq")} == growth_by_sample(
+        spec, d + 1, trials, seed
+    )
+
+
+def test_batched_generations_past_one_trial_batch():
+    trials = gw._BATCH_TRIALS + 37
+    assert batched_generations(BINARY_LAW, 3, trials, 3) == generations_by_sample(BINARY_LAW, 3, trials, 3)
+    target = sary_target(2, 1)
+    assert batched_generations(BINARY_LAW, 3, trials, 2, target) == generations_by_sample(BINARY_LAW, 3, trials, 2, target)
+
+
+def test_trial_streams_match_pcg_start():
+    for seed in (0, 7, 2**32 + 1, 2**130 + 5):
+        for first, stop in ((0, 5), (2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40, 2**40 + 2)):
+            state, inc = gw._trial_streams(seed, first, stop)
+            step = gw._add128(gw._mul128(gw._MULT_LESS_ONE_LIMBS, state), inc)
+            for i, t in enumerate(range(first, stop)):
+                s, c = gw._pcg_start(seed, (t,))
+                assert (gw._int128(state[:, i]), gw._int128(inc[:, i])) == (s, c), (seed, t)
+                assert gw._int128(step[:, i]) == (s * gw._PCG_MULT + c - s) % 2**128
+    with pytest.raises(ValueError, match="word counts"):
+        gw._trial_streams(1, 2**32 - 1, 2**32 + 1)  # ids of one and of two words
+
+
+def test_batched_draws_reject_bad_seeds():
+    for fn in (lambda seed: monte_carlo_event(QUARTER_LAW, "path(1)", 5, seed),
+               lambda seed: generation_growth_check(QUARTER_LAW, 2, 5, seed)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            fn(-1)
+        with pytest.raises(TypeError):
+            fn(1.0)
 
 
 def test_monte_carlo_event():
