@@ -210,7 +210,7 @@ def _branchless_run(view: TrimmedView, seed_radius: int, target_len: int) -> lis
     return best
 
 
-def _lift_run_candidate(oracle, view: TrimmedView, run: Sequence, max_vertices: int | None) -> FolnerCandidate:
+def _lift_run_candidate(view: TrimmedView, run: Sequence) -> FolnerCandidate:
     """A witness from a degree-2 run of the view, pulled back to the host.
 
     Its boundary is at most the two run ends, so its ratio is at most 2/len(run).
@@ -219,8 +219,8 @@ def _lift_run_candidate(oracle, view: TrimmedView, run: Sequence, max_vertices: 
     view_boundary = frozenset(
         h for h in run if any(u not in run_set for u in view.neighbors(h))
     )
-    members = lift_subset_through_trims(oracle, run_set, view.level, max_vertices)
-    sel = SubsetSelection(oracle, members)
+    members = lift_subset_through_trims(view, run)
+    sel = SubsetSelection(view.oracle, members)
     # The lift re-attaches only trimmed leaves hanging inside the set, so the
     # boundary must come back as the same set of vertices.
     assert sel.boundary == view_boundary
@@ -456,14 +456,15 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
 def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: int):
     candidates = []
     chain_lengths = {}
+    view = TrimmedView(oracle, 0, budgets.max_vertices)
     for k in range(k_max + 1):
-        view = TrimmedView(oracle, k, budgets.max_vertices)
         if view.root is None:
             break
         run = _branchless_run(view, budgets.seed_radius, path_target)
         chain_lengths[k] = len(run)
         for length in range(1, len(run) + 1):
-            candidates.append(_lift_run_candidate(oracle, view, run[:length], budgets.max_vertices))
+            candidates.append(_lift_run_candidate(view, run[:length]))
+        view = view.trimmed()
     return candidates, chain_lengths
 
 

@@ -126,12 +126,14 @@ def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = No
     """Breadth-first exploration out to ``radius`` edges from ``center``.
 
     Vertices at distance exactly ``radius`` are kept but their neighbors are
-    never queried; they form the frontier. ``max_vertices`` bounds the number
-    of discovered vertices; exceeding it raises BudgetExhaustedError rather
-    than returning a silently truncated ball.
+    never queried; they form the frontier. ``max_vertices`` (at least 1)
+    bounds the number of discovered vertices; exceeding it raises
+    BudgetExhaustedError rather than returning a silently truncated ball.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if max_vertices is not None and max_vertices < 1:
+        raise ValueError("max_vertices must be at least 1")
     if center is None:
         center = oracle.root
     handles = [center]

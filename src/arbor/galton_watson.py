@@ -456,6 +456,8 @@ def sample(
     """
     if max_generation < 0:
         raise ValueError("max_generation must be nonnegative")
+    if max_vertices is not None and max_vertices < 1:
+        raise ValueError("max_vertices must be at least 1")
     spawn = (trial,) if attempt is None else (trial, attempt)
     state, inc = _pcg_start(seed, spawn)
     jump_plus = (_JUMP_PLUS * inc) & _M128

@@ -18,7 +18,12 @@ references for the dichotomy's collapse floor and witness scan, and
 reference for the library's leaf-removal loop ``trees.peel``.
 ``connected_subsets_by_closed_union`` is the library's former subset
 enumeration, the reference for the order in which ``connected_subsets``
-yields subsets and for where its work guard trips.
+yields subsets and for where its work guard trips. ``trim_depth_by_ball``
+is the library's former per-vertex survival computation: it explores the
+vertex's radius-k ball with the library's ``explore_ball``, whose budget it
+keeps, and peels it with ``peel_by_rescan``. With ``lift_by_ball``, the
+former subset lift built on it, it is the reference for the level chain of
+``TrimmedView``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
 
-from arbor import SearchTooLargeError, Tree
+from arbor import SearchTooLargeError, Tree, explore_ball
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -239,6 +244,38 @@ def peel_by_rescan(adj: list, known: list, steps: int):
         for w in dead:
             alive[w] = False
         yield t, dead
+
+
+def trim_depth_by_ball(oracle, v, k: int, max_vertices: int | None = None) -> int | None:
+    """Removal step of v under iterated trimming, or None if v survives k rounds.
+
+    Exact despite the unexplored outside: round t only needs round t-1
+    verdicts within distance k-t of v, and those in turn never look past the
+    radius-k ball. Steps are 1-based. Raises BudgetExhaustedError when the
+    ball needs more than max_vertices vertices.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return None
+    ball = explore_ball(oracle, k, center=v, max_vertices=max_vertices)
+    known = [k - d for d in ball.depths]
+    for t, dead in peel_by_rescan(ball.tree.adjacency, known, k):
+        if 0 in dead:
+            return t
+    return None
+
+
+def lift_by_ball(oracle, members, k: int) -> frozenset:
+    """Pull a subset of the k-fold trim back to the host: at round j = k..1, add
+    every outside neighbor of the set that trim_depth_by_ball removes at step j."""
+    cur = set(members)
+    for j in range(k, 0, -1):
+        cur |= {
+            u for v in cur for u in oracle.neighbors(v)
+            if u not in cur and trim_depth_by_ball(oracle, u, j) == j
+        }
+    return frozenset(cur)
 
 
 def removal_step(stages: list[set[int]], v: int) -> int | None:

@@ -123,19 +123,19 @@ def test_folner_from_branchless_path_on_line():
     z = make_fixture("zline_pendant")
     view, run = branchless_run(z, 0, 10)
     assert len(run) == 10
-    cand = _lift_run_candidate(z, view, run, None)
+    cand = _lift_run_candidate(view, run)
     assert cand.ratio <= Fraction(2, 10)
     assert len(cand.selection.boundary) <= 2
     assert ("p", 0) not in cand.members  # degree-3 origin blocks level-0 runs
 
     view, run = branchless_run(z, 1, 10)
     assert len(run) == 10
-    lifted = _lift_run_candidate(z, view, run, None)
+    lifted = _lift_run_candidate(view, run)
     assert (("p", 0) in lifted.members) == ((("z", 0)) in lifted.members)
     assert lifted.detail["trim_level"] == 1
     # every prefix lifts to a candidate of ratio at most 2/length
     for length in range(1, len(run) + 1):
-        assert _lift_run_candidate(z, view, run[:length], None).ratio <= Fraction(2, length)
+        assert _lift_run_candidate(view, run[:length]).ratio <= Fraction(2, length)
 
 
 def test_folner_from_branchless_path_absent():

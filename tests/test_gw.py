@@ -178,6 +178,10 @@ def test_sample_budget_discards_whole_generation():
     assert smp.truncated_at == 2
     assert smp.generation_sizes == (1, 2, 4)
     assert smp.vertex_count == 7
+    assert sample(DOUBLING_LAW, 7, 10, max_vertices=1).generation_sizes == (1,)
+    for bad in (0, -5):  # a budget must hold the root
+        with pytest.raises(ValueError, match="max_vertices"):
+            sample(DOUBLING_LAW, 7, 10, max_vertices=bad)
 
 
 def test_sample_extinction_and_zero_depth():

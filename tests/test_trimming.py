@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arbor.trimming as trimming
 import brute
 from arbor import (
+    BudgetExhaustedError,
     InvalidVertexError,
     Tree,
     TreeAsOracle,
@@ -170,6 +172,107 @@ def test_trim_depth_on_infinite_hosts():
     assert trim_depth(st1, (5, 0), 3) is None
 
 
+SMALL_FIXTURES = ["regular(3)", "sary(2)", "staircase", "staircase_n(2)", "threereg_plus_ray", "zline_pendant"]
+
+
+def chain(oracle, top: int, max_vertices=None) -> list:
+    """The views at levels 0..top of one chain, grown with trimmed()."""
+    views = [TrimmedView(oracle, 0, max_vertices)]
+    for _ in range(top):
+        views.append(views[-1].trimmed())
+    return views
+
+
+@given(random_trees(), st.integers(min_value=0, max_value=3), st.randoms(use_true_random=False))
+def test_trimmed_view_levels_match_orbit_and_reference(t: Tree, extra: int, rng):
+    n = t.vertex_count
+    orbit = trim_orbit(t)
+    oracle = TreeAsOracle(t)
+    top = n // 2 + extra  # past the orbit's end, where membership stays put
+    views = chain(oracle, top)
+    pairs = [(k, v) for k in range(top + 1) for v in range(n)]
+    rng.shuffle(pairs)  # the memos must not depend on the order of the queries
+    for k, v in pairs:
+        expected = orbit.membership_at(v, k)
+        assert views[k].survives(v) == TrimmedView(oracle, k).survives(v) == expected
+        depth = brute.trim_depth_by_ball(oracle, v, k)
+        assert expected == (depth is None)
+        assert trim_depth(oracle, v, k) == depth
+
+
+@given(st.sampled_from(SMALL_FIXTURES), st.integers(min_value=0, max_value=4), st.randoms(use_true_random=False))
+def test_trimmed_view_on_fixtures_matches_reference(name: str, top: int, rng):
+    fix = make_fixture(name)
+    views = chain(fix, top)
+    pairs = [(k, h) for k in range(top + 1) for h in explore_ball(fix, 2).handles]
+    rng.shuffle(pairs)
+    for k, h in pairs:
+        assert views[k].survives(h) == (brute.trim_depth_by_ball(fix, h, k) is None)
+
+
+@given(random_trees(), st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=14))
+def test_chain_budget_holds_wherever_the_ball_fits(t: Tree, k: int, max_vertices: int):
+    oracle = TreeAsOracle(t)
+    shared = TrimmedView(oracle, k, max_vertices)
+    for v in range(t.vertex_count):
+        try:
+            depth = brute.trim_depth_by_ball(oracle, v, k, max_vertices)
+        except BudgetExhaustedError:
+            continue
+        assert trim_depth(oracle, v, k, max_vertices) == depth
+        assert shared.survives(v) == (depth is None)
+
+
+@given(st.sampled_from(SMALL_FIXTURES), st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=60))
+def test_chain_budget_holds_wherever_the_ball_fits_on_fixtures(name: str, k: int, max_vertices: int):
+    fix = make_fixture(name)
+    shared = TrimmedView(fix, k, max_vertices)
+    for h in explore_ball(fix, 2).handles:
+        try:
+            depth = brute.trim_depth_by_ball(fix, h, k, max_vertices)
+        except BudgetExhaustedError:
+            continue
+        assert trim_depth(fix, h, k, max_vertices) == depth
+        assert shared.survives(h) == (depth is None)
+
+
+def test_deep_chain_needs_no_recursion():
+    oracle = TreeAsOracle(path_tree(5))
+    view = TrimmedView(oracle, 5000)
+    assert view.survives(2) and not view.survives(1)
+    assert view.root == 2
+    assert view.neighbors(2) == ()
+    assert trim_depth(oracle, 1, 5000) == 2
+    assert lift_subset_through_trims(view, [2]) == frozenset(range(5))
+
+
+def test_survival_queries_explore_no_ball(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a survival query explored a ball or peeled one")
+
+    for name in ("explore_ball", "peel", "Tree"):
+        monkeypatch.setattr(trimming, name, refuse)
+    fix = make_fixture("staircase")
+    view = TrimmedView(fix, 3)
+    assert view.root == (3, 0)
+    assert set(view.neighbors((3, 0))) == {(4, 0)}
+    assert trim_depth(fix, (4, 1), 5) == 4
+    assert lift_subset_through_trims(view, [(3, 0)]) == brute.lift_by_ball(fix, [(3, 0)], 3)
+
+
+@pytest.mark.parametrize("max_vertices", [0, -5])
+def test_budgets_below_one_vertex_are_rejected(max_vertices: int):
+    fix = make_fixture("regular(3)")
+    with pytest.raises(ValueError, match="max_vertices"):
+        TrimmedView(fix, 2, max_vertices)
+    with pytest.raises(ValueError, match="max_vertices"):
+        explore_ball(fix, 2, max_vertices=max_vertices)
+    with pytest.raises(ValueError, match="max_vertices"):
+        trim_depth(fix, (), 2, max_vertices)
+    with pytest.raises(ValueError, match="max_vertices"):
+        ball_code_sequence(fix, 2, 2, max_vertices)
+
+
 @given(random_trees(min_size=2))
 def test_removal_steps_whole_tree(t: Tree):
     ball = explore_ball(TreeAsOracle(t), t.vertex_count + 1)
@@ -329,15 +432,25 @@ def test_hanging_components_finite_but_unwalkable():
 
 def test_lift_subset_through_trims_preserves_boundary():
     z = make_fixture("zline_pendant")
-    members = {("z", 0), ("z", 1)}
-    lifted = lift_subset_through_trims(z, members, 1)
-    assert lifted == frozenset({("z", 0), ("z", 1), ("p", 0)})
+    members = [("z", 0), ("z", 1)]
+    lifted = lift_subset_through_trims(TrimmedView(z, 1), members)
+    assert lifted == frozenset({("z", 0), ("z", 1), ("p", 0)}) == brute.lift_by_ball(z, members, 1)
     assert boundary_of(z, lifted) == frozenset(members)
 
     fix = make_fixture("staircase")
-    lifted2 = lift_subset_through_trims(fix, {(2, 0)}, 2)
+    lifted2 = lift_subset_through_trims(TrimmedView(fix, 2), [(2, 0)])
     assert lifted2 == frozenset({(2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (0, 0)})
     assert boundary_of(fix, lifted2) == frozenset({(2, 0)})
+
+
+@given(random_trees(min_size=2), st.integers(min_value=0, max_value=4), st.randoms(use_true_random=False))
+def test_lift_subset_through_trims_matches_reference(t: Tree, k: int, rng):
+    oracle = TreeAsOracle(t)
+    view = TrimmedView(oracle, k)
+    survivors = [v for v in range(t.vertex_count) if view.survives(v)]
+    if survivors:
+        members = rng.sample(survivors, rng.randint(1, len(survivors)))
+        assert lift_subset_through_trims(view, members) == brute.lift_by_ball(oracle, members, k)
 
 
 @given(random_trees(min_size=2, max_size=11), st.integers(min_value=0, max_value=10**6))
