@@ -121,9 +121,9 @@ def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None
 
     Read off a fresh ``TrimmedView`` chain of k levels, dropped when the call
     returns: the step is the level at which v is first gone, by the rule
-    that v survives a round unless exactly one of its neighbors survived
-    the round before. Steps are 1-based. ``max_vertices`` bounds the handles
-    decided at any one level, as in ``TrimmedView``.
+    that a vertex still present survives the next round unless exactly one
+    of its neighbors is still present. Steps are 1-based. ``max_vertices``
+    bounds the handles decided at any one level, as in ``TrimmedView``.
     """
     view = TrimmedView(oracle, k, max_vertices)
     if view.survives(v):
@@ -190,7 +190,7 @@ class TrimmedView:
         self.oracle, self.level, self.max_vertices, self.below = oracle, 0, max_vertices, None
         self._alive: dict = {}
         self._root_known = False
-        for _ in range(level):
+        for _ in range(level):  # a copy of this view becomes the level below, and this view goes up one
             self.below, self.level, self._alive = copy(self), self.level + 1, {}
 
     def trimmed(self) -> TrimmedView:

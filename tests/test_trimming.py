@@ -250,7 +250,7 @@ def test_survival_queries_explore_no_ball(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a survival query explored a ball or peeled one")
 
-    for name in ("explore_ball", "peel", "Tree"):
+    for name in ("explore_ball", "peel"):
         monkeypatch.setattr(trimming, name, refuse)
     fix = make_fixture("staircase")
     view = TrimmedView(fix, 3)
