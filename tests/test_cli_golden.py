@@ -126,6 +126,13 @@ def _gw_rows() -> list:
         out.append(["gw", "dichotomy", "--input", "{law:ternary}", "--seed", "2", "--trials", "2",
                     "--subsets", "12", "--subset-size", "4", "--cheeger-max-size", "3",
                     "--truncate-depth", "3", "--format", fmt])
+    # the gw-deep mix; at --max-vertices 200, d=3 mixes trials cut at generations 10-12 with full-depth ones
+    for fmt in ("json", "csv"):
+        for cap in ([], ["--max-vertices", "200"]):
+            out.append(["gw", "dichotomy", "--input", "{law:quarter}", "--seed", "3", "--trials", "12",
+                        "--d-list", "3,5", *cap, "--format", fmt])
+            out.append(["gw", "dichotomy", "--input", "{law:poisson}", "--seed", "3", "--trials", "12",
+                        "--d-list", "3", *cap, "--format", fmt])
     out.append(["gw", "sample", "--input", "{law:half}", "--seed", "1", "--depth", "-1"])
     out.append(["gw", "sample", "--input", "{law:half}", "--depth", "3"])
     out.append(["gw", "dichotomy", "--input", "{law:half}", "--seed", "1", "--trials", "0"])
