@@ -65,6 +65,14 @@ def _load_tree(path: str):
     return parse_tree(text)
 
 
+def _input_tree(args):
+    """The --input tree of trim or cheeger, whose --max-vertices is checked as in fixture mode though unused."""
+    tree = _load_tree(args.input)
+    if args.max_vertices < 1:
+        raise ValueError("max_vertices must be at least 1")
+    return tree
+
+
 def _load_law(path: str) -> GWSpec:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -127,7 +135,7 @@ def cmd_trim(args, stdout) -> int:
         else:
             doc.update({"periodic": False, "status": "no repetition within radius"})
         return _emit(doc, _OK, args, stdout, text_lines=[doc["status"], f"codes: {len(codes)}"])
-    tree = _load_tree(args.input)
+    tree = _input_tree(args)
     orbit = trim_orbit(tree, max_steps=args.steps)
     doc = {"command": "trim", "input": args.input}
     doc.update(orbit.to_json())
@@ -146,7 +154,7 @@ def cmd_cheeger(args, stdout) -> int:
         max_size = args.max_size if args.max_size is not None else 8
         scope_note = {"fixture": args.fixture, "radius": radius}
     else:
-        host = _load_tree(args.input)
+        host = _input_tree(args)
         max_size = args.max_size if args.max_size is not None else host.vertex_count
         scope_note = {"input": args.input}
     result = cheeger_exact(host, max_size)

@@ -887,77 +887,96 @@ def generation_growth_check(spec: GWSpec, n: int, trials: int, seed: int) -> Gro
     return GrowthReport(n, trials, mean, target, se, within, monotone, freq, floor, ok)
 
 
-def _alive_and_sizes(smp: GWSample):
-    """Per-generation arrays: reaches-the-last-generation flags and subtree sizes.
+_SCAN_VERTICES = 1 << 15  # vertices scanned as one forest, bounding the scan's scratch arrays
 
-    A vertex with no descendant in the deepest drawn generation roots a
-    complete finite subtree, whatever stopped the sampling, because all of
-    its descendants were drawn.
+
+def _scan_witness(samples: Sequence[GWSample], n: int) -> list:
+    """Each surviving sample's smallest boundary ratio and its kind; (None, "") if nothing helps.
+
+    Samples cut at the same generation L are laid out generation by
+    generation, and trial by trial within a generation, as one forest in
+    breadth-first order, and each generation is scanned once for all of
+    them, in forests of at most _SCAN_VERTICES vertices (a larger sample
+    alone). A sample must survive, so that every generation of it is
+    nonempty. A trial's candidates are 1/D for its largest dead subtree D
+    (no descendant in generation L, so complete whatever stopped the
+    sampling) under an alive parent, 2/M for its longest run of M
+    single-child vertices, 1/R for the run of R single children down from
+    the root, whose upper end has no neighbor outside it, and the exact
+    ratio of the depth n-1 ball, which is at most r/n whenever generation n
+    has at most r vertices. The smallest wins, ties going to the earlier
+    kind in that order.
     """
-    L = smp.truncated_at
-    sizes = smp.generation_sizes
-    alive = [None] * (L + 1)
-    sub = [None] * (L + 1)
-    alive[L] = np.ones(sizes[L], dtype=bool)
-    sub[L] = np.ones(sizes[L], dtype=np.int64)
-    for g in range(L - 1, -1, -1):
-        c = smp.counts[g]
-        # Vertex j's children are entries starts[j]:ends[j] of generation
-        # g + 1, so prefix sums give each child block's total.
-        ends = np.cumsum(c)
-        starts = ends - c
-        alive_sums = np.concatenate(([0], np.cumsum(alive[g + 1])))
-        size_sums = np.concatenate(([0], np.cumsum(sub[g + 1])))
-        any_alive = alive_sums[ends] - alive_sums[starts]
-        size_sum = size_sums[ends] - size_sums[starts]
-        alive[g] = any_alive > 0
-        sub[g] = 1 + size_sum
-    return alive, sub
+    out = [(None, "")] * len(samples)
+    by_depth: dict = {}
+    for i, smp in enumerate(samples):
+        by_depth.setdefault(smp.truncated_at, []).append(i)
+    forests = []
+    for L, members in by_depth.items():
+        if L == 0:
+            continue  # nothing was drawn below the root
+        forests.append([])
+        total = 0
+        for i in members:
+            if forests[-1] and total + samples[i].vertex_count > _SCAN_VERTICES:
+                forests.append([])
+                total = 0
+            forests[-1].append(i)
+            total += samples[i].vertex_count
+    for chunk in forests:
+        for i, found in zip(chunk, _scan_forest([samples[i] for i in chunk], n)):
+            out[i] = found
+    return out
 
 
-def _scan_witness(smp: GWSample, n: int) -> tuple[Fraction | None, str]:
-    """Smallest boundary ratio found by three vectorized scans; None if nothing helps.
+def _scan_forest(forest: list, n: int) -> list:
+    """_scan_witness on samples that share truncated_at L >= 1."""
+    k, L = len(forest), forest[0].truncated_at
+    widths = np.array([smp.generation_sizes for smp in forest], dtype=np.int64)
+    # first[g*k + t] is trial t's first vertex in generation g; gen[g] is
+    # generation g's first vertex, and gen[L + 1] the vertex count.
+    first = np.zeros((L + 1) * k + 1, dtype=np.int64)
+    np.cumsum(widths.T, out=first[1:])
+    gen = first[::k].tolist()
+    counts = np.concatenate([smp.counts[g] for g in range(L) for smp in forest])
+    parent = np.repeat(np.arange(gen[L]), counts)  # parent[v - k] is the parent of vertex v >= k
 
-    Dead hanging subtrees give 1/size; runs of single-child vertices give
-    (2 or 1)/length; the depth n-1 ball gives an exact ratio that is at most
-    r/n whenever generation n has at most r vertices. Ratios are compared as
-    integer pairs by cross-multiplication; on a tie the first offer stands.
-    """
-    L = smp.truncated_at
-    sizes = smp.generation_sizes
-    best = None  # (numerator, denominator, kind)
+    # Bottom-up, each vertex's subtree size and its descendants in generation L.
+    # ufunc.at takes a slow path when its values overlap its target, hence the copies.
+    sub = np.ones(gen[L + 1], dtype=np.int64)
+    reach = np.zeros(gen[L + 1], dtype=np.int64)
+    reach[gen[L]:] = 1
+    for g in range(L, 0, -1):
+        lo, hi = gen[g], gen[g + 1]
+        np.add.at(sub, parent[lo - k:hi - k], sub[lo:hi].copy())
+        np.add.at(reach, parent[lo - k:hi - k], reach[lo:hi].copy())
+    # A dead vertex under a dead parent roots a smaller dead subtree than the
+    # parent's, so the largest dead subtree hangs from an alive vertex.
+    dead = np.where(reach > 0, 0, sub)
+    dead = np.maximum.reduceat(dead, first[:-1]).reshape(L + 1, k).max(axis=0)
 
-    def offer(num: int, den: int, kind: str):
-        nonlocal best
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, kind)
-
-    alive, sub = _alive_and_sizes(smp)
+    # Top-down, the single-child run ending at each vertex above generation L.
+    run = (counts == 1).astype(np.int64)
     for g in range(1, L):
-        mask = ~alive[g] & np.repeat(alive[g - 1], smp.counts[g - 1])
-        if mask.any():
-            offer(1, int(sub[g][mask].max()), "dead-subtree")
+        lo, hi = gen[g], gen[g + 1]
+        run[lo:hi] *= 1 + run[parent[lo - k:hi - k]]
+    longest = np.maximum.reduceat(run, first[:L * k]).reshape(L, k).max(axis=0)
+    # The root's run is as long as the leading generations 1, 2, ... of size 1.
+    root_run = np.argmin(np.concatenate((widths[:, 1:] == 1, np.zeros((k, 1), bool)), axis=1), axis=1)
 
-    run_prev = None
-    for g in range(L):
-        flags = (smp.counts[g] == 1).astype(np.int64)
-        run = flags if g == 0 else flags * (1 + np.repeat(run_prev, smp.counts[g - 1]))
-        m = int(run.max()) if len(run) else 0
-        if m:
-            offer(2, m, "single-child-run")
-            # A run at generation g is at most g + 1 long, and exactly that
-            # when it starts at the root.
-            if m == g + 1:
-                offer(1, m, "single-child-run")
-        run_prev = run
-
-    if L >= n and sizes[n] > 0:
-        boundary = int(np.count_nonzero(smp.counts[n - 1]))
-        offer(boundary, sum(sizes[:n]), "shallow-ball")
-
-    if best is None:
-        return None, ""
-    return Fraction(best[0], best[1]), best[2]
+    if L >= n:
+        boundary = np.add.reduceat(counts[:gen[n]] != 0, first[(n - 1) * k:n * k])
+        ball = widths[:, :n].sum(axis=1)
+    found = []
+    for t in range(k):
+        candidates = [(1, dead[t], "dead-subtree"), (2, longest[t], "single-child-run"),
+                      (1, root_run[t], "single-child-run")]
+        if L >= n:
+            candidates.append((boundary[t], ball[t], "shallow-ball"))
+        # min keeps the first of equal ratios
+        ratios = [(Fraction(int(num), int(den)), kind) for num, den, kind in candidates if den]
+        found.append(min(ratios, key=operator.itemgetter(0), default=(None, "")))
+    return found
 
 
 class _GenAdapter:
@@ -1023,20 +1042,22 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
         q = _collapse_q(spec, d)
         floor = 1.0 - (1.0 - q) ** r
 
-        def one(t: int):
-            smp = None
-            attempts = 0
+        def draw(t: int):
             for a in range(64):
-                attempts = a + 1
                 smp = sample(spec, seed, horizon, max_vertices, trial=t, attempt=a)
                 if not smp.extinct:
                     break
-            if smp.extinct:
-                return (t, None, None, "", attempts)
-            ratio, kind = _scan_witness(smp, n)
-            return (t, smp.generation_sizes, ratio, kind, attempts)
+            return smp, a + 1
 
-        results = [one(t) for t in range(trials)]
+        drawn = [draw(t) for t in range(trials)]
+        alive = [smp for smp, _ in drawn if not smp.extinct]
+        witnesses = iter(_scan_witness(alive, n))
+        results = []
+        for t, (smp, attempts) in enumerate(drawn):
+            if smp.extinct:
+                results.append((t, None, None, "", attempts))
+            else:
+                results.append((t, smp.generation_sizes, *next(witnesses), attempts))
 
         skipped = sum(1 for res in results if res[1] is None)
         first_try = sum(1 for res in results if res[4] == 1 and res[1] is not None)
@@ -1172,6 +1193,13 @@ def verify_dichotomy(
     Trials run one after another; trial t draws from streams keyed by
     (seed, t), so the report depends only on the arguments. A sample stops
     before the generation that would take it past max_vertices vertices.
+    On the witness side trial t redraws from (seed, t, attempt) until its
+    tree survives, up to 64 attempts, and counts as skipped if none does.
+    Every trial of a d is drawn first; the surviving trees cut at the same
+    generation are then scanned together as one forest, one vectorized
+    pass per generation, for dead subtrees, single-child runs and the
+    depth n-1 ball (n = d*d). A forest holds at most 2^15 vertices, unless
+    one tree alone is larger.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -230,6 +230,8 @@ def rows() -> list:
         out.append(["cheeger", "--fixture", "regular(3)", "--radius", "2", "--max-vertices", budget])
         out.append(["classify", "--fixture", "zline_pendant", "--max-vertices", budget])
         out.append(["classify", "--input", "{tree:path9}", "--max-vertices", budget])
+        out.append(["trim", "--input", "{tree:path9}", "--max-vertices", budget])
+        out.append(["cheeger", "--input", "{tree:path9}", "--max-vertices", budget])
         out.append(["gw", "sample", "--input", "{law:half}", "--seed", "1", "--depth", "3", "--max-vertices", budget])
     return out
 

@@ -360,6 +360,26 @@ def test_collapse_q_poisson_depth_four():
     assert _collapse_q(GWSpec.poisson(1.5), 4) == 0.002799989623882845
 
 
+def surviving_samples(spec, seed, trials, depth, max_vertices) -> list:
+    """Each trial's first surviving sample in 64 attempts, drawn as verify_dichotomy draws them."""
+    out = []
+    for t in range(trials):
+        for a in range(64):
+            smp = sample(spec, seed, depth, max_vertices, trial=t, attempt=a)
+            if not smp.extinct:
+                out.append(smp)
+                break
+    return out
+
+
+def assert_scan_matches_bfs(samples, n) -> list:
+    got = _scan_witness(samples, n)
+    assert len(got) == len(samples)
+    for smp, found in zip(samples, got):
+        assert found == brute.scan_witness_by_bfs(smp.to_tree(), smp.truncated_at, n), (smp.trial, smp.truncated_at)
+    return got
+
+
 def test_scan_witness_matches_bfs_reference():
     cases = [
         (QUARTER_LAW, 2, 2000),
@@ -368,19 +388,22 @@ def test_scan_witness_matches_bfs_reference():
         (GWSpec(("1/2", "1/2")), 3, 2000),
         (QUARTER_LAW, 3, 40),
         (GWSpec.poisson(1.5), 3, 60),
+        (DOUBLING_LAW, 3, 100),  # cut at generation 5, short of n = 9: no witness
+        (QUARTER_LAW, 2, 1),  # nothing drawn below the root
+        (QUARTER_LAW, 5, 20000),  # the gw-deep shape: several forests of up to _SCAN_VERTICES vertices
     ]
-    budget_hits = 0
+    budget_hits = mixed_depths = 0
     kinds = set()
     for spec, d, max_vertices in cases:
         n = d * d
-        for trial in range(40):
-            smp = sample(spec, 17, n + d + 1, max_vertices, trial=trial)
-            budget_hits += smp.budget_hit
-            got = _scan_witness(smp, n)
-            assert got == brute.scan_witness_by_bfs(smp.to_tree(), smp.truncated_at, n), (spec, d, trial)
-            kinds.add(got[1])
-    assert budget_hits >= 20
+        samples = surviving_samples(spec, 17, 40 if max_vertices < 20000 else 12, n + d + 1, max_vertices)
+        budget_hits += sum(smp.budget_hit for smp in samples)
+        mixed_depths += len({smp.truncated_at for smp in samples}) > 1
+        kinds.update(kind for _, kind in assert_scan_matches_bfs(samples, n))
+    assert sum(smp.vertex_count for smp in samples) > 2 * gw._SCAN_VERTICES
+    assert budget_hits >= 20 and mixed_depths >= 3
     assert kinds == {"", "dead-subtree", "single-child-run", "shallow-ball"}
+    assert _scan_witness([], 4) == []
 
 
 def test_parse_event():
@@ -651,3 +674,20 @@ def test_dichotomy_nonamenable_side():
         subset_size=6, cheeger_max_size=4,
     )
     assert few.nonamenable["subsets_checked"] == 1
+
+
+@given(
+    rational_laws() | st.sampled_from(ENGINE_LAWS),
+    st.integers(0, 2**40),
+    st.integers(1, 3),
+    st.integers(1, 16),
+    st.integers(1, 1500),
+    st.sampled_from([None, 1, 60]),
+)
+# Twelve complete ternary trees of depth 7, 39360 vertices at one depth: past the real bound.
+@example(ENGINE_LAWS[4], 0, 2, 12, 4000, None)
+def test_scan_witness_matches_bfs_on_random_forests(spec, seed, d, trials, max_vertices, bound):
+    n = d * d
+    samples = surviving_samples(spec, seed, trials, n + d + 1, max_vertices)
+    with mock.patch.object(gw, "_SCAN_VERTICES", bound or gw._SCAN_VERTICES):
+        assert_scan_matches_bfs(samples, n)
