@@ -1050,14 +1050,11 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
             return smp, a + 1
 
         drawn = [draw(t) for t in range(trials)]
-        alive = [smp for smp, _ in drawn if not smp.extinct]
-        witnesses = iter(_scan_witness(alive, n))
-        results = []
-        for t, (smp, attempts) in enumerate(drawn):
-            if smp.extinct:
-                results.append((t, None, None, "", attempts))
-            else:
-                results.append((t, smp.generation_sizes, *next(witnesses), attempts))
+        found = iter(_scan_witness([smp for smp, _ in drawn if not smp.extinct], n))
+        results = [
+            (t, None, None, "", attempts) if smp.extinct else (t, smp.generation_sizes, *next(found), attempts)
+            for t, (smp, attempts) in enumerate(drawn)
+        ]
 
         skipped = sum(1 for res in results if res[1] is None)
         first_try = sum(1 for res in results if res[4] == 1 and res[1] is not None)
