@@ -887,7 +887,7 @@ def generation_growth_check(spec: GWSpec, n: int, trials: int, seed: int) -> Gro
     return GrowthReport(n, trials, mean, target, se, within, monotone, freq, floor, ok)
 
 
-_SCAN_VERTICES = 1 << 15  # vertices scanned as one forest, bounding the scan's scratch arrays
+_SCAN_VERTICES = 1 << 15  # vertices scanned as one forest, bounding the scan's temporary arrays
 
 
 def _scan_witness(samples: Sequence[GWSample], n: int) -> list:
