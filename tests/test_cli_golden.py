@@ -56,6 +56,7 @@ TREES = {
     "rand12": (_random_tree(12, 12), "edges"),
     "rand30": (_random_tree(30, 30), "edges"),
     "rand60": (_random_tree(60, 60, root=7), "children"),
+    "rand140": (_random_tree(140, 140, root=11), "edges"),  # the classify workload's largest tree size
 }
 
 # (law, event, seed, trials)
@@ -214,6 +215,11 @@ def _classify_rows() -> list:
         out.append(["classify", "--input", f"{{tree:{name}}}"])
         out.append(["classify", "--input", f"{{tree:{name}}}", "--d-target", "3", "--format", "text"])
     out.append(["classify", "--fixture", "regular(3)", "--radius", "12", "--max-vertices", "100"])
+    # the classify workload's scale; staircase at radius 40 has many witnesses of equal ratio
+    out.append(["classify", "--fixture", "staircase", "--radius", "25", "--d-target", "23"])
+    out.append(["classify", "--fixture", "staircase", "--radius", "40", "--d-target", "10"])
+    out.append(["classify", "--fixture", "staircase_n(2)", "--radius", "16", "--d-target", "10"])
+    out.append(["classify", "--input", "{tree:rand140}", "--format", "text"])
     # input errors
     out.append(["classify", "--fixture", "regular(3)", "--declared-k", "1"])
     out.append(["classify", "--fixture", "regular(3)", "--format", "csv"])
