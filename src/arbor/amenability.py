@@ -13,7 +13,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,10 +26,10 @@ from .exploration import Ball, explore_ball
 from .subsets import SubsetSelection, _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
+    InessentialSubtree,
     TrimmedView,
     hanging_components,
     lift_subset_through_trims,
-    make_inessential,
     removal_steps_in_ball,
 )
 
@@ -55,12 +55,14 @@ __all__ = [
 
 def jsonable(x):
     """Render handles, fractions, and containers as JSON-safe values."""
-    if isinstance(x, Fraction):
-        return str(x)
+    # Primitives and tuples first: they make up handles, and the Fraction
+    # check goes through ABCMeta, which costs more than these.
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     if isinstance(x, (tuple, list)):
         return [jsonable(i) for i in x]
+    if isinstance(x, Fraction):
+        return str(x)
     if isinstance(x, (set, frozenset)):
         return [jsonable(i) for i in sorted_handles(x)]
     if isinstance(x, dict):
@@ -417,39 +419,48 @@ class AmenabilityReport:
         return doc
 
 
+def _inessential_witness(host, root, witness: frozenset, attaches) -> tuple:
+    """The inessential subtree {root} ∪ witness and its witness, from facts already known.
+
+    ``witness`` is a union of whole components of host - root and
+    ``attaches`` their attach vertices. So {root} ∪ witness is connected,
+    root (of degree >= 2) is its only member with an outside neighbor, and
+    in a tree each attach vertex is its component's only neighbor of root:
+    the witness's boundary is exactly ``attaches``.
+    """
+    ines = InessentialSubtree(host, witness | {root}, root)
+    sel = SubsetSelection._known(host, witness, frozenset(attaches))
+    return ines, FolnerCandidate(sel, "inessential-minus-root", {"root": root, "subtree_size": ines.size})
+
+
 def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     """Witness candidates from inessential subtrees, plus every subtree found.
 
     Fixtures that can answer component sizes are scanned at every explored
     interior vertex; black-box oracles only at the breadth-first earliest
-    scan_limit vertices.
+    scan_limit vertices. Everything reported comes from the walk that
+    ``hanging_components`` makes, and an interior vertex's degree from the
+    ball, which holds all its neighbors.
     """
     scan = ball.sorted_interior
     if not hasattr(oracle, "hanging_component_size"):
         scan = scan[: budgets.scan_limit]
+    adjacency = ball.tree.adjacency
     candidates = []
     found = []
     for v in scan:
-        r = ball.handle_of(v)
-        if len(oracle.neighbors(r)) < 2:
+        if len(adjacency[v]) < 2:
             continue
+        r = ball.handle_of(v)
         comps = hanging_components(oracle, r, budgets.component_budget)
         walked = [c for c in comps if c.members is not None]
-        if not walked:
-            continue
-        pieces = []
-        for c in walked:
-            ines = make_inessential(oracle, {r} | c.members)
-            pieces.append(ines)
+        pieces = [(c.members, (c.attach,)) for c in walked]
+        if 2 <= len(walked) < len(comps):
+            pieces.append((frozenset().union(*(c.members for c in walked)), [c.attach for c in walked]))
+        for witness, attaches in pieces:
+            ines, cand = _inessential_witness(oracle, r, witness, attaches)
             found.append(ines)
-            candidates.append(folner_from_inessential(ines))
-        if len(pieces) >= 2 and len(walked) < len(comps):
-            union = {r}
-            for c in walked:
-                union |= c.members
-            ines = make_inessential(oracle, union)
-            found.append(ines)
-            candidates.append(folner_from_inessential(ines))
+            candidates.append(cand)
     return candidates, found
 
 
@@ -535,6 +546,21 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
     return {"cheeger_scope": None, "cheeger_floor_observed": None}
 
 
+def _witness_order(witnesses: list) -> list:
+    """Witnesses by decreasing ratio, then increasing size, then their sorted members' ``repr`` strings.
+
+    The ``repr`` key is built only inside a run of equal ratio and size.
+    """
+    keys = [(-c.ratio, c.size) for c in witnesses]
+    out = []
+    for _, run in groupby(sorted(range(len(witnesses)), key=keys.__getitem__), key=keys.__getitem__):
+        tied = [witnesses[i] for i in run]
+        if len(tied) > 1:
+            tied.sort(key=lambda c: list(map(repr, sorted_handles(c.members))))
+        out.extend(tied)
+    return out
+
+
 def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredBounds | None = None, d_target: int = 10) -> AmenabilityReport:
     """Search for amenability witnesses and, with declared bounds, certify the converse.
 
@@ -568,7 +594,7 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
             continue
         seen_members.add(cand.members)
         witnesses.append(cand)
-    witnesses.sort(key=lambda c: (-c.ratio, c.size, [repr(m) for m in sorted_handles(c.members)]))
+    witnesses = _witness_order(witnesses)
 
     scope = {
         "radius": budgets.radius,

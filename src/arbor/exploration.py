@@ -10,7 +10,7 @@ later boundary computations can refuse to guess instead of being wrong.
 from __future__ import annotations
 
 from .errors import BudgetExhaustedError, IncompleteKnowledgeError, InvalidVertexError
-from .trees import Tree, reach
+from .trees import Tree
 
 __all__ = ["TreeAsOracle", "Ball", "explore_ball"]
 
@@ -19,10 +19,13 @@ class TreeAsOracle:
     """Wrap a finite Tree as a neighbor oracle.
 
     Useful for exercising the exploration machinery against hosts where the
-    whole truth is already known.
+    whole truth is already known. The first ``hanging_component_size`` call
+    caches one pass over the tree rooted at ``root``, so the oracle is
+    read-only afterwards: reassigning ``tree`` or ``root`` would leave the
+    cache stale.
     """
 
-    __slots__ = ("tree", "root")
+    __slots__ = ("tree", "root", "_parent", "_below")
 
     def __init__(self, tree: Tree, root: int | None = None):
         self.tree = tree
@@ -31,6 +34,8 @@ class TreeAsOracle:
         if not 0 <= root < tree.vertex_count:
             raise InvalidVertexError(f"root {root} is out of range")
         self.root = root
+        self._parent: list[int] | None = None
+        self._below: list[int] | None = None
 
     def neighbors(self, v: int):
         return self.tree.neighbors(v)
@@ -39,7 +44,26 @@ class TreeAsOracle:
         """Size of the component of u after deleting r. Always finite here."""
         if u not in self.tree.neighbors(r):
             raise ValueError(f"{u} is not a neighbor of {r}")
-        return len(reach(self.tree.neighbors, u, avoid=(r,)))
+        if self._below is None:
+            self._root_pass()
+        if self._parent[u] == r:
+            return self._below[u]
+        return self.tree.vertex_count - self._below[r]
+
+    def _root_pass(self) -> None:
+        """Each vertex's parent and subtree size in the tree rooted at ``root``."""
+        adj = self.tree.adjacency
+        parent = [-1] * len(adj)
+        order = [self.root]
+        for v in order:
+            for u in adj[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    order.append(u)
+        below = [1] * len(adj)
+        for v in reversed(order[1:]):
+            below[parent[v]] += below[v]
+        self._parent, self._below = parent, below
 
 
 class Ball:

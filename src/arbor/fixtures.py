@@ -58,9 +58,9 @@ class RegularTree:
         return (h[:-1],) + tuple(h + (i,) for i in range(self.k - 1))
 
     def hanging_component_size(self, r, u) -> float:
-        self._check(r)
+        ns = self.neighbors(r)  # checks r
         self._check(u)
-        if u not in self.neighbors(r):
+        if u not in ns:
             raise ValueError(f"{u!r} is not a neighbor of {r!r}")
         return math.inf
 
@@ -101,9 +101,9 @@ class SAryTree:
         return (h[:-1],) + kids
 
     def hanging_component_size(self, r, u) -> float:
-        self._check(r)
+        ns = self.neighbors(r)  # checks r
         self._check(u)
-        if u not in self.neighbors(r):
+        if u not in ns:
             raise ValueError(f"{u!r} is not a neighbor of {r!r}")
         if r and u == r[:-1]:
             # Component through the parent. Finite only on the single ray.
@@ -147,9 +147,9 @@ class ZLinePendant:
         return out
 
     def hanging_component_size(self, r, u) -> float:
-        self._check(r)
+        ns = self.neighbors(r)  # checks r
         self._check(u)
-        if u not in self.neighbors(r):
+        if u not in ns:
             raise ValueError(f"{u!r} is not a neighbor of {r!r}")
         if u == ("p", 0):
             return 1
@@ -200,9 +200,9 @@ class ThreeRegularPlusRay:
         return (("t", rest[:-1]),) + tuple(("t", rest + (i,)) for i in range(2))
 
     def hanging_component_size(self, r, u) -> float:
-        self._check(r)
+        ns = self.neighbors(r)  # checks r
         self._check(u)
-        if u not in self.neighbors(r):
+        if u not in ns:
             raise ValueError(f"{u!r} is not a neighbor of {r!r}")
         return math.inf
 
@@ -259,9 +259,9 @@ class Staircase:
         return tuple(sorted(out))
 
     def hanging_component_size(self, r, u) -> float:
-        self._check(r)
+        ns = self.neighbors(r)  # checks r
         self._check(u)
-        if u not in self.neighbors(r):
+        if u not in ns:
             raise ValueError(f"{u!r} is not a neighbor of {r!r}")
         i, j = r
         ui, uj = u

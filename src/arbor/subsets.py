@@ -69,6 +69,16 @@ class SubsetSelection:
         self._connected: bool | None = None
         self._boundary: frozenset[int] | None = None
 
+    @classmethod
+    def _known(cls, host, members: frozenset, boundary: frozenset) -> "SubsetSelection":
+        """A connected selection whose boundary the caller has already derived; nothing is rechecked."""
+        sel = cls.__new__(cls)
+        sel.host = host
+        sel.members = members
+        sel._connected = True
+        sel._boundary = boundary
+        return sel
+
     @property
     def size(self) -> int:
         return len(self.members)

@@ -23,7 +23,10 @@ is the library's former per-vertex survival computation: it explores the
 vertex's radius-k ball with the library's ``explore_ball``, whose budget it
 keeps, and peels it with ``peel_by_rescan``. With ``lift_by_ball``, the
 former subset lift built on it, it is the reference for the level chain of
-``TrimmedView``.
+``TrimmedView``. ``inessential_witnesses_by_parts`` is the library's former
+witness scan of ``classify``, built from the public ``hanging_components``,
+``make_inessential`` and ``folner_from_inessential``, each of which rechecks
+what it is given; it is the reference for ``_inessential_witnesses``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
 
-from arbor import SearchTooLargeError, Tree, explore_ball
+from arbor import (
+    SearchTooLargeError,
+    Tree,
+    explore_ball,
+    folner_from_inessential,
+    hanging_components,
+    make_inessential,
+)
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -264,6 +274,35 @@ def trim_depth_by_ball(oracle, v, k: int, max_vertices: int | None = None) -> in
         if 0 in dead:
             return t
     return None
+
+
+def inessential_witnesses_by_parts(oracle, ball, budgets):
+    """The witness candidates and inessential subtrees classify's scan finds, by the public pieces.
+
+    Also counts the components too large to walk (``"unwalked"``) and the
+    union witnesses formed when some component was left unwalked (``"union"``).
+    """
+    scan = ball.sorted_interior
+    if not hasattr(oracle, "hanging_component_size"):
+        scan = scan[: budgets.scan_limit]
+    candidates, found = [], []
+    counts = {"unwalked": 0, "union": 0}
+    for v in scan:
+        r = ball.handle_of(v)
+        if len(oracle.neighbors(r)) < 2:
+            continue
+        comps = hanging_components(oracle, r, budgets.component_budget)
+        counts["unwalked"] += sum(1 for c in comps if c.status == "finite" and c.members is None)
+        walked = [c for c in comps if c.members is not None]
+        pieces = [{r} | c.members for c in walked]
+        if len(pieces) >= 2 and len(walked) < len(comps):
+            counts["union"] += 1
+            pieces.append({r}.union(*pieces))
+        for members in pieces:
+            ines = make_inessential(oracle, members)
+            found.append(ines)
+            candidates.append(folner_from_inessential(ines))
+    return candidates, found, counts
 
 
 def lift_by_ball(oracle, members, k: int) -> frozenset:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,8 @@ from arbor import (
     sandwich_check,
     subdivide_tree,
 )
-from arbor.amenability import _branchless_run, _lift_run_candidate
+from arbor.amenability import _branchless_run, _inessential_witnesses, _lift_run_candidate, _witness_order
+from arbor.trees import sorted_handles
 from brute import star_tree
 
 
@@ -111,6 +113,55 @@ def test_folner_from_inessential_single_attach():
     assert cand.members == frozenset({(3, 1), (3, 2), (3, 3)})
     assert cand.ratio == Fraction(1, 3)
     assert cand.detail["subtree_size"] == 4
+
+
+def check_witness_scan(oracle, radius: int, component_budget: int, scan_limit: int = 256) -> dict:
+    """Compare classify's witness scan with the reference built from the public pieces."""
+    budgets = ClassifyBudgets(radius=radius, component_budget=component_budget, scan_limit=scan_limit)
+    ball = explore_ball(oracle, radius)
+    cands, found = _inessential_witnesses(oracle, ball, budgets)
+    ref_cands, ref_found, counts = brute.inessential_witnesses_by_parts(oracle, ball, budgets)
+    assert [(c.members, c.provenance, c.detail) for c in cands] == [
+        (c.members, c.provenance, c.detail) for c in ref_cands
+    ]
+    assert [(f.members, f.root) for f in found] == [(f.members, f.root) for f in ref_found]
+    for c in cands:
+        boundary = brute.boundary(oracle, c.members)
+        assert c.selection.boundary == boundary
+        assert c.ratio == Fraction(len(boundary), c.size)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inessential_witnesses_match_parts_on_staircases(n: int):
+    counts = check_witness_scan(make_fixture(f"staircase_n({n})"), 8, 6)
+    # components too large to walk, and unions of the walked ones, both occur
+    assert counts["unwalked"] > 0 and counts["union"] > 0
+
+
+def test_inessential_witnesses_match_parts_on_a_finite_tree():
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(40), 40), vertex_count=40)
+    counts = check_witness_scan(TreeAsOracle(t, root=17), 5, 4)
+    assert counts["unwalked"] > 0 and counts["union"] > 0
+
+
+@given(random_trees(min_size=2, max_size=30), st.data())
+def test_inessential_witnesses_match_parts_on_random_trees(t: Tree, data):
+    root = data.draw(st.integers(0, t.vertex_count - 1), label="root")
+    radius = data.draw(st.integers(0, 6), label="radius")
+    budget = data.draw(st.integers(1, 8), label="component_budget")
+    oracle = TreeAsOracle(t, root)
+    if data.draw(st.booleans(), label="black box"):
+        # no hanging_component_size: components are walked up to the budget
+        oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
+    check_witness_scan(oracle, radius, budget, scan_limit=data.draw(st.integers(1, 30), label="scan_limit"))
+
+
+@pytest.mark.parametrize("fixture", ["staircase", "zline_pendant", "staircase_n(2)"])
+def test_witness_order_matches_one_key_sort(fixture: str):
+    witnesses = list(classify(make_fixture(fixture), ClassifyBudgets(radius=12)).witnesses)[::-1]
+    expected = sorted(witnesses, key=lambda c: (-c.ratio, c.size, [repr(m) for m in sorted_handles(c.members)]))
+    assert _witness_order(witnesses) == expected
 
 
 def branchless_run(oracle, k: int, target_len: int, seed_radius: int = 6):
@@ -360,3 +411,5 @@ def test_jsonable_values():
     assert jsonable({("z", 1), ("z", 0)}) == [["z", 0], ["z", 1]]
     assert jsonable({"a": (1, 2)}) == {"a": [1, 2]}
     assert jsonable(None) is None
+    assert jsonable(True) is True
+    assert jsonable([Fraction(1, 2), (3, "a"), frozenset({10, 9})]) == ["1/2", [3, "a"], [9, 10]]

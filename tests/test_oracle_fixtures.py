@@ -44,7 +44,7 @@ def finite_oracles(draw: st.DrawFn):
     n = draw(st.integers(min_value=2, max_value=12))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
     t = Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
-    return TreeAsOracle(t)
+    return TreeAsOracle(t, root=draw(st.integers(min_value=1, max_value=n - 1)))
 
 
 def test_tree_oracle_root_defaults():
@@ -56,14 +56,69 @@ def test_tree_oracle_root_defaults():
         TreeAsOracle(t, root=9)
 
 
-@given(finite_oracles())
-def test_tree_oracle_component_sizes(oracle: TreeAsOracle):
+@given(finite_oracles(), st.randoms(use_true_random=False))
+def test_tree_oracle_component_sizes(oracle: TreeAsOracle, rng: random.Random):
     t = oracle.tree
-    for r, u in t.edges():
-        assert oracle.hanging_component_size(r, u) == walk_component(oracle, r, u)
-        assert oracle.hanging_component_size(u, r) == walk_component(oracle, u, r)
-    with pytest.raises(ValueError):
-        oracle.hanging_component_size(0, 0)
+    n = t.vertex_count
+    pairs = [(r, u) for r in range(n) for u in t.neighbors(r)]  # every leaf appears as r
+    rng.shuffle(pairs)  # the first call builds the cached pass, whichever pair it is
+    for r, u in pairs:
+        size = oracle.hanging_component_size(r, u)
+        assert size == walk_component(oracle, r, u)
+        assert size + oracle.hanging_component_size(u, r) == n
+    for r in range(n):
+        for u in range(n):
+            if u not in t.neighbors(r):
+                with pytest.raises(ValueError, match="is not a neighbor of"):
+                    oracle.hanging_component_size(r, u)
+    with pytest.raises(InvalidVertexError):
+        oracle.hanging_component_size(n, 0)
+
+
+# fixture -> (r, u) pairs whose hanging_component_size call fails, with the error each raises
+COMPONENT_SIZE_ERRORS = {
+    "regular(3)": [
+        (("x", ()), InvalidVertexError, "handle 'x' is not a tuple"),
+        (((), (3,)), InvalidVertexError, "handle (3,) has an out-of-range step"),
+        (((), (0, 0)), ValueError, "(0, 0) is not a neighbor of ()"),
+        (((9,), (0, 0, 0)), InvalidVertexError, "handle (9,) has an out-of-range step"),
+    ],
+    "sary(2)": [
+        (((2,), (0,)), InvalidVertexError, "handle (2,) has an out-of-range step"),
+        (((0,), [0]), InvalidVertexError, "handle [0] is not a tuple"),
+        (((0,), (1,)), ValueError, "(1,) is not a neighbor of (0,)"),
+        (("x", "y"), InvalidVertexError, "handle 'x' is not a tuple"),
+    ],
+    "zline_pendant": [
+        ((("p", 1), ("z", 0)), InvalidVertexError, "handle ('p', 1) is not a vertex of this tree"),
+        ((("z", 0), ("q", 0)), InvalidVertexError, "handle ('q', 0) is not a vertex of this tree"),
+        ((("z", 0), ("z", 2)), ValueError, "('z', 2) is not a neighbor of ('z', 0)"),
+        ((("z",), ("q", 0)), InvalidVertexError, "handle ('z',) is not a vertex of this tree"),
+    ],
+    "threereg_plus_ray": [
+        ((("r", 0), ("r", 1)), InvalidVertexError, "handle ('r', 0) is not a vertex of this tree"),
+        ((("t", ()), ("t", (3,))), InvalidVertexError, "handle ('t', (3,)) has an out-of-range step"),
+        ((("t", ()), ("r", 2)), ValueError, "('r', 2) is not a neighbor of ('t', ())"),
+        ((("s", ()), ("t", (3,))), InvalidVertexError, "handle ('s', ()) is not a vertex of this tree"),
+    ],
+    "staircase": [
+        (((2, 5), (2, 4)), InvalidVertexError, "handle (2, 5) is not a vertex of this tree"),
+        (((3, 0), (-1, 0)), InvalidVertexError, "handle (-1, 0) is not a vertex of this tree"),
+        (((3, 0), (3, 2)), ValueError, "(3, 2) is not a neighbor of (3, 0)"),
+        (((0, 1), (9, 9)), InvalidVertexError, "handle (0, 1) is not a vertex of this tree"),
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(COMPONENT_SIZE_ERRORS))
+def test_fixture_component_size_errors(fixture: str):
+    # in order: invalid r, invalid u, u not a neighbor of r, and both invalid (r is checked first)
+    fix = make_fixture(fixture)
+    for (r, u), exc, message in COMPONENT_SIZE_ERRORS[fixture]:
+        with pytest.raises(exc) as info:
+            fix.hanging_component_size(r, u)
+        assert type(info.value) is exc
+        assert str(info.value) == message
 
 
 def test_explore_ball_matches_distances():
