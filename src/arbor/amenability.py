@@ -419,28 +419,19 @@ class AmenabilityReport:
         return doc
 
 
-def _inessential_witness(host, root, witness: frozenset, attaches) -> tuple:
-    """The inessential subtree {root} ∪ witness and its witness, from facts already known.
-
-    ``witness`` is a union of whole components of host - root and
-    ``attaches`` their attach vertices. So {root} ∪ witness is connected,
-    root (of degree >= 2) is its only member with an outside neighbor, and
-    in a tree each attach vertex is its component's only neighbor of root:
-    the witness's boundary is exactly ``attaches``.
-    """
-    ines = InessentialSubtree(host, witness | {root}, root)
-    sel = SubsetSelection._known(host, witness, frozenset(attaches))
-    return ines, FolnerCandidate(sel, "inessential-minus-root", {"root": root, "subtree_size": ines.size})
-
-
 def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     """Witness candidates from inessential subtrees, plus every subtree found.
 
     Fixtures that can answer component sizes are scanned at every explored
     interior vertex; black-box oracles only at the breadth-first earliest
-    scan_limit vertices. Everything reported comes from the walk that
-    ``hanging_components`` makes, and an interior vertex's degree from the
-    ball, which holds all its neighbors.
+    scan_limit vertices.
+
+    Every fact reported comes from the walk that ``hanging_components``
+    makes, and an interior vertex's degree from the ball, which holds all its
+    neighbors. Each witness is a union of whole components of host - r, so
+    with r it is connected, and r, of degree >= 2, is its only member with an
+    outside neighbor. In a tree each component's attach vertex is its only
+    neighbor of r, so the attach vertices are the witness's boundary.
     """
     scan = ball.sorted_interior
     if not hasattr(oracle, "hanging_component_size"):
@@ -458,9 +449,10 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
         if 2 <= len(walked) < len(comps):
             pieces.append((frozenset().union(*(c.members for c in walked)), [c.attach for c in walked]))
         for witness, attaches in pieces:
-            ines, cand = _inessential_witness(oracle, r, witness, attaches)
+            ines = InessentialSubtree(oracle, witness | {r}, r)
+            sel = SubsetSelection._known(oracle, witness, frozenset(attaches))
             found.append(ines)
-            candidates.append(cand)
+            candidates.append(FolnerCandidate(sel, "inessential-minus-root", {"root": r, "subtree_size": ines.size}))
     return candidates, found
 
 

@@ -33,8 +33,7 @@ from arbor import (
     sandwich_check,
     subdivide_tree,
 )
-from arbor.amenability import _branchless_run, _inessential_witnesses, _lift_run_candidate, _witness_order
-from arbor.trees import sorted_handles
+from arbor.amenability import _branchless_run, _inessential_witnesses, _lift_run_candidate
 from brute import star_tree
 
 
@@ -155,13 +154,6 @@ def test_inessential_witnesses_match_parts_on_random_trees(t: Tree, data):
         # no hanging_component_size: components are walked up to the budget
         oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
     check_witness_scan(oracle, radius, budget, scan_limit=data.draw(st.integers(1, 30), label="scan_limit"))
-
-
-@pytest.mark.parametrize("fixture", ["staircase", "zline_pendant", "staircase_n(2)"])
-def test_witness_order_matches_one_key_sort(fixture: str):
-    witnesses = list(classify(make_fixture(fixture), ClassifyBudgets(radius=12)).witnesses)[::-1]
-    expected = sorted(witnesses, key=lambda c: (-c.ratio, c.size, [repr(m) for m in sorted_handles(c.members)]))
-    assert _witness_order(witnesses) == expected
 
 
 def branchless_run(oracle, k: int, target_len: int, seed_radius: int = 6):
