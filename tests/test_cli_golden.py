@@ -94,6 +94,15 @@ SAMPLES = [
     ("poisson", 4, 4, []),
     ("deathless", 3, 4, ["--max-vertices", "10"]),
     ("ternary", 5, 3, []),
+    # generations past 32 and past 128 vertices, under a law that fixes every count and one that draws them
+    ("ternary", 5, 5, []),
+    ("deathless", 2, 14, []),
+    # a seed of three 32-bit words, and a trial id of two
+    ("deathless", 18446744073709551621, 9, []),
+    ("deathless", 2, 9, ["--trial", "4294967299"]),
+    # budgets that cut a generation drawn from more than 32 vertices
+    ("ternary", 5, 5, ["--max-vertices", "100"]),
+    ("deathless", 7, 14, ["--max-vertices", "800"]),
 ]
 
 
