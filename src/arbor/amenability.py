@@ -564,10 +564,16 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
     Deterministic for fixed inputs.
     """
     budgets = budgets or ClassifyBudgets()
+    if d_target < 1:
+        raise ValueError("d_target must be at least 1")
     # A run of L degree-2 vertices witnesses ratio <= 2/L, so the default
     # target is twice the requested threshold.
     path_target = budgets.path_target if budgets.path_target is not None else 2 * d_target
+    if path_target < 1:
+        raise ValueError("path_target must be at least 1")
     k_max = budgets.k_max if budgets.k_max is not None else max(1, budgets.radius - path_target)
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     ball = explore_ball(oracle, budgets.radius, max_vertices=budgets.max_vertices)
 
     log.debug(

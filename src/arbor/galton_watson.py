@@ -9,13 +9,14 @@ everywhere: generation g of trial t under seed s is drawn from
 
 with an extra spawn component for rejection attempts and for subset draws,
 so every number in a report is reproducible from (seed, trial) alone.
-sample() computes that stream in closed form, seeding once per trial and
-advancing the PCG64 state by the jump's LCG coefficients, so no Generator
-is built per generation; tests/test_gw.py pins it bit for bit with a golden
-digest. monte_carlo_event and generation_growth_check draw the same streams
-for a batch of trials at once (_generations), with the 128-bit arithmetic
-done in 32-bit limbs of numpy arrays; tests/test_gw.py checks every trial
-against sample().
+sample() builds that Generator once per trial and, after drawing generation
+g's width doubles, advances it by the jump less the width to reach
+generation g + 1, which is what jumped(g + 1) computes; tests/test_gw.py pins
+it bit for bit with a golden digest. monte_carlo_event and
+generation_growth_check draw the same streams for a batch of trials at once
+(_generations), reproducing PCG64 and SeedSequence by hand with the 128-bit
+arithmetic done in 32-bit limbs of numpy arrays; tests/test_gw.py checks
+every trial against sample().
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import operator
 import re
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -153,11 +153,11 @@ class GWSpec:
         return cum
 
     @cached_property
-    def _cum_table(self) -> tuple:
-        """cumulative() built once, as a read-only array and as a tuple for bisect."""
+    def _cum_table(self) -> np.ndarray:
+        """cumulative() built once, read-only; a uniform double u draws searchsorted(table, u, "right") children."""
         cum = self.cumulative()
         cum.setflags(write=False)
-        return cum, tuple(cum.tolist())
+        return cum
 
     def extinction_probability(self, tol: float = 1e-12) -> float:
         return extinction_probability(self, tol)
@@ -195,9 +195,9 @@ def _rng(seed: int, spawn_key=()) -> np.random.Generator:
 
 
 # numpy's PCG64 (128-bit LCG with XSL-RR output) and the SeedSequence hash
-# that seeds it, reproduced with Python ints.
+# that seeds it. Only the batched engine (_generations) reproduces them by
+# hand; sample() draws from numpy's own.
 _M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # PCG64.jumped(1) advances by this
@@ -206,12 +206,6 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4  # SeedSequence's default pool size in 32-bit words
 _DOUBLE_UNIT = 2.0**-53
-# sample() draws generations at most this wide with Python ints (about 1 µs
-# per vertex), and wider ones from a numpy Generator set to the same state
-# (about 9 µs per generation, plus 15 µs to build it once per sample). The
-# benchmark's gw-deep, whose dichotomy trials go through sample(), ran
-# within 3% at 12, 32 and 64.
-_NARROW_MAX = 32
 
 
 def _words(n) -> list:
@@ -276,27 +270,6 @@ def _state_hashes() -> tuple:
 _STATE_HASHES = _state_hashes()
 
 
-def _pcg_start(seed: int, spawn: tuple) -> tuple:
-    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=spawn)), without numpy."""
-    pool, h = _seed_pool(operator.index(seed))
-    pool = list(pool)
-    for key in spawn:
-        for w in _words(key):
-            for dst in range(_POOL):
-                v = w ^ h
-                h = (h * _HASH_MULT_A) & _M32
-                v = (v * h) & _M32
-                r = (_MIX_L * pool[dst] - _MIX_R * (v ^ (v >> 16))) & _M32  # _hash_mix, inlined
-                pool[dst] = r ^ (r >> 16)
-    words = []
-    for (x, m), v in zip(_STATE_HASHES, pool + pool):
-        v = ((v ^ x) * m) & _M32
-        words.append(v ^ (v >> 16))
-    initstate = (words[0] | words[1] << 32) << 64 | words[2] | words[3] << 32
-    inc = ((words[4] | words[5] << 32) << 65 | (words[6] | words[7] << 32) << 1 | 1) & _M128
-    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc
-
-
 def _lcg_advance(delta: int) -> tuple:
     """(A, C) with advance(s, delta) = A*s + C*inc mod 2^128 (Brown 1994)."""
     acc_mult, acc_plus, mult, plus = 1, 0, _PCG_MULT, 1
@@ -311,19 +284,6 @@ def _lcg_advance(delta: int) -> tuple:
 
 
 _JUMP_MULT, _JUMP_PLUS = _lcg_advance(_PCG_JUMP)
-
-
-def _draw_counts(state: int, inc: int, width: int, cum: tuple) -> list:
-    """Child counts for width vertices: Generator.random() doubles looked up in cum."""
-    out = []
-    for _ in range(width):
-        state = (state * _PCG_MULT + inc) & _M128
-        hi = state >> 64
-        x = (hi ^ state) & _M64
-        rot = hi >> 58
-        x = ((x >> rot) | (x << (64 - rot))) & _M64
-        out.append(bisect_right(cum, (x >> 11) * _DOUBLE_UNIT))
-    return out
 
 
 def _generator_counts(gen: np.random.Generator, state: int, inc: int, width: int, cum: np.ndarray) -> np.ndarray:
@@ -458,11 +418,8 @@ def sample(
         raise ValueError("max_generation must be nonnegative")
     if max_vertices is not None and max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
-    spawn = (trial,) if attempt is None else (trial, attempt)
-    state, inc = _pcg_start(seed, spawn)
-    jump_plus = (_JUMP_PLUS * inc) & _M128
-    cum_array, cum = spec._cum_table
-    wide = None
+    rng = _rng(seed, (trial,) if attempt is None else (trial, attempt))
+    cum = spec._cum_table
     counts: list[np.ndarray] = []
     sizes = [1]
 
@@ -476,16 +433,9 @@ def sample(
         if width == 0:
             break
         if gen:
-            state = (_JUMP_MULT * state + jump_plus) & _M128
-        if width <= _NARROW_MAX:
-            drawn = _draw_counts(state, inc, width, cum)
-            c = np.array(drawn, dtype=np.int64)
-            nxt = sum(drawn)
-        else:
-            if wide is None:
-                wide = np.random.Generator(np.random.PCG64())
-            c = _generator_counts(wide, state, inc, width, cum_array)
-            nxt = int(c.sum())
+            rng.bit_generator.advance(_PCG_JUMP - sizes[-2])  # the previous generation's draws took sizes[-2] steps
+        c = np.searchsorted(cum, rng.random(width), side="right")
+        nxt = int(c.sum())
         if max_vertices is not None and sum(sizes) + nxt > max_vertices:
             return done(True)
         counts.append(c)
@@ -501,7 +451,7 @@ def sample(
 _BATCH_TRIALS = 1 << 14  # trials seeded together; a power of two, so no batch mixes one- and two-word trial ids
 _BATCH_VERTICES = 1 << 12  # vertices drawn in one numpy pass; on a 2-core box 2^12 ran faster than 2^14 or 2^16
 # A trial whose generation is wider than this draws it from a numpy Generator
-# set to its state, as sample() does: about 9 µs per generation, against 100
+# set to its state: about 9 µs per generation, against 100
 # to 200 ns per vertex in limb arithmetic. On the same box, caps of 64, 128
 # and 192 timed alike on growth runs of wide laws, and 32 and 256 slower.
 _BATCH_WIDTH_MAX = 128
@@ -562,8 +512,12 @@ def _step_table(bits: int) -> np.ndarray:
 
 
 def _trial_streams(seed: int, first: int, stop: int) -> tuple:
-    """Limb arrays (state, inc) of _pcg_start(seed, (t,)) for t in first..stop-1.
+    """Limb arrays (state, inc) of PCG64(SeedSequence(seed, spawn_key=(t,))) for t in first..stop-1.
 
+    SeedSequence's generate_state gives eight 32-bit words w0..w7, read as
+    the 64-bit words u0 = w0 | w1 << 32, ..., u3 = w6 | w7 << 32. PCG64 takes
+    initstate = u0 << 64 | u1 and inc = (u2 << 64 | u3) << 1 | 1 mod 2^128,
+    and starts at (inc + initstate) M + inc, M the LCG multiplier.
     SeedSequence's hash constant advances once per word of the spawn key, so
     all the trial ids must split into the same number of 32-bit words.
     """
@@ -587,7 +541,7 @@ def _trial_streams(seed: int, first: int, stop: int) -> tuple:
         words.append(v ^ (v >> 16))
     w0, w1, w2, w3, w4, w5, w6, w7 = words
     initstate = np.stack((w2, w3, w0, w1))
-    # inc = (w4, w5, w6, w7 as in _pcg_start) << 1 | 1, carrying bit 31 of each limb into the next
+    # inc's limbs are w6, w7, w4, w5 shifted left by one, each carrying its bit 31 into the next
     inc = np.stack(((w6 << 1) | 1, (w7 << 1) | (w6 >> 31), (w4 << 1) | (w7 >> 31), (w5 << 1) | (w4 >> 31))) & _M32
     return _add128(_mul128(_MULT_LIMBS, _add128(inc, initstate)), inc), inc
 
@@ -633,7 +587,7 @@ def _generations(spec: GWSpec, seed: int, trials: int, depth: int, target=None):
     trial t is keyed by (seed, t, g) alone, so dropping a trial changes no
     draw of another.
     """
-    cum = spec._cum_table[0]
+    cum = spec._cum_table
     gen = None  # the Generator for wide generations, built on first need
     for first in range(0, trials, _BATCH_TRIALS):
         stop = min(first + _BATCH_TRIALS, trials)

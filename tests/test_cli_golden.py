@@ -232,6 +232,12 @@ def _classify_rows() -> list:
     # input errors
     out.append(["classify", "--fixture", "regular(3)", "--declared-k", "1"])
     out.append(["classify", "--fixture", "regular(3)", "--format", "csv"])
+    # thresholds below 1
+    out.append(["classify", "--fixture", "staircase", "--d-target", "0"])
+    out.append(["classify", "--fixture", "staircase", "--d-target", "-3"])
+    out.append(["classify", "--fixture", "staircase", "--k-max", "-1"])
+    out.append(["classify", "--fixture", "staircase", "--path-target", "0"])
+    out.append(["classify", "--input", "{tree:path9}", "--d-target", "0"])
     return out
 
 

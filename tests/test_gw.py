@@ -123,18 +123,21 @@ def stated_stream_counts(spec, seed, key, g, width):
 
 def test_sample_follows_the_stated_stream():
     # Every generation of every trial, on (trial,) and (trial, attempt) keys,
-    # including a trial >= 2**32 whose key element splits into two words.
+    # including a trial >= 2**32 whose key element splits into two words, and
+    # under a seed longer than SeedSequence's 4-word pool.
     widths = set()
-    for trial in (*range(200), 2**32 + 3):
-        attempt = None if trial % 2 else trial % 5
-        key = (trial,) if attempt is None else (trial, attempt)
-        smp = sample(QUARTER_LAW, 9, 12, trial=trial, attempt=attempt)
-        for g, c in enumerate(smp.counts):
-            width = smp.generation_sizes[g]
-            widths.add(width)
-            assert np.array_equal(c, stated_stream_counts(QUARTER_LAW, 9, key, g, width)), (trial, g)
-    # Widths 1..38 all occur, so generations on both sides of the narrow/wide
-    # switch in sample() (32 and 33 today) are checked, and so is a wider one.
+    for seed in (9, 2**130 + 17):
+        for trial in (*range(200), 2**32 + 3):
+            attempt = None if trial % 2 else trial % 5
+            key = (trial,) if attempt is None else (trial, attempt)
+            smp = sample(QUARTER_LAW, seed, 12, trial=trial, attempt=attempt)
+            for g, c in enumerate(smp.counts):
+                width = smp.generation_sizes[g]
+                widths.add(width)
+                assert c.dtype == np.int64
+                assert np.array_equal(c, stated_stream_counts(QUARTER_LAW, seed, key, g, width)), (seed, trial, g)
+    # Widths 1..38 all occur, so every generation size up to past 32 is
+    # checked, and so is one wider than 64.
     assert set(range(1, 39)) <= widths
     assert max(widths) > 64
 
@@ -156,20 +159,6 @@ def test_sample_input_handling():
     y = sample(QUARTER_LAW, 7, 8, trial=4, attempt=1)
     assert all(np.array_equal(p, q) for p, q in zip(x.counts, y.counts))
     assert len(x.counts) == len(y.counts)
-
-
-def test_pcg_start_matches_numpy_seeding():
-    from arbor.galton_watson import _pcg_start
-
-    # Seeds of one word, two words (2**32), and longer than the 4-word pool.
-    seeds = (0, 1, 5, 2**32 - 1, 2**32, 2**64 + 7, 2**128 - 1, 2**128, 2**200 + 12345)
-    keys = [(t,) for t in (0, 3, 2**32 + 5)]
-    keys += [(t, a) for t in (0, 7) for a in (0, 3, 2**40)]
-    keys += [(t, 65536) for t in (0, 2, 2**33)]
-    for seed in seeds:
-        for key in keys:
-            st = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)).state["state"]
-            assert _pcg_start(seed, key) == (st["state"], st["inc"]), (seed, key)
 
 
 def test_sample_budget_discards_whole_generation():
@@ -439,7 +428,7 @@ def test_sample_golden_digest():
 
 # Laws for the batched engine: dyadic, non-dyadic, deathless, Poisson and
 # geometric. Under {0,0,0,1} generation g has 3^g vertices and under
-# Poisson(4) about 4^g, past _NARROW_MAX and _BATCH_WIDTH_MAX.
+# Poisson(4) about 4^g, past _BATCH_WIDTH_MAX.
 ENGINE_LAWS = [
     QUARTER_LAW,
     GWSpec(("3/10", "7/10")),
@@ -550,13 +539,15 @@ def test_batched_generations_past_one_trial_batch():
     assert batched_generations(BINARY_LAW, 3, trials, 2, target) == generations_by_sample(BINARY_LAW, 3, trials, 2, target)
 
 
-def test_trial_streams_match_pcg_start():
-    for seed in (0, 7, 2**32 + 1, 2**130 + 5):
+def test_trial_streams_match_numpy_seeding():
+    # Seeds of one word, of two, and longer than SeedSequence's 4-word pool.
+    for seed in (0, 7, 2**32 - 1, 2**32 + 1, 2**64 + 7, 2**128 - 1, 2**128, 2**130 + 5, 2**200 + 12345):
         for first, stop in ((0, 5), (2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40, 2**40 + 2)):
             state, inc = gw._trial_streams(seed, first, stop)
             step = gw._add128(gw._mul128(gw._MULT_LESS_ONE_LIMBS, state), inc)
             for i, t in enumerate(range(first, stop)):
-                s, c = gw._pcg_start(seed, (t,))
+                st = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state["state"]
+                s, c = st["state"], st["inc"]
                 assert (gw._int128(state[:, i]), gw._int128(inc[:, i])) == (s, c), (seed, t)
                 assert gw._int128(step[:, i]) == (s * gw._PCG_MULT + c - s) % 2**128
     with pytest.raises(ValueError, match="word counts"):
