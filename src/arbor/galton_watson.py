@@ -9,14 +9,14 @@ everywhere: generation g of trial t under seed s is drawn from
 
 with an extra spawn component for rejection attempts and for subset draws,
 so every number in a report is reproducible from (seed, trial) alone.
-sample() builds that Generator once per trial and, after drawing generation
-g's width doubles, advances it by the jump less the width to reach
-generation g + 1, which is what jumped(g + 1) computes; tests/test_gw.py pins
-it bit for bit with a golden digest. monte_carlo_event and
-generation_growth_check draw the same streams for a batch of trials at once
-(_generations), reproducing PCG64 and SeedSequence by hand with the 128-bit
-arithmetic done in 32-bit limbs of numpy arrays; tests/test_gw.py checks
-every trial against sample().
+sample() builds one such Generator per trial, for generation 0. jumped(g)
+advances the state by g jumps and each double drawn by one step, so after
+generation g's draws it advances by one jump less their count to reach
+generation g + 1; tests/test_gw.py pins it bit for bit with a golden
+digest. monte_carlo_event and generation_growth_check draw the same streams
+for a batch of trials at once (_generations), reproducing PCG64 and
+SeedSequence by hand with the 128-bit arithmetic done in 32-bit limbs of
+numpy arrays; tests/test_gw.py checks every trial against sample().
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class GWSpec:
 
     @cached_property
     def _cum_table(self) -> np.ndarray:
-        """cumulative() built once, read-only; a uniform double u draws searchsorted(table, u, "right") children."""
+        """cumulative() built once, read-only: a vertex whose uniform double is u has searchsorted(table, u, "right") children."""
         cum = self.cumulative()
         cum.setflags(write=False)
         return cum
@@ -433,7 +433,7 @@ def sample(
         if width == 0:
             break
         if gen:
-            rng.bit_generator.advance(_PCG_JUMP - sizes[-2])  # the previous generation's draws took sizes[-2] steps
+            rng.bit_generator.advance(_PCG_JUMP - sizes[-2])  # generation gen - 1 drew sizes[-2] doubles
         c = np.searchsorted(cum, rng.random(width), side="right")
         nxt = int(c.sum())
         if max_vertices is not None and sum(sizes) + nxt > max_vertices:
@@ -451,9 +451,9 @@ def sample(
 _BATCH_TRIALS = 1 << 14  # trials seeded together; a power of two, so no batch mixes one- and two-word trial ids
 _BATCH_VERTICES = 1 << 12  # vertices drawn in one numpy pass; on a 2-core box 2^12 ran faster than 2^14 or 2^16
 # A trial whose generation is wider than this draws it from a numpy Generator
-# set to its state: about 9 µs per generation, against 100
-# to 200 ns per vertex in limb arithmetic. On the same box, caps of 64, 128
-# and 192 timed alike on growth runs of wide laws, and 32 and 256 slower.
+# set to its state: about 9 µs per generation, against 100 to 200 ns per
+# vertex in limb arithmetic. On the same box, caps of 64, 128 and 192 timed
+# alike on growth runs of wide laws, and 32 and 256 slower.
 _BATCH_WIDTH_MAX = 128
 
 

@@ -136,8 +136,8 @@ def test_sample_follows_the_stated_stream():
                 widths.add(width)
                 assert c.dtype == np.int64
                 assert np.array_equal(c, stated_stream_counts(QUARTER_LAW, seed, key, g, width)), (seed, trial, g)
-    # Widths 1..38 all occur, so every generation size up to past 32 is
-    # checked, and so is one wider than 64.
+    # The trials cover every width from 1 to 38 and one above 64, so both
+    # one-vertex and wide generations are checked.
     assert set(range(1, 39)) <= widths
     assert max(widths) > 64
 
