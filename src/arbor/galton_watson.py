@@ -154,7 +154,7 @@ class GWSpec:
 
     @cached_property
     def _cum_table(self) -> np.ndarray:
-        """cumulative() built once, read-only: a vertex whose uniform double is u has searchsorted(table, u, "right") children."""
+        """cumulative() built once, read-only; a vertex drawing u has searchsorted(table, u, "right") children."""
         cum = self.cumulative()
         cum.setflags(write=False)
         return cum

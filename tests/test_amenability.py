@@ -336,7 +336,8 @@ def test_classify_deterministic():
 
 def test_classify_rejects_thresholds_below_one():
     fix = make_fixture("staircase")
-    for d_target, budgets in ((0, None), (-3, None), (10, ClassifyBudgets(k_max=-1)), (10, ClassifyBudgets(path_target=0))):
+    bad = ((0, None), (-3, None), (10, ClassifyBudgets(k_max=-1)), (10, ClassifyBudgets(path_target=0)))
+    for d_target, budgets in bad:
         with pytest.raises(ValueError, match="d_target|path_target|k_max"):
             classify(fix, budgets, d_target=d_target)
     assert classify(fix, ClassifyBudgets(radius=6, k_max=0), d_target=1).scope["k_max"] == 0
