@@ -194,6 +194,12 @@ def _cheeger_rows() -> list:
         out.append(["cheeger", "--input", f"{{tree:{name}}}", "--max-size", "4"])
         out.append(["cheeger", "--input", f"{{tree:{name}}}", "--max-size", "4", "--format", "text"])
     out.append(["cheeger", "--input", "{tree:rand12}"])
+    # larger subsets, many tied optima (226 and 52), one optimum on the staircase
+    out.append(["cheeger", "--fixture", "regular(3)", "--radius", "7", "--max-size", "10"])
+    out.append(["cheeger", "--fixture", "regular(4)", "--radius", "5", "--max-size", "9"])
+    out.append(["cheeger", "--fixture", "staircase_n(2)", "--radius", "12", "--max-size", "9"])
+    # the default --max-size is the vertex count: past 10^7 subsets, the work budget trips
+    out.append(["cheeger", "--input", "{tree:rand60}"])
     out.append(["cheeger", "--fixture", "regular(3)", "--radius", "10", "--max-vertices", "100"])
     out.append(["cheeger", "--fixture", "regular(3)", "--radius", "-1"])
     return out
