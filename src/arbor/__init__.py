@@ -23,7 +23,6 @@ from .amenability import (
     cheeger_exact,
     classify,
     contract_branchless,
-    folner_from_inessential,
     jsonable,
     min_degree3_bound_check,
     sandwich_check,
@@ -85,7 +84,6 @@ from .trimming import (
     hanging_components,
     is_inessential,
     lift_subset_through_trims,
-    make_inessential,
     removal_steps_in_ball,
     trim_depth,
     trim_orbit,
@@ -124,7 +122,6 @@ __all__ = [
     "detect_period",
     "InessentialSubtree",
     "is_inessential",
-    "make_inessential",
     "HangingComponent",
     "hanging_components",
     "lift_subset_through_trims",
@@ -132,7 +129,6 @@ __all__ = [
     "FolnerCandidate",
     "CheegerResult",
     "cheeger_exact",
-    "folner_from_inessential",
     "ContractionResult",
     "contract_branchless",
     "SandwichResult",

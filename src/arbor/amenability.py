@@ -14,12 +14,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, islice
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import (
     DeclaredBoundsRefutedError,
     DegenerateImageError,
     NoBranchStructureError,
+    SearchTooLargeError,
     UnsupportedStructureError,
 )
 from .exploration import Ball, explore_ball
@@ -39,7 +41,6 @@ __all__ = [
     "FolnerCandidate",
     "CheegerResult",
     "cheeger_exact",
-    "folner_from_inessential",
     "ContractionResult",
     "contract_branchless",
     "SandwichResult",
@@ -120,14 +121,41 @@ class CheegerResult:
 def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: int = 10**7) -> CheegerResult:
     """Exact minimum boundary ratio over all connected subsets of at most max_size vertices.
 
+    The subsets range over the pool: ``region`` when given, else a Ball's
+    interior or a finite host's vertices. Each pool vertex is asked for its
+    neighbors once, up front. When the pool spans a forest, a subtree
+    knapsack (the k-cardinality tree DP) gives the least boundary count and
+    the number of connected subsets at every size, topped at each vertex;
+    ``scope["subsets_enumerated"]`` is the sum of those numbers. Otherwise,
+    or when the ties for the minimum are too many to list, the ESU walk
+    visits every subset. Either way SearchTooLargeError is raised once more
+    than ``guard`` subsets have two or more members.
+
     For an infinite host explored through a Ball this is a certified upper
-    bound on the true infimum, since every enumerated boundary is exact.
+    bound on the true infimum, since every boundary counted is exact.
     Ties go to the smaller subset, then to the one whose sorted members'
     ``repr`` strings compare first, so {10} comes before {9}.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     pool = _pool(host, region)
+    hoods = [host.neighbors(v) for v in pool]
+    least = _least_by_knapsack(pool, hoods, max_size, guard)
+    if least is None:  # a cycle, or too many optima to list
+        known = SimpleNamespace(neighbors=dict(zip(pool, hoods)).__getitem__)
+        least = _least_by_walk(known, max_size, pool, guard)
+    best, best_b, best_k, count = least
+    if best is None:
+        raise ValueError("no admissible subsets: the search region is empty")
+    argmin = FolnerCandidate(SubsetSelection(host, best), "enumerated")
+    scope = {"max_size": max_size, "subsets_enumerated": count}
+    if region is not None:
+        scope["region_size"] = len(pool)
+    return CheegerResult(Fraction(best_b, best_k), argmin, scope)
+
+
+def _least_by_walk(host, max_size: int, pool: Sequence, guard: int) -> tuple:
+    """The best subset's members, boundary count and size, and the subset count, from the ESU walk."""
     best = None  # members of the best subset so far, with its boundary count and size
     best_b = best_k = 0
     best_tag = None  # its repr tie-break key, built on the first tie
@@ -150,28 +178,212 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
                 best, best_tag = members, tag
                 continue
         best, best_b, best_k, best_tag = [pool[r] for r in sub], b, k, None
-    if best is None:
-        raise ValueError("no admissible subsets: the search region is empty")
-    argmin = FolnerCandidate(SubsetSelection(host, best), "enumerated")
-    scope = {"max_size": max_size, "subsets_enumerated": count}
-    if region is not None:
-        scope["region_size"] = len(pool)
-    return CheegerResult(Fraction(best_b, best_k), argmin, scope)
+    return best, best_b, best_k, count
 
 
-def folner_from_inessential(ines) -> FolnerCandidate:
-    """The inessential subtree minus its root, whose only outside contact is the root.
+_NONE = 1 << 62  # the cost of a size no subset reaches; above every boundary count
+# The tables of a vertex alone, and of a pool leaf; none is ever mutated.
+_LONE = ([_NONE, 0], [_NONE, _NONE], [0, 1])
+_LEAF = [_LONE[:2]]
+_LEAF_UP = ([_NONE, 0], [_NONE, 1])
 
-    For a size-k subtree the ratio is (number of members adjacent to the
-    root)/(k-1); that is exactly 1/(k-1) whenever a single member hangs on
-    the root, and the true recomputed ratio is reported in every case.
+
+def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -> tuple | None:
+    """``_least_by_walk``'s answer from a subtree knapsack, or None on a cycle or too many optima.
+
+    Each component of the pool is rooted at its lowest rank, and vertices
+    are renumbered in reverse breadth-first order, so each comes after its
+    children. A connected subset S of a forest has one top vertex, below
+    which each member takes some of its pool children. A member is on S's
+    boundary when it has a host neighbor outside the pool, a pool child
+    outside S, or a parent outside S. Each vertex v keeps per size k (at
+    most ``max_size``):
+
+    - ``trail[v][i]``: after merging its first i children, the least count
+      of boundary members below v, as a pair of lists by size: every child
+      so far taken (flag 0), or some child left out (flag 1);
+    - ``up[v]``: that count resolved for v itself, with v's parent in S;
+    - the number of connected subsets of size k with v on top.
+
+    Summed, those numbers are the subset count. Every merge step adds at
+    least one subset to it, so the guard also bounds the work. ``_optima``
+    then lists the subsets of the least ratio at the least size, and the
+    ``repr`` tie-break picks among them. It compares ``repr`` strings in the
+    members' natural order, so the first of two joined subsets is not always
+    the join of the firsts, and the candidates are listed whole. A top that
+    is the lowest rank of its subtree, as every top of a ball is, starts all
+    its subsets' tags, so of such tops only the least ``repr`` is listed.
     """
-    sel = SubsetSelection(ines.host, ines.members - {ines.root})
-    return FolnerCandidate(
-        sel,
-        "inessential-minus-root",
-        {"root": ines.root, "subtree_size": ines.size},
-    )
+    n = len(pool)
+    rank = {v: i for i, v in enumerate(pool)}
+    near = [[r for r in map(rank.get, hs) if r is not None] for hs in hoods]
+    parent = [None] * n
+    order = []  # ranks, each component breadth-first from its root
+    for s in range(n):
+        if parent[s] is not None:
+            continue
+        parent[s] = -1
+        i = len(order)
+        order.append(s)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for u in near[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+    if sum(map(len, near)) != 2 * (n - parent.count(-1)):
+        return None
+    if not n:
+        return None, 0, 0, 0
+    order.reverse()  # children first: vertex v of the tables is rank order[v]
+    at = [0] * n
+    for v, r in enumerate(order):
+        at[r] = v
+    kids = [[at[u] for u in near[r] if u != parent[r]] for r in order]
+    outside = [len(hoods[r]) > len(near[r]) for r in order]  # a host neighbor outside the pool
+    trail: list = [None] * n
+    up: list = [None] * n
+    counts: list = [None] * n
+    low = order[:]  # the least rank in each vertex's subtree
+    count = 0
+    best_b, best_k, tops = 1, 0, []
+    for v in range(n):
+        A, B, C = _LONE
+        e = outside[v]
+        if kids[v]:
+            steps = [(A, B)]
+            for c in kids[v]:
+                uc, cc = up[c], counts[c]
+                if low[c] < low[v]:
+                    low[v] = low[c]
+                top = min(len(A) + len(uc) - 2, max_size)
+                nA = [_NONE] * (top + 1)
+                nB = list(map(min, A, B)) + [_NONE] * (top + 1 - len(A))  # c left out
+                nC = C + [0] * (top + 1 - len(C))
+                for k1 in range(1, len(A)):
+                    a, b, m = A[k1], B[k1], C[k1]
+                    for k2 in range(1, min(len(uc), top + 1 - k1)):
+                        k, x = k1 + k2, uc[k2]
+                        if a + x < nA[k]:
+                            nA[k] = a + x
+                        if b + x < nB[k]:
+                            nB[k] = b + x
+                        nC[k] += m * cc[k2]
+                A, B, C = nA, nB, nC
+                steps.append((A, B))
+            trail[v], counts[v] = steps, C
+            up[v] = [_NONE] + [min(a + e, b + 1) for a, b in zip(A[1:], B[1:])]
+            count += sum(C) - 1
+            if count > guard:
+                raise SearchTooLargeError(f"connected-subset enumeration exceeded the work budget ({guard})")
+        else:
+            trail[v], counts[v], up[v] = _LEAF, C, _LEAF_UP[e]
+        t = e or parent[order[v]] >= 0  # v on top: a parent outside S puts it on the boundary
+        for k in range(1, len(A)):
+            b = A[k] + t
+            if B[k] < b:  # B[k] + 1 <= b
+                b = B[k] + 1
+            cmp = b * best_k - best_b * k
+            if cmp < 0 or (cmp == 0 and k < best_k):
+                best_b, best_k, tops = b, k, [v]
+            elif cmp == 0 and k == best_k:
+                tops.append(v)
+    # A subset topped at v whose subtree holds no lower rank starts its tag with v's repr.
+    fixed = [repr(pool[order[v]]) for v in tops if low[v] == order[v]]
+    if len(fixed) > 1:
+        first = min(fixed)
+        tops = [v for v in tops if low[v] != order[v] or repr(pool[order[v]]) == first]
+    goals = []
+    for v in tops:
+        A, B = trail[v][-1]
+        t = outside[v] or parent[order[v]] >= 0
+        goals += [(v, len(kids[v]), best_k, f) for f, y in ((0, A[best_k] + t), (1, B[best_k] + 1)) if y == best_b]
+    found = _optima(trail, kids, up, outside, order, goals)
+    if found is None:
+        return None
+    if len(found) > 1:
+        tags = [repr(v) for v in pool]
+        found = [min(found, key=lambda s: [tags[r] for r in sorted(s)])]
+    return [pool[r] for r in found[0]], best_b, best_k, count + n
+
+
+_MAX_LISTED = 1 << 17  # optimal partial subsets _optima may hold at once
+
+
+def _optima(trail: list, kids: list, up: list, outside: list, order: list, goals: list) -> list | None:
+    """Every subset behind the knapsack states ``goals``, as tuples of ranks.
+
+    A state (v, i, k, f) stands for the subsets of size k with v on top,
+    within v and the subtrees of its first i children, whose least boundary
+    count below v is trail[v][i][f][k]. The first pass lists, for each state
+    reachable from the goals, the ways its subsets split into those of
+    earlier states at the same least count. The second lists each state's
+    subsets, children first, so deep trees need no recursion. Past
+    ``_MAX_LISTED`` subsets held, None.
+    """
+    splits: dict = {}
+    sets: dict = {}
+    stack = list(goals)
+    pop, push = stack.pop, stack.append
+    while stack:
+        key = pop()
+        if key in splits or key in sets:
+            continue
+        v, i, k, f = key
+        if not i:  # v alone
+            sets[key] = [(order[v],)]
+            continue
+        tv = trail[v]
+        x = tv[i][f][k]
+        A, B = tv[i - 1]
+        opts = splits[key] = []
+        if f:  # child i left out
+            if k < len(A) and A[k] == x:
+                left = (v, i - 1, k, 0)
+                opts.append((left, None))
+                push(left)
+            if k < len(B) and B[k] == x:
+                left = (v, i - 1, k, 1)
+                opts.append((left, None))
+                push(left)
+            prev = B
+        else:
+            prev = A
+        c = kids[v][i - 1]
+        uc = up[c]
+        j = len(kids[c])
+        Ac, Bc = trail[c][j]
+        e = outside[c]
+        lo = k + 1 - len(prev)
+        for kc in range(lo if lo > 1 else 1, len(uc) if len(uc) < k else k):
+            y = uc[kc]
+            if prev[k - kc] + y == x:
+                left = (v, i - 1, k - kc, f)
+                push(left)
+                if Ac[kc] + e == y:
+                    right = (c, j, kc, 0)
+                    opts.append((left, right))
+                    push(right)
+                if Bc[kc] + 1 == y:
+                    right = (c, j, kc, 1)
+                    opts.append((left, right))
+                    push(right)
+    held = 0
+    for key in sorted(splits):  # children before parents, earlier steps first
+        got = sets[key] = []
+        for left, right in splits[key]:
+            if right is None:
+                got += sets[left]
+                continue
+            above, below = sets[left], sets[right]
+            if len(above) * len(below) > _MAX_LISTED:
+                return None
+            got += [s + t for s in above for t in below]
+        held += len(got)
+        if held > _MAX_LISTED:
+            return None
+    return [s for key in goals for s in sets[key]]
 
 
 def _branchless_run(view: TrimmedView, seed_radius: int, target_len: int) -> list:

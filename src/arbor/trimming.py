@@ -37,7 +37,6 @@ __all__ = [
     "detect_period",
     "InessentialSubtree",
     "is_inessential",
-    "make_inessential",
     "HangingComponent",
     "hanging_components",
     "lift_subset_through_trims",
@@ -296,8 +295,15 @@ class InessentialSubtree:
         return len(self.members)
 
 
-def _touching(host, mem: frozenset) -> frozenset:
-    """The members with an outside neighbor, after checking the members form a proper subtree."""
+def is_inessential(host, members: Iterable) -> bool:
+    """Fast test: exactly one member touches the outside.
+
+    The members must be connected, at least two, and not the whole tree.
+    Equivalent to the edge-complement staying connected, which is what the
+    brute-force reference ``edge_complement_is_connected`` in tests/brute.py
+    computes.
+    """
+    mem = frozenset(members)
     if len(mem) < 2:
         raise ValueError("an inessential subtree needs at least one edge (two vertices)")
     if not is_connected_in(host, mem):
@@ -305,31 +311,7 @@ def _touching(host, mem: frozenset) -> frozenset:
     touching = boundary_of(host, mem)
     if not touching:
         raise ValueError("no member has an outside neighbor; the subset is the whole tree")
-    return touching
-
-
-def is_inessential(host, members: Iterable) -> bool:
-    """Fast test: exactly one member touches the outside.
-
-    Equivalent to the edge-complement staying connected, which is what the
-    brute-force reference ``edge_complement_is_connected`` in tests/brute.py
-    computes.
-    """
-    return len(_touching(host, frozenset(members))) == 1
-
-
-def make_inessential(host, members: Iterable) -> InessentialSubtree:
-    """The members as an InessentialSubtree; its root is the one member touching the outside.
-
-    That root has a neighbor outside and, the members being connected and at
-    least two, one inside, so its host-degree is at least 2.
-    """
-    mem = frozenset(members)
-    touching = _touching(host, mem)
-    if len(touching) != 1:
-        raise ValueError("more than one member has an outside neighbor")
-    (root,) = touching
-    return InessentialSubtree(host, mem, root)
+    return len(touching) == 1
 
 
 @dataclass(frozen=True)

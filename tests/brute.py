@@ -24,9 +24,10 @@ vertex's radius-k ball with the library's ``explore_ball``, whose budget it
 keeps, and peels it with ``peel_by_rescan``. With ``lift_by_ball``, the
 former subset lift built on it, it is the reference for the level chain of
 ``TrimmedView``. ``inessential_witnesses_by_parts`` is the library's former
-witness scan of ``classify``, built from the public ``hanging_components``,
-``make_inessential`` and ``folner_from_inessential``, each of which rechecks
-what it is given; it is the reference for ``_inessential_witnesses``.
+witness scan of ``classify``, built from the public ``hanging_components``
+and from ``make_inessential`` and ``folner_from_inessential``, the
+library's former witness constructors, each of which rechecks what it is
+given; it is the reference for ``_inessential_witnesses``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from arbor import (
+    FolnerCandidate,
+    InessentialSubtree,
     SearchTooLargeError,
+    SubsetSelection,
     Tree,
     explore_ball,
-    folner_from_inessential,
     hanging_components,
-    make_inessential,
 )
 
 
@@ -274,6 +276,26 @@ def trim_depth_by_ball(oracle, v, k: int, max_vertices: int | None = None) -> in
         if 0 in dead:
             return t
     return None
+
+
+def make_inessential(host, members) -> InessentialSubtree:
+    """The members as an InessentialSubtree, rooted at the one member with an outside neighbor."""
+    mem = frozenset(members)
+    if len(mem) < 2:
+        raise ValueError("an inessential subtree needs at least one edge (two vertices)")
+    if not is_connected_subset(host, mem):
+        raise ValueError("the members are not connected")
+    touching = boundary(host, mem)
+    if len(touching) != 1:
+        raise ValueError(f"{len(touching)} members have an outside neighbor, not one")
+    (root,) = touching
+    return InessentialSubtree(host, mem, root)
+
+
+def folner_from_inessential(ines) -> FolnerCandidate:
+    """The inessential subtree minus its root, whose only outside contact is the root."""
+    sel = SubsetSelection(ines.host, ines.members - {ines.root})
+    return FolnerCandidate(sel, "inessential-minus-root", {"root": ines.root, "subtree_size": ines.size})
 
 
 def inessential_witnesses_by_parts(oracle, ball, budgets):

@@ -9,4 +9,12 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# More examples for the differential tests that CI runs on their own.
+settings.register_profile(
+    "thorough",
+    derandomize=True,
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arbor.amenability as amenability
 import brute
 from arbor import (
     BudgetExhaustedError,
@@ -13,7 +14,9 @@ from arbor import (
     DeclaredBounds,
     DeclaredBoundsRefutedError,
     DegenerateImageError,
+    GWSpec,
     IncompleteKnowledgeError,
+    SearchTooLargeError,
     SubsetSelection,
     Tree,
     TreeAsOracle,
@@ -23,13 +26,12 @@ from arbor import (
     classify,
     contract_branchless,
     explore_ball,
-    folner_from_inessential,
     jsonable,
     make_fixture,
-    make_inessential,
     min_degree3_bound_check,
     path_tree,
     random_connected_subset,
+    sample,
     sandwich_check,
     subdivide_tree,
 )
@@ -94,6 +96,9 @@ def test_cheeger_region_and_errors():
     for max_size in (1, 3):  # a region reaching the frontier has no exact boundary
         with pytest.raises(IncompleteKnowledgeError):
             cheeger_exact(ball, max_size, region=range(ball.vertex_count))
+    # every pool vertex is asked for its neighbors before any subset is counted
+    with pytest.raises(IncompleteKnowledgeError):
+        cheeger_exact(ball, 3, region=range(ball.vertex_count), guard=0)
 
 
 def test_cheeger_on_regular_ball():
@@ -104,10 +109,140 @@ def test_cheeger_on_regular_ball():
     assert result.scope["subsets_enumerated"] > 1000
 
 
+FIXTURES = [
+    "regular(3)", "regular(4)", "sary(2)", "sary(3)", "staircase", "staircase_n(2)",
+    "staircase_n(3)", "threereg_plus_ray", "zline_pendant",
+]
+
+
+def _small_balls(limit: int = 16) -> list:
+    """Explored fixture balls whose interior holds at most ``limit`` vertices, small enough for the brute reference."""
+    out = []
+    for name in FIXTURES:
+        for radius in range(1, 9):
+            ball = explore_ball(make_fixture(name), radius)
+            if len(ball.interior) > limit:
+                break
+            out.append(ball)
+    return out
+
+
+SMALL_BALLS = _small_balls()
+# (law, deepest truncation): each truncated ball's interior stays within 15 vertices
+GW_BALL_LAWS = [((0, 0, 0, 1), 3), ((0, 0, "1/2", "1/2"), 3), (("1/4", "1/4", "1/2"), 4), (("1/2", 0, "1/2"), 4)]
+
+
+def check_cheeger_against_brute(host, max_size: int, region) -> None:
+    result = cheeger_exact(host, max_size, region=region)
+    allowed = region if region is not None else host.sorted_interior
+    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == brute.cheeger_by_enumeration(
+        host, max_size, allowed
+    )
+    assert result.argmin.ratio == result.value
+
+
+@given(st.sampled_from(SMALL_BALLS), st.integers(min_value=1, max_value=5), st.data())
+def test_cheeger_matches_enumeration_on_fixture_balls(ball, max_size: int, data):
+    region = data.draw(st.none() | st.sets(st.sampled_from(ball.sorted_interior), min_size=1), label="region")
+    check_cheeger_against_brute(ball, max_size, region)
+
+
+@given(
+    st.sampled_from(GW_BALL_LAWS),
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_cheeger_matches_enumeration_on_gw_sample_balls(law, seed: int, trial: int, depth: int, max_size: int, data):
+    probs, deepest = law
+    depth = min(depth, deepest)
+    ball = sample(GWSpec(probs), seed, depth, trial=trial).truncate_ball(depth)
+    region = data.draw(st.none() | st.sets(st.sampled_from(ball.sorted_interior), min_size=1), label="region")
+    check_cheeger_against_brute(ball, max_size, region)
+
+
+@given(random_trees(min_size=2, max_size=11), st.integers(min_value=2, max_value=6), st.data())
+def test_cheeger_work_guard_trips_past_the_subset_count(t: Tree, max_size: int, data):
+    region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=2), label="region")
+    pool = region if region is not None else range(t.vertex_count)
+    multi = sum(1 for sub in brute.connected_subsets_by_filter(t, max_size, pool) if len(sub) >= 2)
+    for guard in {0, max(0, multi - 1), multi, multi + 1}:
+        if multi > guard:
+            with pytest.raises(SearchTooLargeError) as exc:
+                cheeger_exact(t, max_size, region=region, guard=guard)
+            assert str(exc.value) == f"connected-subset enumeration exceeded the work budget ({guard})"
+        else:
+            assert cheeger_exact(t, max_size, region=region, guard=guard).scope["subsets_enumerated"] == multi + len(
+                set(pool)
+            )
+
+
+def test_cheeger_tie_break_on_relabeled_paths():
+    """A relabeled path has many tied optima, topped at vertices whose labels fall in any order."""
+    rng = random.Random(0)
+    for _ in range(100):
+        perm = list(range(13))
+        rng.shuffle(perm)
+        t = brute.relabel_tree(path_tree(13), perm)
+        for max_size in (2, 3, 4):
+            result = cheeger_exact(t, max_size)
+            value, argmin, count = brute.cheeger_by_enumeration(t, max_size)
+            assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
+
+
+def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
+    """With more tied optima than the knapsack lists, the walk gives the same answer."""
+    rng = random.Random(3)
+    cases = [(star_tree(9), 5, None), (path_tree(9), 3, None), (path_tree(12), 1, [9, 10])]
+    for _ in range(30):
+        n = rng.randrange(2, 12)
+        cases.append((Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n), rng.randrange(1, 6), None))
+    monkeypatch.setattr(amenability, "_MAX_LISTED", 1)
+    for t, max_size, region in cases:
+        result = cheeger_exact(t, max_size, region=region)
+        value, argmin, count = brute.cheeger_by_enumeration(t, max_size, region)
+        assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
+
+
+class CountingHost:
+    """A host that counts the neighbors calls for each vertex."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {}
+        if hasattr(inner, "interior"):
+            self.interior, self.sorted_interior = inner.interior, inner.sorted_interior
+        else:
+            self.vertex_count = inner.vertex_count
+
+    def neighbors(self, v):
+        self.calls[v] = self.calls.get(v, 0) + 1
+        return self.inner.neighbors(v)
+
+
+@given(random_trees(min_size=1, max_size=12), st.integers(min_value=1, max_value=6), st.data())
+def test_cheeger_asks_each_pool_vertex_for_its_neighbors_once(t: Tree, max_size: int, data):
+    region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=1), label="region")
+    host = CountingHost(t)
+    cheeger_exact(host, max_size, region=region)
+    pool = region if region is not None else range(t.vertex_count)
+    assert host.calls == {v: 1 for v in pool}
+
+
+def test_cheeger_asks_once_on_balls_and_on_hosts_with_cycles():
+    for inner in (explore_ball(make_fixture("regular(3)"), 6), brute.random_graph(random.Random(4), 9, 3)):
+        host = CountingHost(inner)
+        cheeger_exact(host, 6)
+        pool = inner.sorted_interior if hasattr(inner, "interior") else range(inner.vertex_count)
+        assert host.calls == {v: 1 for v in pool}
+
+
 def test_folner_from_inessential_single_attach():
     fix = make_fixture("staircase")
-    ines = make_inessential(fix, {(3, 0), (3, 1), (3, 2), (3, 3)})
-    cand = folner_from_inessential(ines)
+    ines = brute.make_inessential(fix, {(3, 0), (3, 1), (3, 2), (3, 3)})
+    cand = brute.folner_from_inessential(ines)
     assert cand.provenance == "inessential-minus-root"
     assert cand.members == frozenset({(3, 1), (3, 2), (3, 3)})
     assert cand.ratio == Fraction(1, 3)

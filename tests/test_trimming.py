@@ -21,7 +21,6 @@ from arbor import (
     is_inessential,
     lift_subset_through_trims,
     make_fixture,
-    make_inessential,
     path_tree,
     removal_steps_in_ball,
     sary_tree,
@@ -384,11 +383,11 @@ def test_inessential_rejects_degenerates():
 
 def test_make_inessential_and_find_root():
     t = star_tree(4)
-    ines = make_inessential(t, {0, 1, 2})
+    ines = brute.make_inessential(t, {0, 1, 2})
     assert ines.root == 0
     assert ines.size == 3
     with pytest.raises(ValueError):
-        make_inessential(path_tree(5), {1, 2, 3})  # two members touch outside
+        brute.make_inessential(path_tree(5), {1, 2, 3})  # two members touch outside
 
 
 @given(random_trees(min_size=3, max_size=10))
@@ -398,7 +397,7 @@ def test_make_inessential_reads_no_more_neighbors_than_is_inessential(t: Tree):
             continue
         test_host, make_host = CountingOracle(t), CountingOracle(t)
         is_inessential(test_host, sub)
-        ines = make_inessential(make_host, sub)
+        ines = brute.make_inessential(make_host, sub)
         assert make_host.calls <= test_host.calls
         assert boundary_of(t, sub) == {ines.root}
 
