@@ -139,14 +139,14 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     pool = _pool(host, region)
+    if not pool:
+        raise ValueError("no admissible subsets: the search region is empty")
     hoods = [host.neighbors(v) for v in pool]
     least = _least_by_knapsack(pool, hoods, max_size, guard)
     if least is None:  # a cycle, or too many optima to list
         known = SimpleNamespace(neighbors=dict(zip(pool, hoods)).__getitem__)
         least = _least_by_walk(known, max_size, pool, guard)
     best, best_b, best_k, count = least
-    if best is None:
-        raise ValueError("no admissible subsets: the search region is empty")
     argmin = FolnerCandidate(SubsetSelection(host, best), "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
     if region is not None:
@@ -182,10 +182,6 @@ def _least_by_walk(host, max_size: int, pool: Sequence, guard: int) -> tuple:
 
 
 _NONE = 1 << 62  # the cost of a size no subset reaches; above every boundary count
-# The tables of a vertex alone, and of a pool leaf; none is ever mutated.
-_LONE = ([_NONE, 0], [_NONE, _NONE], [0, 1])
-_LEAF = [_LONE[:2]]
-_LEAF_UP = ([_NONE, 0], [_NONE, 1])
 
 
 def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -> tuple | None:
@@ -234,14 +230,14 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
                     order.append(u)
     if sum(map(len, near)) != 2 * (n - parent.count(-1)):
         return None
-    if not n:
-        return None, 0, 0, 0
     order.reverse()  # children first: vertex v of the tables is rank order[v]
     at = [0] * n
     for v, r in enumerate(order):
         at[r] = v
     kids = [[at[u] for u in near[r] if u != parent[r]] for r in order]
     outside = [len(hoods[r]) > len(near[r]) for r in order]  # a host neighbor outside the pool
+    # on top of a subset, a vertex is on its boundary when it has an outside neighbor or a parent
+    exposed = [outside[v] or parent[r] >= 0 for v, r in enumerate(order)]
     trail: list = [None] * n
     up: list = [None] * n
     counts: list = [None] * n
@@ -249,37 +245,34 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
     count = 0
     best_b, best_k, tops = 1, 0, []
     for v in range(n):
-        A, B, C = _LONE
+        A, B, C = [_NONE, 0], [_NONE, _NONE], [0, 1]  # v alone
+        steps = [(A, B)]
+        for c in kids[v]:
+            uc, cc = up[c], counts[c]
+            if low[c] < low[v]:
+                low[v] = low[c]
+            top = min(len(A) + len(uc) - 2, max_size)
+            nA = [_NONE] * (top + 1)
+            nB = list(map(min, A, B)) + [_NONE] * (top + 1 - len(A))  # c left out
+            nC = C + [0] * (top + 1 - len(C))
+            for k1 in range(1, len(A)):
+                a, b, m = A[k1], B[k1], C[k1]
+                for k2 in range(1, min(len(uc), top + 1 - k1)):
+                    k, x = k1 + k2, uc[k2]
+                    if a + x < nA[k]:
+                        nA[k] = a + x
+                    if b + x < nB[k]:
+                        nB[k] = b + x
+                    nC[k] += m * cc[k2]
+            A, B, C = nA, nB, nC
+            steps.append((A, B))
+        trail[v], counts[v] = steps, C
         e = outside[v]
-        if kids[v]:
-            steps = [(A, B)]
-            for c in kids[v]:
-                uc, cc = up[c], counts[c]
-                if low[c] < low[v]:
-                    low[v] = low[c]
-                top = min(len(A) + len(uc) - 2, max_size)
-                nA = [_NONE] * (top + 1)
-                nB = list(map(min, A, B)) + [_NONE] * (top + 1 - len(A))  # c left out
-                nC = C + [0] * (top + 1 - len(C))
-                for k1 in range(1, len(A)):
-                    a, b, m = A[k1], B[k1], C[k1]
-                    for k2 in range(1, min(len(uc), top + 1 - k1)):
-                        k, x = k1 + k2, uc[k2]
-                        if a + x < nA[k]:
-                            nA[k] = a + x
-                        if b + x < nB[k]:
-                            nB[k] = b + x
-                        nC[k] += m * cc[k2]
-                A, B, C = nA, nB, nC
-                steps.append((A, B))
-            trail[v], counts[v] = steps, C
-            up[v] = [_NONE] + [min(a + e, b + 1) for a, b in zip(A[1:], B[1:])]
-            count += sum(C) - 1
-            if count > guard:
-                raise SearchTooLargeError(f"connected-subset enumeration exceeded the work budget ({guard})")
-        else:
-            trail[v], counts[v], up[v] = _LEAF, C, _LEAF_UP[e]
-        t = e or parent[order[v]] >= 0  # v on top: a parent outside S puts it on the boundary
+        up[v] = [_NONE] + [min(a + e, b + 1) for a, b in zip(A[1:], B[1:])]
+        count += sum(C) - 1
+        if count > guard:
+            raise SearchTooLargeError(f"connected-subset enumeration exceeded the work budget ({guard})")
+        t = exposed[v]
         for k in range(1, len(A)):
             b = A[k] + t
             if B[k] < b:  # B[k] + 1 <= b
@@ -297,7 +290,7 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
     goals = []
     for v in tops:
         A, B = trail[v][-1]
-        t = outside[v] or parent[order[v]] >= 0
+        t = exposed[v]
         goals += [(v, len(kids[v]), best_k, f) for f, y in ((0, A[best_k] + t), (1, B[best_k] + 1)) if y == best_b]
     found = _optima(trail, kids, up, outside, order, goals)
     if found is None:

@@ -116,7 +116,7 @@ FIXTURES = [
 
 
 def _small_balls(limit: int = 16) -> list:
-    """Explored fixture balls whose interior holds at most ``limit`` vertices, small enough for the brute reference."""
+    """Fixture balls whose interior holds at most ``limit`` vertices, few enough for the brute reference."""
     out = []
     for name in FIXTURES:
         for radius in range(1, 9):
@@ -132,12 +132,11 @@ SMALL_BALLS = _small_balls()
 GW_BALL_LAWS = [((0, 0, 0, 1), 3), ((0, 0, "1/2", "1/2"), 3), (("1/4", "1/4", "1/2"), 4), (("1/2", 0, "1/2"), 4)]
 
 
-def check_cheeger_against_brute(host, max_size: int, region) -> None:
+def check_cheeger_against_brute(host, max_size: int, region=None) -> None:
     result = cheeger_exact(host, max_size, region=region)
-    allowed = region if region is not None else host.sorted_interior
-    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == brute.cheeger_by_enumeration(
-        host, max_size, allowed
-    )
+    allowed = region if region is not None else getattr(host, "sorted_interior", None)
+    expected = brute.cheeger_by_enumeration(host, max_size, allowed)
+    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == expected
     assert result.argmin.ratio == result.value
 
 
@@ -174,9 +173,8 @@ def test_cheeger_work_guard_trips_past_the_subset_count(t: Tree, max_size: int, 
                 cheeger_exact(t, max_size, region=region, guard=guard)
             assert str(exc.value) == f"connected-subset enumeration exceeded the work budget ({guard})"
         else:
-            assert cheeger_exact(t, max_size, region=region, guard=guard).scope["subsets_enumerated"] == multi + len(
-                set(pool)
-            )
+            result = cheeger_exact(t, max_size, region=region, guard=guard)
+            assert result.scope["subsets_enumerated"] == multi + len(set(pool))
 
 
 def test_cheeger_tie_break_on_relabeled_paths():
@@ -187,9 +185,7 @@ def test_cheeger_tie_break_on_relabeled_paths():
         rng.shuffle(perm)
         t = brute.relabel_tree(path_tree(13), perm)
         for max_size in (2, 3, 4):
-            result = cheeger_exact(t, max_size)
-            value, argmin, count = brute.cheeger_by_enumeration(t, max_size)
-            assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
+            check_cheeger_against_brute(t, max_size)
 
 
 def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
@@ -201,9 +197,7 @@ def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
         cases.append((Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n), rng.randrange(1, 6), None))
     monkeypatch.setattr(amenability, "_MAX_LISTED", 1)
     for t, max_size, region in cases:
-        result = cheeger_exact(t, max_size, region=region)
-        value, argmin, count = brute.cheeger_by_enumeration(t, max_size, region)
-        assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
+        check_cheeger_against_brute(t, max_size, region)
 
 
 class CountingHost:
