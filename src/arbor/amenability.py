@@ -123,9 +123,10 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
 
     The subsets range over the pool: ``region`` when given, else a Ball's
     interior or a finite host's vertices. Each pool vertex is asked for its
-    neighbors once, up front. When the pool spans a forest, a subtree
-    knapsack (the k-cardinality tree DP) gives the least boundary count and
-    the number of connected subsets at every size, topped at each vertex;
+    neighbors once, up front, and the argmin's boundary is read off those
+    lists too. When the pool spans a forest, a subtree knapsack (the
+    k-cardinality tree DP) gives the least boundary count and the number of
+    connected subsets at every size, topped at each vertex;
     ``scope["subsets_enumerated"]`` is the sum of those numbers. Otherwise,
     or when the ties for the minimum are too many to list, the ESU walk
     visits every subset. Either way SearchTooLargeError is raised once more
@@ -142,12 +143,14 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
     if not pool:
         raise ValueError("no admissible subsets: the search region is empty")
     hoods = [host.neighbors(v) for v in pool]
+    hood = dict(zip(pool, hoods))
     least = _least_by_knapsack(pool, hoods, max_size, guard)
     if least is None:  # a cycle, or too many optima to list
-        known = SimpleNamespace(neighbors=dict(zip(pool, hoods)).__getitem__)
-        least = _least_by_walk(known, max_size, pool, guard)
+        least = _least_by_walk(SimpleNamespace(neighbors=hood.__getitem__), max_size, pool, guard)
     best, best_b, best_k, count = least
-    argmin = FolnerCandidate(SubsetSelection(host, best), "enumerated")
+    members = frozenset(best)
+    boundary = frozenset(v for v in members if not members.issuperset(hood[v]))
+    argmin = FolnerCandidate(SubsetSelection._known(host, members, boundary), "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
     if region is not None:
         scope["region_size"] = len(pool)
@@ -417,28 +420,6 @@ def _branchless_run(view: TrimmedView, seed_radius: int, target_len: int) -> lis
     return best
 
 
-def _lift_run_candidate(view: TrimmedView, run: Sequence) -> FolnerCandidate:
-    """A witness from a degree-2 run of the view, pulled back to the host.
-
-    Its boundary is at most the two run ends, so its ratio is at most 2/len(run).
-    """
-    run_set = frozenset(run)
-    view_boundary = frozenset(
-        h for h in run if any(u not in run_set for u in view.neighbors(h))
-    )
-    members = lift_subset_through_trims(view, run)
-    sel = SubsetSelection(view.oracle, members)
-    # The lift re-attaches only trimmed leaves hanging inside the set, so the
-    # boundary must come back as the same set of vertices.
-    assert sel.boundary == view_boundary
-    assert sel.ratio <= Fraction(2, len(run))
-    return FolnerCandidate(
-        sel,
-        "branchless-path",
-        {"trim_level": view.level, "path_vertices": len(run)},
-    )
-
-
 @dataclass(frozen=True)
 class ContractionResult:
     """A tree with its maximal degree-2 chains collapsed to single edges."""
@@ -662,6 +643,16 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
 
 
 def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: int):
+    """Witnesses from the longest degree-2 run of each trim level 0..k_max, pulled back to the host.
+
+    Every prefix run[:L] gives one witness. Each run vertex is lifted once,
+    in run order, so the survival queries, and any budget error, follow the
+    run; the witness for run[:L] is the union of the first L lifts, which is
+    the lift of run[:L] (see ``lift_subset_through_trims``).
+    In a tree a prefix of a degree-2 run has exactly its two ends, run[0]
+    and run[L-1], on its boundary in the view, and the lift keeps that
+    boundary as a set, so the witness's ratio is at most 2/L.
+    """
     candidates = []
     chain_lengths = {}
     view = TrimmedView(oracle, 0, budgets.max_vertices)
@@ -670,8 +661,11 @@ def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: i
             break
         run = _branchless_run(view, budgets.seed_radius, path_target)
         chain_lengths[k] = len(run)
-        for length in range(1, len(run) + 1):
-            candidates.append(_lift_run_candidate(view, run[:length]))
+        members = frozenset()
+        for length, h in enumerate(run, 1):
+            members |= lift_subset_through_trims(view, (h,))
+            sel = SubsetSelection._known(oracle, members, frozenset((run[0], h)))
+            candidates.append(FolnerCandidate(sel, "branchless-path", {"trim_level": k, "path_vertices": length}))
         view = view.trimmed()
     return candidates, chain_lengths
 

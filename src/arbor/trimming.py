@@ -361,11 +361,15 @@ def lift_subset_through_trims(view: TrimmedView, members: Iterable) -> frozenset
     the level-(j-1) neighbors of the current set that level j lacks: the
     leaves trimmed at round j hanging on the set. Each such leaf's unique
     round-(j-1) neighbor lies inside the set, so the boundary is preserved as
-    a set while the size only grows. The removal rounds are read off view's
-    chain, so its memos and its budget serve the lift too. Members must be
-    vertices of view; they are taken in the order given, so the survival
-    queries, and any budget error among them, come in an order that does
-    not depend on hashing.
+    a set while the size only grows. That neighbor is the one vertex of the
+    current set the leaf hangs on, so the lifts of distinct survivors are
+    disjoint and the lift of a union is the union of the lifts; ``classify``
+    lifts each prefix of a run as the union of one lift per run vertex.
+
+    The removal rounds are read off view's chain, so its memos and its
+    budget serve the lift too. Members must be vertices of view; they are
+    taken in the order given, so the survival queries, and any budget error
+    among them, come in an order that does not depend on hashing.
     """
     cur = dict.fromkeys(members)
     while view.below is not None:

@@ -22,11 +22,13 @@ from arbor import (
     TreeAsOracle,
     TrimmedView,
     UnsupportedStructureError,
+    boundary_of,
     cheeger_exact,
     classify,
     contract_branchless,
     explore_ball,
     jsonable,
+    lift_subset_through_trims,
     make_fixture,
     min_degree3_bound_check,
     path_tree,
@@ -35,7 +37,7 @@ from arbor import (
     sandwich_check,
     subdivide_tree,
 )
-from arbor.amenability import _branchless_run, _inessential_witnesses, _lift_run_candidate
+from arbor.amenability import _branchless_run, _inessential_witnesses, _path_witnesses
 from brute import star_tree
 
 
@@ -137,6 +139,7 @@ def check_cheeger_against_brute(host, max_size: int, region=None) -> None:
     allowed = region if region is not None else getattr(host, "sorted_interior", None)
     expected = brute.cheeger_by_enumeration(host, max_size, allowed)
     assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == expected
+    assert result.argmin.selection.boundary == brute.boundary(host, result.argmin.members)
     assert result.argmin.ratio == result.value
 
 
@@ -220,7 +223,7 @@ class CountingHost:
 def test_cheeger_asks_each_pool_vertex_for_its_neighbors_once(t: Tree, max_size: int, data):
     region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=1), label="region")
     host = CountingHost(t)
-    cheeger_exact(host, max_size, region=region)
+    cheeger_exact(host, max_size, region=region).to_json()  # the argmin's boundary comes from the same lists
     pool = region if region is not None else range(t.vertex_count)
     assert host.calls == {v: 1 for v in pool}
 
@@ -228,7 +231,9 @@ def test_cheeger_asks_each_pool_vertex_for_its_neighbors_once(t: Tree, max_size:
 def test_cheeger_asks_once_on_balls_and_on_hosts_with_cycles():
     for inner in (explore_ball(make_fixture("regular(3)"), 6), brute.random_graph(random.Random(4), 9, 3)):
         host = CountingHost(inner)
-        cheeger_exact(host, 6)
+        result = cheeger_exact(host, 6)
+        result.to_json()
+        assert result.argmin.selection.boundary == brute.boundary(inner, result.argmin.members)
         pool = inner.sorted_interior if hasattr(inner, "interior") else range(inner.vertex_count)
         assert host.calls == {v: 1 for v in pool}
 
@@ -291,23 +296,47 @@ def branchless_run(oracle, k: int, target_len: int, seed_radius: int = 6):
     return view, _branchless_run(view, seed_radius, target_len)
 
 
-def test_folner_from_branchless_path_on_line():
-    z = make_fixture("zline_pendant")
-    view, run = branchless_run(z, 0, 10)
-    assert len(run) == 10
-    cand = _lift_run_candidate(view, run)
-    assert cand.ratio <= Fraction(2, 10)
-    assert len(cand.selection.boundary) <= 2
-    assert ("p", 0) not in cand.members  # degree-3 origin blocks level-0 runs
+def check_path_witnesses(oracle, k_max: int, path_target: int, seed_radius: int = 6) -> list:
+    """Compare classify's path witnesses with each run prefix lifted from scratch."""
+    budgets = ClassifyBudgets(seed_radius=seed_radius)
+    cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target)
+    prefixes = []
+    for k in range(k_max + 1):
+        view, run = branchless_run(oracle, k, path_target, seed_radius)
+        if view.root is None:
+            break
+        assert chain_lengths[k] == len(run)
+        prefixes += [(view, run[:length]) for length in range(1, len(run) + 1)]
+    assert len(cands) == len(prefixes)
+    for cand, (view, prefix) in zip(cands, prefixes):
+        assert cand.members == lift_subset_through_trims(view, prefix)
+        assert cand.selection.boundary == boundary_of(oracle, cand.members) == {prefix[0], prefix[-1]}
+        assert cand.ratio <= Fraction(2, len(prefix))
+        assert (cand.provenance, cand.detail) == ("branchless-path", {"trim_level": view.level, "path_vertices": len(prefix)})
+    return cands
 
-    view, run = branchless_run(z, 1, 10)
-    assert len(run) == 10
-    lifted = _lift_run_candidate(view, run)
-    assert (("p", 0) in lifted.members) == ((("z", 0)) in lifted.members)
-    assert lifted.detail["trim_level"] == 1
-    # every prefix lifts to a candidate of ratio at most 2/length
-    for length in range(1, len(run) + 1):
-        assert _lift_run_candidate(view, run[:length]).ratio <= Fraction(2, length)
+
+@given(random_trees(min_size=1, max_size=14), st.data())
+def test_path_witnesses_match_lifted_prefixes(t: Tree, data):
+    if data.draw(st.booleans(), label="subdivide"):
+        t = subdivide_tree(t)
+    root = data.draw(st.integers(0, t.vertex_count - 1), label="root")
+    k_max = data.draw(st.integers(0, 2), label="k_max")
+    path_target = data.draw(st.integers(1, 12), label="path_target")
+    check_path_witnesses(TreeAsOracle(t, root), k_max, path_target, data.draw(st.integers(0, 6), label="seed_radius"))
+
+
+@pytest.mark.parametrize("name", ["zline_pendant", "staircase", "staircase_n(2)"])
+def test_path_witnesses_match_lifted_prefixes_on_fixtures(name: str):
+    assert check_path_witnesses(make_fixture(name), 2, 20)
+
+
+def test_path_witnesses_on_line():
+    z = make_fixture("zline_pendant")
+    cands = check_path_witnesses(z, 1, 10)
+    assert [c.detail["trim_level"] for c in cands] == [0] * 10 + [1] * 10
+    assert all(("p", 0) not in c.members for c in cands[:10])  # degree-3 origin blocks level-0 runs
+    assert all((("p", 0) in c.members) == (("z", 0) in c.members) for c in cands[10:])
 
 
 def test_folner_from_branchless_path_absent():

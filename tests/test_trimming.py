@@ -391,15 +391,14 @@ def test_make_inessential_and_find_root():
 
 
 @given(random_trees(min_size=3, max_size=10))
-def test_make_inessential_reads_no_more_neighbors_than_is_inessential(t: Tree):
+def test_is_inessential_reads_each_member_at_most_twice(t: Tree):
+    # once to check the members are connected, once for their boundary
     for sub in connected_subsets(t, t.vertex_count - 1):
-        if len(sub) < 2 or not is_inessential(t, sub):
+        if len(sub) < 2:
             continue
-        test_host, make_host = CountingOracle(t), CountingOracle(t)
-        is_inessential(test_host, sub)
-        ines = brute.make_inessential(make_host, sub)
-        assert make_host.calls <= test_host.calls
-        assert boundary_of(t, sub) == {ines.root}
+        host = CountingOracle(t)
+        is_inessential(host, sub)
+        assert host.calls <= 2 * len(sub)
 
 
 def test_hanging_components_with_capability():
