@@ -58,7 +58,6 @@ from .galton_watson import (
     verify_dichotomy,
 )
 from .subsets import (
-    SubsetSelection,
     boundary_of,
     connected_subsets,
     is_connected_in,
@@ -101,7 +100,6 @@ __all__ = [
     "sary_tree",
     "subdivide_tree",
     # subsets
-    "SubsetSelection",
     "boundary_of",
     "is_connected_in",
     "connected_subsets",

@@ -9,7 +9,6 @@ guess: when neither is in reach within budget, the verdict is inconclusive.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .exploration import Ball, explore_ball
-from .subsets import SubsetSelection, _pool, _walk, boundary_of, is_connected_in
+from .subsets import _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
     InessentialSubtree,
@@ -34,8 +33,6 @@ from .trimming import (
     lift_subset_through_trims,
     removal_steps_in_ball,
 )
-
-log = logging.getLogger("arbor.amenability")
 
 __all__ = [
     "FolnerCandidate",
@@ -77,27 +74,25 @@ def jsonable(x):
 class FolnerCandidate:
     """A finite connected subset offered as (part of) an amenability witness."""
 
-    selection: SubsetSelection
-    provenance: str  # branchless-path | inessential-minus-root | enumerated | user
+    members: frozenset
+    boundary: frozenset  # members with a neighbor outside the subset
+    provenance: str  # branchless-path | inessential-minus-root | enumerated
     detail: dict = field(default_factory=dict, compare=False)
 
     @property
-    def members(self) -> frozenset:
-        return self.selection.members
-
-    @property
     def ratio(self) -> Fraction:
-        return self.selection.ratio
+        """Exact isoperimetric ratio |boundary| / |members|."""
+        return Fraction(len(self.boundary), len(self.members))
 
     @property
     def size(self) -> int:
-        return self.selection.size
+        return len(self.members)
 
     def to_json(self) -> dict:
         return {
             "members": jsonable(self.members),
             "size": self.size,
-            "boundary_size": len(self.selection.boundary),
+            "boundary_size": len(self.boundary),
             "ratio": str(self.ratio),
             "provenance": self.provenance,
             "detail": jsonable(self.detail),
@@ -150,7 +145,7 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
     best, best_b, best_k, count = least
     members = frozenset(best)
     boundary = frozenset(v for v in members if not members.issuperset(hood[v]))
-    argmin = FolnerCandidate(SubsetSelection._known(host, members, boundary), "enumerated")
+    argmin = FolnerCandidate(members, boundary, "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
     if region is not None:
         scope["region_size"] = len(pool)
@@ -636,9 +631,8 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
             pieces.append((frozenset().union(*(c.members for c in walked)), [c.attach for c in walked]))
         for witness, attaches in pieces:
             ines = InessentialSubtree(oracle, witness | {r}, r)
-            sel = SubsetSelection._known(oracle, witness, frozenset(attaches))
             found.append(ines)
-            candidates.append(FolnerCandidate(sel, "inessential-minus-root", {"root": r, "subtree_size": ines.size}))
+            candidates.append(FolnerCandidate(witness, frozenset(attaches), "inessential-minus-root", {"root": r, "subtree_size": ines.size}))
     return candidates, found
 
 
@@ -664,8 +658,7 @@ def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: i
         members = frozenset()
         for length, h in enumerate(run, 1):
             members |= lift_subset_through_trims(view, (h,))
-            sel = SubsetSelection._known(oracle, members, frozenset((run[0], h)))
-            candidates.append(FolnerCandidate(sel, "branchless-path", {"trim_level": k, "path_vertices": length}))
+            candidates.append(FolnerCandidate(members, frozenset((run[0], h)), "branchless-path", {"trim_level": k, "path_vertices": length}))
         view = view.trimmed()
     return candidates, chain_lengths
 
@@ -774,13 +767,6 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     ball = explore_ball(oracle, budgets.radius, max_vertices=budgets.max_vertices)
-
-    log.debug(
-        "explored %d vertices (frontier %d) at radius %d",
-        ball.vertex_count,
-        len(ball.frontier),
-        budgets.radius,
-    )
     ines_cands, found = _inessential_witnesses(oracle, ball, budgets)
     path_cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target)
 

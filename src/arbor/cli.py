@@ -13,8 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -46,15 +44,7 @@ from .galton_watson import (
 from .trees import parse_child_list, parse_tree, serialize_child_list
 from .trimming import ball_code_sequence, detect_period, trim_orbit
 
-log = logging.getLogger("arbor.cli")
-
 _OK, _INPUT_ERROR, _INCONCLUSIVE, _REFUTED = 0, 2, 3, 4
-
-
-def _configure_logging():
-    level = os.environ.get("ARBOR_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
 
 
 def _load_tree(path: str):
@@ -164,14 +154,14 @@ def cmd_cheeger(args, stdout) -> int:
         "argmin": {
             "members": _host_members(host, result.argmin.members),
             "size": result.argmin.size,
-            "boundary_size": len(result.argmin.selection.boundary),
+            "boundary_size": len(result.argmin.boundary),
             "ratio": str(result.argmin.ratio),
         },
         "scope": jsonable({**result.scope, **scope_note}),
     }
     lines = [
         f"value: {result.value}",
-        f"argmin size: {result.argmin.size} (boundary {len(result.argmin.selection.boundary)})",
+        f"argmin size: {result.argmin.size} (boundary {len(result.argmin.boundary)})",
     ]
     return _emit(doc, _OK, args, stdout, text_lines=lines)
 
@@ -388,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,13 +21,12 @@ numpy arrays; tests/test_gw.py checks every trial against sample().
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass, field
-from decimal import Decimal
+from dataclasses import asdict, dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -37,8 +36,6 @@ import numpy as np
 from .errors import InsufficientDepthError, InvalidVertexError
 from .exploration import Ball
 from .trees import Tree
-
-log = logging.getLogger("arbor.galton_watson")
 
 __all__ = [
     "GWSpec",
@@ -715,9 +712,30 @@ def parse_event(text: str) -> tuple:
 
 
 def _fraction_str(q: Fraction) -> str:
-    """``str(q)`` for any size: Decimal renders ints past the interpreter's int-to-str digit limit."""
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    """``str(q)`` for any size: Decimal renders ints past the interpreter's int-to-str digit limit.
+
+    ``Decimal(n)`` alone takes time quadratic in the digits of n, so each int
+    is split at a power of two, its halves converted recursively and joined
+    by one exact multiply-add; libmpdec multiplies large operands in
+    quasi-linear time. Each level splits at one or two widths, so the powers
+    ``Decimal(2) ** w`` are computed once each.
+    """
+    powers = {}
+
+    def convert(n, w):  # Decimal(n), split at bit w // 2; a negative n has a negative high part
+        if w <= 128:
+            return Decimal(n)
+        half = w >> 1
+        if half not in powers:
+            powers[half] = Decimal(2) ** half
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * powers[half]
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        num, den = (str(convert(n, n.bit_length())) for n in (q.numerator, q.denominator))
+    return num if q.denominator == 1 else f"{num}/{den}"
 
 
 @dataclass(frozen=True)
@@ -787,18 +805,7 @@ class GrowthReport:
     strict_increase_ok: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "generation": self.generation,
-            "trials": self.trials,
-            "mean_final": self.mean_final,
-            "target": self.target,
-            "std_error": self.std_error,
-            "within_4se": self.within_4se,
-            "monotone": self.monotone,
-            "strict_increase_freq": self.strict_increase_freq,
-            "strict_increase_floor": self.strict_increase_floor,
-            "strict_increase_ok": self.strict_increase_ok,
-        }
+        return asdict(self)
 
 
 def generation_growth_check(spec: GWSpec, n: int, trials: int, seed: int) -> GrowthReport:
@@ -1021,14 +1028,6 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
         se = math.sqrt(max(fraction * (1 - fraction), 1e-12) / effective) if effective else 0.0
         acc_rate = first_try / trials
         se_acc = math.sqrt(max(acc_rate * (1 - acc_rate), 1e-12) / trials)
-        log.debug(
-            "d=%d: %d/%d witnesses (floor %.3g), %d trials skipped",
-            d,
-            successes,
-            effective,
-            floor,
-            skipped,
-        )
         per_d.append(
             {
                 "d": d,

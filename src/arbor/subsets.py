@@ -1,4 +1,4 @@
-"""Connected vertex subsets of a tree-like host: boundaries, ratios, enumeration.
+"""Connected vertex subsets of a tree-like host: boundaries, connectivity, enumeration.
 
 A host is anything with a ``neighbors(v)`` method. That covers finite trees,
 explored balls of infinite trees, and the lazily evaluated fixtures. Boundary
@@ -9,14 +9,12 @@ outside the subset.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidVertexError, SearchTooLargeError
+from .errors import SearchTooLargeError
 from .trees import reach
 
 __all__ = [
-    "SubsetSelection",
     "boundary_of",
     "is_connected_in",
     "connected_subsets",
@@ -39,69 +37,6 @@ def boundary_of(host, members: Iterable[int]) -> frozenset[int]:
 def is_connected_in(host, members: Iterable[int]) -> bool:
     mem = frozenset(members)
     return bool(mem) and len(reach(host.neighbors, next(iter(mem)), within=mem)) == len(mem)
-
-
-class SubsetSelection:
-    """A nonempty vertex subset of a host, with cached boundary data.
-
-    The boundary and ratio are computed on demand. For partially explored
-    hosts the neighbor lookups may raise IncompleteKnowledgeError; that
-    propagates, by design, rather than silently producing a wrong boundary.
-    """
-
-    __slots__ = ("host", "members", "_connected", "_boundary")
-
-    def __init__(self, host, members: Iterable):
-        mem = frozenset(members)
-        if not mem:
-            raise ValueError("empty subset")
-        n = getattr(host, "vertex_count", None)
-        if n is not None:
-            for v in mem:
-                try:
-                    in_range = 0 <= v < n
-                except TypeError:
-                    in_range = False
-                if not in_range:
-                    raise InvalidVertexError(f"vertex {v!r} is out of range")
-        self.host = host
-        self.members = mem
-        self._connected: bool | None = None
-        self._boundary: frozenset[int] | None = None
-
-    @classmethod
-    def _known(cls, host, members: frozenset, boundary: frozenset) -> "SubsetSelection":
-        """A connected selection whose boundary the caller has already derived; nothing is rechecked."""
-        sel = cls.__new__(cls)
-        sel.host = host
-        sel.members = members
-        sel._connected = True
-        sel._boundary = boundary
-        return sel
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def is_connected(self) -> bool:
-        if self._connected is None:
-            self._connected = is_connected_in(self.host, self.members)
-        return self._connected
-
-    @property
-    def boundary(self) -> frozenset[int]:
-        if self._boundary is None:
-            self._boundary = boundary_of(self.host, self.members)
-        return self._boundary
-
-    @property
-    def ratio(self) -> Fraction:
-        """Exact isoperimetric ratio |boundary| / |members|."""
-        return Fraction(len(self.boundary), len(self.members))
-
-    def __repr__(self) -> str:
-        return f"SubsetSelection({len(self.members)} members)"
 
 
 def _pool(host, allowed: Iterable | None) -> Sequence:

@@ -13,7 +13,6 @@ oracle-driven computation exact.
 
 from __future__ import annotations
 
-import logging
 import math
 from copy import copy
 from dataclasses import dataclass, field
@@ -24,8 +23,6 @@ from .errors import BudgetExhaustedError, InvalidVertexError
 from .exploration import Ball, explore_ball
 from .subsets import boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, canonical_form, peel, reach, sorted_handles
-
-log = logging.getLogger("arbor.trimming")
 
 __all__ = [
     "TrimOrbit",

@@ -42,7 +42,6 @@ from arbor import (
     FolnerCandidate,
     InessentialSubtree,
     SearchTooLargeError,
-    SubsetSelection,
     Tree,
     explore_ball,
     hanging_components,
@@ -294,8 +293,9 @@ def make_inessential(host, members) -> InessentialSubtree:
 
 def folner_from_inessential(ines) -> FolnerCandidate:
     """The inessential subtree minus its root, whose only outside contact is the root."""
-    sel = SubsetSelection(ines.host, ines.members - {ines.root})
-    return FolnerCandidate(sel, "inessential-minus-root", {"root": ines.root, "subtree_size": ines.size})
+    members = ines.members - {ines.root}
+    detail = {"root": ines.root, "subtree_size": ines.size}
+    return FolnerCandidate(members, frozenset(boundary(ines.host, members)), "inessential-minus-root", detail)
 
 
 def inessential_witnesses_by_parts(oracle, ball, budgets):

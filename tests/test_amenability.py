@@ -17,7 +17,6 @@ from arbor import (
     GWSpec,
     IncompleteKnowledgeError,
     SearchTooLargeError,
-    SubsetSelection,
     Tree,
     TreeAsOracle,
     TrimmedView,
@@ -139,7 +138,7 @@ def check_cheeger_against_brute(host, max_size: int, region=None) -> None:
     allowed = region if region is not None else getattr(host, "sorted_interior", None)
     expected = brute.cheeger_by_enumeration(host, max_size, allowed)
     assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == expected
-    assert result.argmin.selection.boundary == brute.boundary(host, result.argmin.members)
+    assert result.argmin.boundary == brute.boundary(host, result.argmin.members)
     assert result.argmin.ratio == result.value
 
 
@@ -233,7 +232,7 @@ def test_cheeger_asks_once_on_balls_and_on_hosts_with_cycles():
         host = CountingHost(inner)
         result = cheeger_exact(host, 6)
         result.to_json()
-        assert result.argmin.selection.boundary == brute.boundary(inner, result.argmin.members)
+        assert result.argmin.boundary == brute.boundary(inner, result.argmin.members)
         pool = inner.sorted_interior if hasattr(inner, "interior") else range(inner.vertex_count)
         assert host.calls == {v: 1 for v in pool}
 
@@ -260,7 +259,7 @@ def check_witness_scan(oracle, radius: int, component_budget: int, scan_limit: i
     assert [(f.members, f.root) for f in found] == [(f.members, f.root) for f in ref_found]
     for c in cands:
         boundary = brute.boundary(oracle, c.members)
-        assert c.selection.boundary == boundary
+        assert c.boundary == boundary
         assert c.ratio == Fraction(len(boundary), c.size)
     return counts
 
@@ -310,7 +309,7 @@ def check_path_witnesses(oracle, k_max: int, path_target: int, seed_radius: int 
     assert len(cands) == len(prefixes)
     for cand, (view, prefix) in zip(cands, prefixes):
         assert cand.members == lift_subset_through_trims(view, prefix)
-        assert cand.selection.boundary == boundary_of(oracle, cand.members) == {prefix[0], prefix[-1]}
+        assert cand.boundary == boundary_of(oracle, cand.members) == {prefix[0], prefix[-1]}
         assert cand.ratio <= Fraction(2, len(prefix))
         assert (cand.provenance, cand.detail) == ("branchless-path", {"trim_level": view.level, "path_vertices": len(prefix)})
     return cands
@@ -469,7 +468,7 @@ def test_classify_zline_pendant():
     levels = {w.detail.get("trim_level") for w in report.witnesses if w.provenance == "branchless-path"}
     assert {0, 1} <= levels
     for w in report.witnesses:
-        assert w.ratio == SubsetSelection(make_fixture("zline_pendant"), w.members).ratio
+        assert w.ratio == brute.ratio(make_fixture("zline_pendant"), w.members)
 
 
 def test_classify_staircase():
@@ -479,7 +478,7 @@ def test_classify_staircase():
     assert report.best_ratio() <= Fraction(1, 10)
     assert report.scope["inessential_subtrees_found"] > 0
     for w in report.witnesses:
-        assert w.ratio == SubsetSelection(fix, w.members).ratio
+        assert w.ratio == brute.ratio(fix, w.members)
     # worst-first ordering with deterministic tie-breaks
     ratios = [w.ratio for w in report.witnesses]
     assert ratios == sorted(ratios, reverse=True)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from arbor import GWSpec, event_sary_prob, path_tree
 from arbor.cli import main
+from arbor.galton_watson import _fraction_str
 from brute import serialize_tree
 
 
@@ -271,6 +273,17 @@ def test_gw_events_exact_past_int_digit_limit(tmp_path):
     code, text = run(*args, "--format", "text")
     assert code == 0 and text.splitlines()[1].startswith(f"exact: {doc['exact']} = ")
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_fraction_str_matches_str():
+    rng = random.Random(7)
+    cases = [Fraction(0), Fraction(1, 16), Fraction(-3, 7), Fraction(2**128), Fraction(2**129 - 1, 3**90), Fraction(-(10**200))]
+    for bits in (1, 127, 128, 129, 1000, 332_193):  # 332_193 bits is about 10^5 decimal digits
+        num, den = rng.getrandbits(bits), rng.getrandbits(bits) | 1
+        cases += [Fraction(num), Fraction(num, den), Fraction(-num, den)]
+    with no_int_digit_limit():
+        for q in cases:
+            assert _fraction_str(q) == str(q)
 
 
 def test_gw_growth(quarter_law):

@@ -8,7 +8,6 @@ import brute
 from arbor import (
     IncompleteKnowledgeError,
     SearchTooLargeError,
-    SubsetSelection,
     Tree,
     boundary_of,
     connected_subsets,
@@ -45,23 +44,6 @@ def test_is_connected_matches_bfs(data):
 def test_boundary_whole_tree_is_empty():
     t = path_tree(4)
     assert boundary_of(t, range(4)) == frozenset()
-
-
-def test_selection_ratio():
-    t = path_tree(6)
-    sel = SubsetSelection(t, [1, 2, 3])
-    assert sel.size == 3
-    assert sel.boundary == frozenset({1, 3})
-    assert sel.ratio == brute.ratio(t, [1, 2, 3])
-    assert sel.is_connected
-
-
-@given(tree_and_subset())
-def test_selection_against_oracle(data):
-    t, members = data
-    sel = SubsetSelection(t, members)
-    assert sel.ratio == brute.ratio(t, members)
-    assert sel.is_connected == brute.is_connected_subset(t, members)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=10))
