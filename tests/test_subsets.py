@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import brute
 from arbor import (
+    FolnerCandidate,
     IncompleteKnowledgeError,
     SearchTooLargeError,
     Tree,
@@ -44,6 +45,29 @@ def test_is_connected_matches_bfs(data):
 def test_boundary_whole_tree_is_empty():
     t = path_tree(4)
     assert boundary_of(t, range(4)) == frozenset()
+
+
+def test_candidate_ratio():
+    t = path_tree(6)
+    members = frozenset({1, 2, 3})
+    cand = FolnerCandidate(members, boundary_of(t, members), "enumerated", {"note": 1})
+    assert cand.size == 3
+    assert cand.boundary == frozenset({1, 3})
+    assert cand.ratio == brute.ratio(t, members)
+    assert cand.to_json() == {
+        "members": [1, 2, 3], "size": 3, "boundary_size": 2, "ratio": "2/3",
+        "provenance": "enumerated", "detail": {"note": 1},
+    }
+    # equality is by members, boundary and provenance; detail is not compared
+    assert cand == FolnerCandidate(members, frozenset({1, 3}), "enumerated")
+
+
+@given(tree_and_subset())
+def test_candidate_against_oracle(data):
+    t, members = data
+    cand = FolnerCandidate(frozenset(members), boundary_of(t, members), "enumerated")
+    assert cand.size == len(members)
+    assert cand.ratio == brute.ratio(t, members)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=10))
