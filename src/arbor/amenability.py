@@ -89,13 +89,17 @@ class FolnerCandidate:
         return len(self.members)
 
     def to_json(self) -> dict:
+        return jsonable(self._doc())
+
+    def _doc(self) -> dict:
+        """The JSON document as library values, which ``jsonable`` or the CLI's emitter renders."""
         return {
-            "members": jsonable(self.members),
+            "members": self.members,
             "size": self.size,
             "boundary_size": len(self.boundary),
-            "ratio": str(self.ratio),
+            "ratio": self.ratio,
             "provenance": self.provenance,
-            "detail": jsonable(self.detail),
+            "detail": self.detail,
         }
 
 
@@ -586,17 +590,21 @@ class AmenabilityReport:
         return min((w.ratio for w in self.witnesses), default=None)
 
     def to_json(self) -> dict:
+        return jsonable(self._doc())
+
+    def _doc(self) -> dict:
+        """The JSON document as library values, which ``jsonable`` or the CLI's emitter renders."""
         doc = {
             "schema": "arbor/amenability-report/1",
             "verdict": self.verdict,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "scope": jsonable(self.scope),
+            "witnesses": [w._doc() for w in self.witnesses],
+            "scope": self.scope,
         }
         if self.certificate is not None:
-            doc["certificate"] = jsonable(self.certificate)
+            doc["certificate"] = self.certificate
         best = self.best_ratio()
         if best is not None:
-            doc["best_ratio"] = str(best)
+            doc["best_ratio"] = best
         return doc
 
 

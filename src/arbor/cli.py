@@ -18,13 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .amenability import (
-    ClassifyBudgets,
-    DeclaredBounds,
-    cheeger_exact,
-    classify,
-    jsonable,
-)
+from .amenability import ClassifyBudgets, DeclaredBounds, cheeger_exact, classify
 from .errors import (
     ArborError,
     BudgetExhaustedError,
@@ -41,7 +35,7 @@ from .galton_watson import (
     sample,
     verify_dichotomy,
 )
-from .trees import parse_child_list, parse_tree, serialize_child_list
+from .trees import parse_child_list, parse_tree, serialize_child_list, sorted_handles
 from .trimming import ball_code_sequence, detect_period, trim_orbit
 
 _OK, _INPUT_ERROR, _INCONCLUSIVE, _REFUTED = 0, 2, 3, 4
@@ -80,20 +74,104 @@ def _declared(args) -> DeclaredBounds | None:
 
 def _host_members(host, members):
     if isinstance(host, Ball):
-        return [jsonable(host.handle_of(v)) for v in sorted(members)]
-    return jsonable(members)
+        return [host.handle_of(v) for v in sorted(members)]
+    return members
 
 
-def _emit(doc, code, args, stdout, text_lines=None, csv_rows=None) -> int:
+_encode_str = json.encoder.encode_basestring_ascii
+# How a list writes an item of exactly these types; bool, an int subclass, is not one.
+_SCALARS = {int: int.__repr__, str: _encode_str}
+_SEQUENCES = {tuple, list}
+
+
+def _render(x) -> str:
+    """``x`` as indented JSON, byte-equal to ``json.dumps(jsonable(x), sort_keys=True, indent=2)``.
+
+    It makes ``jsonable``'s conversions in the same pass, so commands hand it
+    library values: tuples, frozensets (written in ``sorted_handles`` order),
+    ``Fraction``s (written as ``str``) and dicts whose keys are turned into
+    ``str`` before they are sorted. json's C encoder is off whenever
+    ``indent`` is set, so a list of ints and strings, such as a handle, is
+    written with one ``str.join``, and a list of handles with one per handle.
+    """
+    return _render_value(x, "\n")
+
+
+def _render_value(x, nl: str) -> str:
+    """One value; ``nl`` is the newline and indent of the line it starts on."""
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is tuple or t is list:
+        return _render_list(x, nl)
+    if t is frozenset or t is set:
+        return _render_list(sorted_handles(x), nl)
+    if t is dict:
+        return _render_dict(x, nl)
+    if t is Fraction:
+        return _encode_str(str(x))
+    # Subclasses and everything else, checked in jsonable's order.
+    if x is None or isinstance(x, (bool, float)):
+        return json.dumps(x)
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, (tuple, list)):
+        return _render_list(x, nl)
+    if isinstance(x, Fraction):
+        return _encode_str(str(x))
+    if isinstance(x, (set, frozenset)):
+        return _render_list(sorted_handles(x), nl)
+    if isinstance(x, dict):
+        return _render_dict(x, nl)
+    if hasattr(x, "item"):
+        return _render_value(x.item(), nl)
+    return _encode_str(repr(x))
+
+
+def _render_list(items, nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    try:
+        body = [_SCALARS[type(i)](i) for i in items]
+    except KeyError:
+        sub = inner + "  "
+        sep = "," + sub
+        try:
+            body = [
+                "[" + sub + sep.join([_SCALARS[type(j)](j) for j in i]) + inner + "]"
+                if type(i) in _SEQUENCES and i
+                else _SCALARS[type(i)](i)
+                for i in items
+            ]
+        except KeyError:
+            body = [_render_value(i, inner) for i in items]
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
+
+
+def _render_dict(x, nl: str) -> str:
+    if not x:
+        return "{}"
+    inner = nl + "  "
+    # As in jsonable, keys become str before sorting: "10" precedes "2", and of 1 and "1" the last wins.
+    items = sorted({str(k): v for k, v in x.items()}.items())
+    return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + _render_value(v, inner) for k, v in items]) + nl + "}"
+
+
+def _emit(doc, code, args, stdout, text_lines, csv_rows=None) -> int:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        stdout.write(_render(doc) + "\n")
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         stdout.write(buf.getvalue())
     else:
-        for line in text_lines or [json.dumps(doc, sort_keys=True)]:
+        for line in text_lines:
             stdout.write(line + "\n")
     return code
 
@@ -157,7 +235,7 @@ def cmd_cheeger(args, stdout) -> int:
             "boundary_size": len(result.argmin.boundary),
             "ratio": str(result.argmin.ratio),
         },
-        "scope": jsonable({**result.scope, **scope_note}),
+        "scope": {**result.scope, **scope_note},
     }
     lines = [
         f"value: {result.value}",
@@ -181,7 +259,7 @@ def cmd_classify(args, stdout) -> int:
         path_target=args.path_target,
     )
     report = classify(oracle, budgets, declared=declared, d_target=args.d_target)
-    doc = {"command": "classify", **source, **report.to_json()}
+    doc = {"command": "classify", **source, **report._doc()}
     code = _INCONCLUSIVE if report.verdict == "inconclusive" else _OK
     lines = _classify_lines(report, args.d_target) if args.format == "text" else None
     return _emit(doc, code, args, stdout, text_lines=lines)
@@ -403,8 +481,8 @@ def main(argv=None, stdout=None) -> int:
     except DeclaredBoundsRefutedError as exc:
         doc = {"error": str(exc), "kind": "declared-bounds-refuted"}
         if exc.counterexample is not None:
-            doc["counterexample"] = jsonable(exc.counterexample)
-        stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            doc["counterexample"] = exc.counterexample
+        stdout.write(_render(doc) + "\n")
         return _REFUTED
     except (BudgetExhaustedError, SearchTooLargeError, IncompleteKnowledgeError) as exc:
         stdout.write(json.dumps({"error": str(exc), "kind": "budget"}, sort_keys=True) + "\n")

@@ -2,15 +2,33 @@ import contextlib
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from arbor import GWSpec, event_sary_prob, path_tree
-from arbor.cli import main
+from arbor import (
+    ClassifyBudgets,
+    DeclaredBounds,
+    GWSpec,
+    TreeAsOracle,
+    cheeger_exact,
+    classify,
+    event_sary_prob,
+    explore_ball,
+    jsonable,
+    make_fixture,
+    parse_tree,
+    path_tree,
+    sary_tree,
+)
+from arbor.cli import _render, main
 from arbor.galton_watson import _fraction_str
 from brute import serialize_tree
 
@@ -385,3 +403,106 @@ def test_json_outputs_are_reproducible(quarter_law):
     a = run("classify", "--fixture", "staircase")
     b = run("classify", "--fixture", "staircase")
     assert a == b
+
+
+# Handles of mixed shapes, so a set of them falls back to sorted_handles' repr order.
+_handles = st.one_of(
+    st.integers(-50, 50),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.tuples(st.sampled_from("ptz"), st.integers(-5, 5)),
+    st.text(max_size=3),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),  # NaN, both infinities and -0.0 among them
+    st.text(),
+    st.text(alphabet='"\\\x00\x1f\x7f\n\t/\u00e9\u2713\U0001d11e', max_size=8),
+    st.fractions(),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.bool_, st.booleans()),
+)
+_keys = st.one_of(st.text(max_size=4), st.integers(-20, 20), st.sampled_from([1, "1", 2, 10, "10", 1.5, True]))
+_documents = st.recursive(
+    st.one_of(
+        _scalars,
+        st.frozensets(_handles, max_size=6),
+        st.sets(_handles, max_size=6),
+        st.frozensets(st.integers(-50, 50), max_size=6),  # sorted by value, where repr would put 10 before 9
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_keys, inner, max_size=5),
+        # lists of handle-like lists, with bools, empty items and scalars mixed in
+        st.lists(st.one_of(_handles, st.lists(st.one_of(st.integers(), st.text(max_size=2), st.booleans()))), max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+def _nested(depth: int):
+    doc = [Fraction(1, 3)]
+    for i in range(depth):
+        doc = {i: (doc, frozenset()), "": []} if i % 2 else [doc, ()]
+    return doc
+
+
+@given(_documents)
+@example({2: "a", 10: "b"})
+@example({1: "int", "1": "str"})
+@example({"1": "str", 1: "int"})
+@example([True, 1, False, 0])
+@example([[1, True], (0, "z"), [], ()])
+@example(frozenset({3, ("z", 1), "a", (0, 0)}))
+@example({10, 9, -1})
+@example([math.nan, math.inf, -math.inf, -0.0])
+@example(_nested(40))
+def test_render_matches_json_dumps_of_jsonable(doc):
+    assert _render(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2)
+
+
+def _library_classify(oracle, source, radius=10, d_target=10, declared=None):
+    """The document ``arbor classify`` prints, built from the library's report."""
+    report = classify(oracle, ClassifyBudgets(radius=radius, max_vertices=30000), declared=declared, d_target=d_target)
+    return {"command": "classify", **source, **report.to_json()}
+
+
+@pytest.mark.parametrize(
+    "fixture, radius, d_target, declared",
+    [
+        ("staircase", 12, 10, None),
+        ("zline_pendant", 10, 12, None),
+        ("regular(3)", 6, 10, DeclaredBounds(0, 1, 1)),
+    ],
+)
+def test_classify_cli_document_is_the_library_report(fixture, radius, d_target, declared):
+    argv = ["classify", "--fixture", fixture, "--radius", str(radius), "--d-target", str(d_target)]
+    if declared is not None:
+        argv += ["--declared-k", str(declared.k), "--declared-d", str(declared.d), "--declared-R", str(declared.R)]
+    code, doc = run_json(*argv)
+    assert code == 0
+    assert doc == _library_classify(make_fixture(fixture), {"fixture": fixture}, radius, d_target, declared)
+
+
+def test_classify_cli_document_is_the_library_report_on_a_tree_file(tmp_path):
+    path = tmp_path / "binary4.txt"
+    path.write_text(serialize_tree(sary_tree(2, 4)))
+    code, doc = run_json("classify", "--input", str(path))
+    assert code in (0, 3)
+    tree = parse_tree(path.read_text())
+    assert doc == _library_classify(TreeAsOracle(tree), {"input": str(path)})
+    assert doc["witnesses"]
+
+
+def test_cheeger_cli_scope_is_the_library_scope():
+    code, doc = run_json("cheeger", "--fixture", "regular(3)", "--radius", "4", "--max-size", "5")
+    assert code == 0
+    host = explore_ball(make_fixture("regular(3)"), 4, max_vertices=30000)
+    result = cheeger_exact(host, 5)
+    assert doc["scope"] == {**jsonable(result.scope), "fixture": "regular(3)", "radius": 4}
+    assert doc["value"] == str(result.value)
+    assert doc["argmin"]["members"] == [jsonable(host.handle_of(v)) for v in sorted(result.argmin.members)]
