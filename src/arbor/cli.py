@@ -99,6 +99,8 @@ def _render(x) -> str:
 
 def _render_value(x, nl: str) -> str:
     """One value; ``nl`` is the newline and indent of the line it starts on."""
+    # Exact types first: documents are made of them, and the isinstance
+    # checks below cost more, Fraction's most (it goes through ABCMeta).
     t = type(x)
     if t is str:
         return _encode_str(x)
@@ -139,6 +141,9 @@ def _render_list(items, nl: str) -> str:
     try:
         body = [_SCALARS[type(i)](i) for i in items]
     except KeyError:
+        # A list of handles, such as a witness's members, with one join per
+        # handle. If an item is neither an int, a str nor a non-empty list
+        # of ints and strs, every item goes through _render_value instead.
         sub = inner + "  "
         sep = "," + sub
         try:
