@@ -23,7 +23,7 @@ from .errors import (
     SearchTooLargeError,
     UnsupportedStructureError,
 )
-from .exploration import Ball, explore_ball
+from .exploration import Ball, _NeighborMemo, explore_ball
 from .subsets import _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
@@ -623,7 +623,7 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     neighbor of r, so the attach vertices are the witness's boundary.
     """
     scan = ball.sorted_interior
-    if not hasattr(oracle, "hanging_component_size"):
+    if not hasattr(oracle, "hanging_component_sizes"):
         scan = scan[: budgets.scan_limit]
     adjacency = ball.tree.adjacency
     candidates = []
@@ -761,7 +761,9 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
     ratio <= 1/d_target as a witness of amenability. With declared global
     bounds (k, d, R) it instead cross-examines the explored region against
     them and, if nothing contradicts, certifies the ratio floor 1/(2dR).
-    Deterministic for fixed inputs.
+    Every reader goes through one memo of the host's neighbors, dropped on
+    return, so each handle reaches the host once per call (and once more
+    inside ``hanging_component_sizes``). Deterministic for fixed inputs.
     """
     budgets = budgets or ClassifyBudgets()
     if d_target < 1:
@@ -774,6 +776,7 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
     k_max = budgets.k_max if budgets.k_max is not None else max(1, budgets.radius - path_target)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    oracle = _NeighborMemo(oracle)
     ball = explore_ball(oracle, budgets.radius, max_vertices=budgets.max_vertices)
     ines_cands, found = _inessential_witnesses(oracle, ball, budgets)
     path_cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target)

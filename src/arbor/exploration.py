@@ -1,10 +1,17 @@
 """Local exploration of possibly infinite trees through a neighbor oracle.
 
-An oracle exposes ``root``, ``neighbors(handle)``, and optionally
-``hanging_component_size(r, u)`` for fixtures that can answer component
-sizes without a walk. ``explore_ball`` materializes a finite rooted ball
-and records exactly which vertices sit on the information frontier, so
-later boundary computations can refuse to guess instead of being wrong.
+An oracle exposes ``root``, ``neighbors(handle)`` (a sequence of hashable
+handles), and optionally ``hanging_component_sizes(r)``: a dict from each
+neighbor u of r to the size of u's component in the tree minus r
+(``math.inf`` when it is infinite), for hosts that can answer without a
+walk. A host without it is a black box whose components are walked up to a
+budget. ``explore_ball`` materializes a finite rooted ball and records
+exactly which vertices sit on the information frontier, so later boundary
+computations can refuse to guess instead of being wrong.
+
+``classify`` and ``ball_code_sequence`` put their host behind a per-call
+memo of ``neighbors``, so each handle reaches the host once per call
+however many readers ask for it.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ class TreeAsOracle:
     """Wrap a finite Tree as a neighbor oracle.
 
     Useful for exercising the exploration machinery against hosts where the
-    whole truth is already known. The first ``hanging_component_size`` call
-    caches one pass over the tree rooted at ``root``, so the oracle is
-    read-only afterwards: reassigning ``tree`` or ``root`` would leave the
-    cache stale.
+    whole truth is already known. It answers ``hanging_component_sizes(r)``
+    for every neighbor of r, all finite. The first such call caches one pass
+    over the tree rooted at ``root``, so the oracle is read-only afterwards:
+    reassigning ``tree`` or ``root`` would leave the cache stale.
     """
 
     __slots__ = ("tree", "root", "_parent", "_below")
@@ -40,15 +47,14 @@ class TreeAsOracle:
     def neighbors(self, v: int):
         return self.tree.neighbors(v)
 
-    def hanging_component_size(self, r: int, u: int) -> int:
-        """Size of the component of u after deleting r. Always finite here."""
-        if u not in self.tree.neighbors(r):
-            raise ValueError(f"{u} is not a neighbor of {r}")
+    def hanging_component_sizes(self, r: int) -> dict[int, int]:
+        """Each neighbor u of r mapped to the size of u's component after deleting r."""
+        ns = self.tree.neighbors(r)  # checks r
         if self._below is None:
             self._root_pass()
-        if self._parent[u] == r:
-            return self._below[u]
-        return self.tree.vertex_count - self._below[r]
+        parent, below = self._parent, self._below
+        above = self.tree.vertex_count - below[r]
+        return {u: below[u] if parent[u] == r else above for u in ns}
 
     def _root_pass(self) -> None:
         """Each vertex's parent and subtree size in the tree rooted at ``root``."""
@@ -64,6 +70,37 @@ class TreeAsOracle:
         for v in reversed(order[1:]):
             below[parent[v]] += below[v]
         self._parent, self._below = parent, below
+
+
+class _NeighborMemo:
+    """A host behind a memo of its ``neighbors``, for the length of one call.
+
+    Each handle reaches the host's ``neighbors`` once; an error is not kept,
+    so asking again asks the host again. ``root`` and
+    ``hanging_component_sizes`` are the host's own, and absent exactly when
+    the host lacks them. The memo keeps every answer for as long as it
+    lives, so a caller drops it when it returns.
+    """
+
+    __slots__ = ("host", "_hoods")
+
+    def __init__(self, host):
+        self.host = host
+        self._hoods: dict = {}
+
+    def neighbors(self, h):
+        ns = self._hoods.get(h)
+        if ns is None:
+            ns = self._hoods[h] = self.host.neighbors(h)
+        return ns
+
+    @property
+    def root(self):
+        return self.host.root
+
+    @property
+    def hanging_component_sizes(self):
+        return self.host.hanging_component_sizes
 
 
 class Ball:

@@ -1,10 +1,12 @@
 """Lazily evaluated infinite trees used as test hosts and CLI inputs.
 
-Each fixture is a neighbor oracle over hashable handles. Fixtures also
-answer ``hanging_component_size(r, u)``: the size of the component of ``u``
-in the tree minus ``r`` (``math.inf`` when that component is infinite).
-That capability is what lets searches over these hosts skip unbounded
-walks.
+Each fixture is a neighbor oracle over hashable handles: ``root`` and
+``neighbors(h)``, which raises InvalidVertexError for a handle that is not a
+vertex. Fixtures also answer ``hanging_component_sizes(r)``: a dict from
+each neighbor u of r, in ``neighbors(r)`` order, to the size of u's
+component in the tree minus r (``math.inf`` when that component is
+infinite). It checks r once, through ``neighbors(r)``, and is what lets
+searches over these hosts skip unbounded walks.
 """
 
 from __future__ import annotations
@@ -57,12 +59,8 @@ class RegularTree:
             return tuple((i,) for i in range(self.k))
         return (h[:-1],) + tuple(h + (i,) for i in range(self.k - 1))
 
-    def hanging_component_size(self, r, u) -> float:
-        ns = self.neighbors(r)  # checks r
-        self._check(u)
-        if u not in ns:
-            raise ValueError(f"{u!r} is not a neighbor of {r!r}")
-        return math.inf
+    def hanging_component_sizes(self, r) -> dict:
+        return dict.fromkeys(self.neighbors(r), math.inf)
 
     def __repr__(self) -> str:
         return f"RegularTree({self.k})"
@@ -100,15 +98,12 @@ class SAryTree:
             return kids
         return (h[:-1],) + kids
 
-    def hanging_component_size(self, r, u) -> float:
-        ns = self.neighbors(r)  # checks r
-        self._check(u)
-        if u not in ns:
-            raise ValueError(f"{u!r} is not a neighbor of {r!r}")
-        if r and u == r[:-1]:
-            # Component through the parent. Finite only on the single ray.
-            return len(r) if self.s == 1 else math.inf
-        return math.inf
+    def hanging_component_sizes(self, r) -> dict:
+        sizes = dict.fromkeys(self.neighbors(r), math.inf)
+        if r and self.s == 1:
+            # On the single ray the component through the parent is finite.
+            sizes[r[:-1]] = len(r)
+        return sizes
 
     def __repr__(self) -> str:
         return f"SAryTree({self.s})"
@@ -146,14 +141,11 @@ class ZLinePendant:
             out = out + (("p", 0),)
         return out
 
-    def hanging_component_size(self, r, u) -> float:
-        ns = self.neighbors(r)  # checks r
-        self._check(u)
-        if u not in ns:
-            raise ValueError(f"{u!r} is not a neighbor of {r!r}")
-        if u == ("p", 0):
-            return 1
-        return math.inf
+    def hanging_component_sizes(self, r) -> dict:
+        sizes = dict.fromkeys(self.neighbors(r), math.inf)
+        if ("p", 0) in sizes:
+            sizes[("p", 0)] = 1
+        return sizes
 
     def __repr__(self) -> str:
         return "ZLinePendant()"
@@ -199,12 +191,8 @@ class ThreeRegularPlusRay:
             return tuple(("t", (i,)) for i in range(3)) + (("r", 1),)
         return (("t", rest[:-1]),) + tuple(("t", rest + (i,)) for i in range(2))
 
-    def hanging_component_size(self, r, u) -> float:
-        ns = self.neighbors(r)  # checks r
-        self._check(u)
-        if u not in ns:
-            raise ValueError(f"{u!r} is not a neighbor of {r!r}")
-        return math.inf
+    def hanging_component_sizes(self, r) -> dict:
+        return dict.fromkeys(self.neighbors(r), math.inf)
 
     def __repr__(self) -> str:
         return "ThreeRegularPlusRay()"
@@ -258,24 +246,19 @@ class Staircase:
                 out.append((i, j + 1))
         return tuple(sorted(out))
 
-    def hanging_component_size(self, r, u) -> float:
-        ns = self.neighbors(r)  # checks r
-        self._check(u)
-        if u not in ns:
-            raise ValueError(f"{u!r} is not a neighbor of {r!r}")
+    def hanging_component_sizes(self, r) -> dict:
+        sizes = dict.fromkeys(self.neighbors(r), math.inf)
         i, j = r
-        ui, uj = u
         if j == 0:
-            if ui == i and uj == 1:
-                return self.n * i
-            if ui == i - 1:
+            if (i, 1) in sizes:
+                sizes[(i, 1)] = self.n * i
+            if i >= 1:
                 # Everything left of spine position i: i spine vertices and
                 # the columns at 1..i-1.
-                return i + self.n * i * (i - 1) // 2
-            return math.inf
-        if uj == j + 1:
-            return self.n * i - j
-        return math.inf
+                sizes[(i - 1, 0)] = i + self.n * i * (i - 1) // 2
+        elif (i, j + 1) in sizes:
+            sizes[(i, j + 1)] = self.n * i - j
+        return sizes
 
     def __repr__(self) -> str:
         return f"Staircase({self.n})"

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .errors import BudgetExhaustedError, InvalidVertexError
-from .exploration import Ball, explore_ball
+from .errors import BudgetExhaustedError, InvalidVertexError, UnsupportedStructureError
+from .exploration import Ball, _NeighborMemo, explore_ball
 from .subsets import boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, canonical_form, peel, reach, sorted_handles
 
@@ -244,12 +244,13 @@ def ball_code_sequence(oracle, radius: int, steps: int, max_vertices: int | None
 
     Entry j describes the j-fold trimmed tree, rebased at its surviving
     basepoint. If some stage is empty its code is b"*" and the sequence ends.
-    The stages are the levels of one ``TrimmedView`` chain.
+    The stages are the levels of one ``TrimmedView`` chain over a memo of
+    the host's neighbors, so each handle reaches the host once per call.
     """
     if radius < 0 or steps < 0:
         raise ValueError("radius and steps must be nonnegative")
     codes: list[bytes] = []
-    view = TrimmedView(oracle, 0, max_vertices)
+    view = TrimmedView(_NeighborMemo(oracle), 0, max_vertices)
     for _ in range(steps + 1):
         base = view.root
         if base is None:
@@ -324,26 +325,31 @@ class HangingComponent:
 def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingComponent]:
     """Classify each component of host - r as finite (with members), infinite, or unknown.
 
-    Fixtures that can answer component sizes analytically are consulted first;
-    otherwise finiteness is decided by bounded search, and 'unknown' is an
-    honest budget verdict, never a guess.
+    A host with ``hanging_component_sizes`` names r's neighbors and their
+    component sizes in one call, and each finite component within
+    max_vertices is walked to collect its members; a walk that disagrees
+    with the claimed size raises UnsupportedStructureError. Any other host
+    has each component walked up to max_vertices, and 'unknown' is an honest
+    budget verdict, never a guess.
     """
-    has_cap = hasattr(oracle, "hanging_component_size")
+    sizes_of = getattr(oracle, "hanging_component_sizes", None)
+    sizes = sizes_of(r) if sizes_of is not None else dict.fromkeys(oracle.neighbors(r))
     out = []
-    for u in sorted_handles(oracle.neighbors(r)):
-        if has_cap:
-            s = oracle.hanging_component_size(r, u)
-            if s == math.inf:
-                out.append(HangingComponent(u, "infinite", None, None))
-                continue
-            if s > max_vertices:
-                out.append(HangingComponent(u, "finite", int(s), None))
-                continue
-            comp = reach(oracle.neighbors, u, avoid=(r,), cap=int(s))
-            assert comp is not None and len(comp) == s
-            out.append(HangingComponent(u, "finite", int(s), frozenset(comp)))
+    for u in sorted_handles(sizes):
+        s = sizes[u]
+        if s == math.inf:
+            out.append(HangingComponent(u, "infinite", None, None))
+        elif s is not None and s > max_vertices:
+            out.append(HangingComponent(u, "finite", int(s), None))
         else:
+            # A claimed size s <= max_vertices that is true ends this walk after s vertices.
             comp = reach(oracle.neighbors, u, avoid=(r,), cap=max_vertices)
+            if s is not None and (comp is None or len(comp) != s):
+                walked = f"more than {max_vertices}" if comp is None else len(comp)
+                raise UnsupportedStructureError(
+                    f"the host claims the component of {u!r} in the tree minus {r!r} has {s} vertices, "
+                    f"but a walk finds {walked}"
+                )
             if comp is None:
                 out.append(HangingComponent(u, "unknown", None, None))
             else:

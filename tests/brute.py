@@ -305,7 +305,7 @@ def inessential_witnesses_by_parts(oracle, ball, budgets):
     union witnesses formed when some component was left unwalked (``"union"``).
     """
     scan = ball.sorted_interior
-    if not hasattr(oracle, "hanging_component_size"):
+    if not hasattr(oracle, "hanging_component_sizes"):
         scan = scan[: budgets.scan_limit]
     candidates, found = [], []
     counts = {"unwalked": 0, "union": 0}

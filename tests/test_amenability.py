@@ -284,7 +284,7 @@ def test_inessential_witnesses_match_parts_on_random_trees(t: Tree, data):
     budget = data.draw(st.integers(1, 8), label="component_budget")
     oracle = TreeAsOracle(t, root)
     if data.draw(st.booleans(), label="black box"):
-        # no hanging_component_size: components are walked up to the budget
+        # no hanging_component_sizes: components are walked up to the budget
         oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
     check_witness_scan(oracle, radius, budget, scan_limit=data.draw(st.integers(1, 30), label="scan_limit"))
 

@@ -1,0 +1,133 @@
+"""How often classify and trim ask their host for a handle's neighbors.
+
+Both put the host behind a per-call memo of ``neighbors``, so a handle
+reaches the host once through the memo, and once more inside
+``hanging_component_sizes``, which checks its r itself.
+"""
+
+import io
+import random
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+
+import arbor.cli as cli
+import brute
+from arbor import (
+    ClassifyBudgets,
+    DeclaredBounds,
+    InvalidVertexError,
+    Tree,
+    TreeAsOracle,
+    ball_code_sequence,
+    classify,
+    make_fixture,
+)
+from arbor.exploration import _NeighborMemo
+
+
+def counting(host):
+    """host as an instance of a subclass whose ``neighbors`` counts its calls per handle."""
+
+    class Counting(type(host)):
+        def neighbors(self, h):
+            self.asked[h] += 1
+            return super().neighbors(h)
+
+    twin = Counting.__new__(Counting)
+    for slot in type(host).__slots__:
+        if hasattr(host, slot):
+            setattr(twin, slot, getattr(host, slot))
+    twin.asked = Counter()
+    return twin
+
+
+def run_counted(monkeypatch, argv: list) -> Counter:
+    """Run the CLI with its fixture counted; return the calls per handle."""
+    hosts = []
+
+    def make(name):
+        hosts.append(counting(make_fixture(name)))
+        return hosts[-1]
+
+    monkeypatch.setattr(cli, "make_fixture", make)
+    cli.main(argv, stdout=io.StringIO())
+    (host,) = hosts
+    return host.asked
+
+
+@pytest.mark.parametrize(
+    "argv, calls, handles",
+    [
+        (["classify", "--fixture", "regular(3)", "--declared-k", "0", "--declared-d", "1", "--declared-R", "1"], 3068, 1534),
+        (["classify", "--fixture", "staircase", "--radius", "25", "--d-target", "23"], 481, 325),
+        (["classify", "--fixture", "zline_pendant", "--d-target", "30"], 90, 71),
+    ],
+)
+def test_classify_asks_each_handle_at_most_twice(monkeypatch, argv: list, calls: int, handles: int):
+    # without the memo the busiest handle was asked 11, 35 and 13 times
+    asked = run_counted(monkeypatch, argv)
+    assert max(asked.values()) <= 2
+    assert (sum(asked.values()), len(asked)) == (calls, handles)
+
+
+def test_trim_asks_each_handle_once(monkeypatch):
+    # without the memo: 607 calls for 102 handles, up to 13 for one handle
+    asked = run_counted(monkeypatch, ["trim", "--fixture", "staircase_n(2)", "--radius", "8", "--steps", "6"])
+    assert set(asked.values()) == {1}
+    assert len(asked) == 102
+
+
+def test_classify_on_a_finite_tree_asks_each_handle_at_most_twice():
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(7), 120), vertex_count=120)
+    host = counting(TreeAsOracle(t, root=5))
+    classify(host, ClassifyBudgets(radius=6), declared=DeclaredBounds(3, 4, 200))
+    assert max(host.asked.values()) <= 2
+    classify(host, ClassifyBudgets(radius=6))
+    assert max(host.asked.values()) <= 4  # a second call starts a new memo
+
+
+def test_classify_asks_a_black_box_host_each_handle_once():
+    inner = make_fixture("staircase")
+    asked = Counter()
+
+    def neighbors(h):
+        asked[h] += 1
+        return inner.neighbors(h)
+
+    classify(SimpleNamespace(root=inner.root, neighbors=neighbors), ClassifyBudgets(radius=12))
+    assert set(asked.values()) == {1}
+
+
+def test_ball_code_sequence_asks_each_handle_once():
+    host = counting(make_fixture("zline_pendant"))
+    codes = ball_code_sequence(host, 4, 3)
+    assert codes == ball_code_sequence(make_fixture("zline_pendant"), 4, 3)
+    assert set(host.asked.values()) == {1}
+
+
+def test_neighbor_memo_forwards_only_what_the_host_has():
+    fixture = make_fixture("staircase")
+    memo = _NeighborMemo(fixture)
+    assert memo.root == (0, 0)
+    assert memo.hanging_component_sizes((1, 0)) == fixture.hanging_component_sizes((1, 0))
+    bare = _NeighborMemo(SimpleNamespace(neighbors=fixture.neighbors))
+    assert not hasattr(bare, "root")
+    assert not hasattr(bare, "hanging_component_sizes")
+
+
+def test_neighbor_memo_keeps_answers_but_not_errors():
+    asked = Counter()
+    fixture = make_fixture("regular(3)")
+
+    def neighbors(h):
+        asked[h] += 1
+        return fixture.neighbors(h)
+
+    memo = _NeighborMemo(SimpleNamespace(neighbors=neighbors))
+    assert memo.neighbors(()) is memo.neighbors(())
+    for _ in range(2):
+        with pytest.raises(InvalidVertexError):
+            memo.neighbors((5,))
+    assert asked == {(): 1, (5,): 2}

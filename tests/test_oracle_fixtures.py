@@ -60,63 +60,49 @@ def test_tree_oracle_root_defaults():
 def test_tree_oracle_component_sizes(oracle: TreeAsOracle, rng: random.Random):
     t = oracle.tree
     n = t.vertex_count
-    pairs = [(r, u) for r in range(n) for u in t.neighbors(r)]  # every leaf appears as r
-    rng.shuffle(pairs)  # the first call builds the cached pass, whichever pair it is
-    for r, u in pairs:
-        size = oracle.hanging_component_size(r, u)
-        assert size == walk_component(oracle, r, u)
-        assert size + oracle.hanging_component_size(u, r) == n
-    for r in range(n):
-        for u in range(n):
-            if u not in t.neighbors(r):
-                with pytest.raises(ValueError, match="is not a neighbor of"):
-                    oracle.hanging_component_size(r, u)
+    order = list(range(n))  # every leaf appears as r
+    rng.shuffle(order)  # the first call builds the cached pass, whichever vertex it is
+    for r in order:
+        sizes = oracle.hanging_component_sizes(r)
+        assert list(sizes) == list(oracle.neighbors(r))
+        for u, size in sizes.items():
+            assert size == walk_component(oracle, r, u)
+            assert size + oracle.hanging_component_sizes(u)[r] == n
     with pytest.raises(InvalidVertexError):
-        oracle.hanging_component_size(n, 0)
+        oracle.hanging_component_sizes(n)
 
 
-# fixture -> (r, u) pairs whose hanging_component_size call fails, with the error each raises
+# fixture -> invalid vertices r whose hanging_component_sizes call fails, with the error each raises
 COMPONENT_SIZE_ERRORS = {
     "regular(3)": [
-        (("x", ()), InvalidVertexError, "handle 'x' is not a tuple"),
-        (((), (3,)), InvalidVertexError, "handle (3,) has an out-of-range step"),
-        (((), (0, 0)), ValueError, "(0, 0) is not a neighbor of ()"),
-        (((9,), (0, 0, 0)), InvalidVertexError, "handle (9,) has an out-of-range step"),
+        ("x", InvalidVertexError, "handle 'x' is not a tuple"),
+        ((9,), InvalidVertexError, "handle (9,) has an out-of-range step"),
     ],
     "sary(2)": [
-        (((2,), (0,)), InvalidVertexError, "handle (2,) has an out-of-range step"),
-        (((0,), [0]), InvalidVertexError, "handle [0] is not a tuple"),
-        (((0,), (1,)), ValueError, "(1,) is not a neighbor of (0,)"),
-        (("x", "y"), InvalidVertexError, "handle 'x' is not a tuple"),
+        ((2,), InvalidVertexError, "handle (2,) has an out-of-range step"),
+        ("x", InvalidVertexError, "handle 'x' is not a tuple"),
     ],
     "zline_pendant": [
-        ((("p", 1), ("z", 0)), InvalidVertexError, "handle ('p', 1) is not a vertex of this tree"),
-        ((("z", 0), ("q", 0)), InvalidVertexError, "handle ('q', 0) is not a vertex of this tree"),
-        ((("z", 0), ("z", 2)), ValueError, "('z', 2) is not a neighbor of ('z', 0)"),
-        ((("z",), ("q", 0)), InvalidVertexError, "handle ('z',) is not a vertex of this tree"),
+        (("p", 1), InvalidVertexError, "handle ('p', 1) is not a vertex of this tree"),
+        (("z",), InvalidVertexError, "handle ('z',) is not a vertex of this tree"),
     ],
     "threereg_plus_ray": [
-        ((("r", 0), ("r", 1)), InvalidVertexError, "handle ('r', 0) is not a vertex of this tree"),
-        ((("t", ()), ("t", (3,))), InvalidVertexError, "handle ('t', (3,)) has an out-of-range step"),
-        ((("t", ()), ("r", 2)), ValueError, "('r', 2) is not a neighbor of ('t', ())"),
-        ((("s", ()), ("t", (3,))), InvalidVertexError, "handle ('s', ()) is not a vertex of this tree"),
+        (("r", 0), InvalidVertexError, "handle ('r', 0) is not a vertex of this tree"),
+        (("s", ()), InvalidVertexError, "handle ('s', ()) is not a vertex of this tree"),
     ],
     "staircase": [
-        (((2, 5), (2, 4)), InvalidVertexError, "handle (2, 5) is not a vertex of this tree"),
-        (((3, 0), (-1, 0)), InvalidVertexError, "handle (-1, 0) is not a vertex of this tree"),
-        (((3, 0), (3, 2)), ValueError, "(3, 2) is not a neighbor of (3, 0)"),
-        (((0, 1), (9, 9)), InvalidVertexError, "handle (0, 1) is not a vertex of this tree"),
+        ((2, 5), InvalidVertexError, "handle (2, 5) is not a vertex of this tree"),
+        ((0, 1), InvalidVertexError, "handle (0, 1) is not a vertex of this tree"),
     ],
 }
 
 
 @pytest.mark.parametrize("fixture", sorted(COMPONENT_SIZE_ERRORS))
 def test_fixture_component_size_errors(fixture: str):
-    # in order: invalid r, invalid u, u not a neighbor of r, and both invalid (r is checked first)
     fix = make_fixture(fixture)
-    for (r, u), exc, message in COMPONENT_SIZE_ERRORS[fixture]:
+    for r, exc, message in COMPONENT_SIZE_ERRORS[fixture]:
         with pytest.raises(exc) as info:
-            fix.hanging_component_size(r, u)
+            fix.hanging_component_sizes(r)
         assert type(info.value) is exc
         assert str(info.value) == message
 
@@ -208,19 +194,21 @@ def test_sary_degrees_and_parent_side():
     ball, degs = ball_interior_degrees(fix, 4)
     assert degs[0] == 2
     assert all(d == 3 for v, d in degs.items() if v != 0)
-    assert fix.hanging_component_size((0, 1), (0,)) == math.inf
+    assert fix.hanging_component_sizes((0, 1)) == {(0,): math.inf, (0, 1, 0): math.inf, (0, 1, 1): math.inf}
+    assert fix.hanging_component_sizes(()) == {(0,): math.inf, (1,): math.inf}
 
     ray = make_fixture("sary(1)")
-    assert ray.hanging_component_size((0, 0), (0,)) == 2
-    assert ray.hanging_component_size((0,), (0, 0)) == math.inf
+    assert ray.hanging_component_sizes((0, 0)) == {(0,): 2, (0, 0, 0): math.inf}
+    assert ray.hanging_component_sizes(()) == {(0,): math.inf}
 
 
 def test_zline_pendant_shape():
     fix = make_fixture("zline_pendant")
     assert set(fix.neighbors(("z", 0))) == {("z", -1), ("z", 1), ("p", 0)}
     assert fix.neighbors(("p", 0)) == (("z", 0),)
-    assert fix.hanging_component_size(("z", 0), ("p", 0)) == 1
-    assert fix.hanging_component_size(("z", 0), ("z", 1)) == math.inf
+    assert fix.hanging_component_sizes(("z", 0)) == {("z", -1): math.inf, ("z", 1): math.inf, ("p", 0): 1}
+    assert fix.hanging_component_sizes(("p", 0)) == {("z", 0): math.inf}
+    assert fix.hanging_component_sizes(("z", 3)) == {("z", 2): math.inf, ("z", 4): math.inf}
     with pytest.raises(InvalidVertexError):
         fix.neighbors(("p", 1))
 
@@ -231,6 +219,8 @@ def test_threereg_plus_ray_shape():
     assert len(fix.neighbors(("t", (0,)))) == 3
     assert fix.neighbors(("r", 1)) == (("t", ()), ("r", 2))
     assert fix.neighbors(("r", 5)) == (("r", 4), ("r", 6))
+    assert set(fix.hanging_component_sizes(("t", ()))) == set(fix.neighbors(("t", ())))
+    assert set(fix.hanging_component_sizes(("t", ())).values()) == {math.inf}
 
 
 def test_staircase_shape_and_component_sizes():
@@ -239,19 +229,19 @@ def test_staircase_shape_and_component_sizes():
     assert set(fix.neighbors((1, 0))) == {(0, 0), (2, 0), (1, 1)}
     assert fix.neighbors((1, 2)) == ((1, 1),)
 
-    # column above spine position i has 2*i vertices
-    assert fix.hanging_component_size((3, 0), (3, 1)) == 6
+    # column above spine position i has 2*i vertices; left side of spine
+    # position i: i spine vertices plus columns 1..i-1
+    assert fix.hanging_component_sizes((3, 0)) == {(2, 0): 3 + 2 + 4, (3, 1): 6, (4, 0): math.inf}
     assert walk_component(fix, (3, 0), (3, 1)) == 6
-    # left side of spine position i: i spine vertices plus columns 1..i-1
-    assert fix.hanging_component_size((3, 0), (2, 0)) == 3 + 2 + 4
     assert walk_component(fix, (3, 0), (2, 0)) == 9
-    assert fix.hanging_component_size((3, 0), (4, 0)) == math.inf
     # partway up a column only the outward stub hangs finitely
-    assert fix.hanging_component_size((3, 2), (3, 3)) == 4
+    assert fix.hanging_component_sizes((3, 2)) == {(3, 1): math.inf, (3, 3): 4}
     assert walk_component(fix, (3, 2), (3, 3)) == 4
+    assert fix.hanging_component_sizes((3, 6)) == {(3, 5): math.inf}
+    assert fix.hanging_component_sizes((0, 0)) == {(1, 0): math.inf}
 
     plain = make_fixture("staircase")
-    assert plain.hanging_component_size((4, 0), (3, 0)) == 4 + 1 + 2 + 3
+    assert plain.hanging_component_sizes((4, 0))[(3, 0)] == 4 + 1 + 2 + 3
     with pytest.raises(InvalidVertexError):
         plain.neighbors((2, 5))
 

@@ -27,6 +27,7 @@ from arbor import (
     trim_depth,
     trim_orbit,
 )
+from arbor.errors import UnsupportedStructureError
 from brute import star_tree
 
 
@@ -426,6 +427,33 @@ def test_hanging_components_finite_but_unwalkable():
     left = by_attach[(8, 0)]
     assert left.status == "finite" and left.size == 45 and left.members is None
     assert by_attach[(10, 0)].status == "infinite"
+
+
+class MisreportingOracle(TreeAsOracle):
+    """A finite tree whose claimed component sizes are off by ``delta``."""
+
+    def __init__(self, tree, delta: int):
+        super().__init__(tree)
+        self.delta = delta
+
+    def hanging_component_sizes(self, r):
+        return {u: s + self.delta for u, s in super().hanging_component_sizes(r).items()}
+
+
+@pytest.mark.parametrize(
+    "delta, max_vertices, walked",
+    [(1, 2000, "3"), (-1, 2000, "3"), (-1, 2, "more than 2")],
+)
+def test_hanging_components_refuses_a_misreported_size(delta: int, max_vertices: int, walked: str):
+    # over-reporting used to return a component whose size disagreed with its
+    # members, and under-reporting a bare TypeError; neither may depend on assert
+    host = MisreportingOracle(path_tree(7), delta)
+    with pytest.raises(UnsupportedStructureError) as info:
+        hanging_components(host, 3, max_vertices=max_vertices)
+    assert str(info.value) == (
+        f"the host claims the component of 2 in the tree minus 3 has {3 + delta} vertices, "
+        f"but a walk finds {walked}"
+    )
 
 
 def test_lift_subset_through_trims_preserves_boundary():
