@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby, islice
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ from .errors import (
     DeclaredBoundsRefutedError,
     DegenerateImageError,
     NoBranchStructureError,
+    SandwichViolationError,
     SearchTooLargeError,
     UnsupportedStructureError,
 )
@@ -79,9 +81,9 @@ class FolnerCandidate:
     provenance: str  # branchless-path | inessential-minus-root | enumerated
     detail: dict = field(default_factory=dict, compare=False)
 
-    @property
+    @cached_property
     def ratio(self) -> Fraction:
-        """Exact isoperimetric ratio |boundary| / |members|."""
+        """Exact isoperimetric ratio |boundary| / |members|, computed on the first read."""
         return Fraction(len(self.boundary), len(self.members))
 
     @property
@@ -477,8 +479,10 @@ def sandwich_check(t: Tree, members: Iterable) -> SandwichResult:
 
         ratio(A) <= ratio(image) <= stretch * ratio(A)
 
-    where stretch counts only the chains A actually meets. Both inequalities
-    are asserted, not just reported.
+    where stretch counts only the chains A actually meets. Both the equal
+    boundary sizes and the inequalities are checked, not just reported: a
+    failure raises SandwichViolationError, since it means the contraction is
+    wrong.
     """
     A = frozenset(members)
     if not A:
@@ -512,27 +516,36 @@ def sandwich_check(t: Tree, members: Iterable) -> SandwichResult:
     boundary_image = boundary_of(contraction.tree, image)
     ratio_host = Fraction(len(boundary_host), len(A))
     ratio_image = Fraction(len(boundary_image), len(image))
-    assert len(boundary_host) == len(boundary_image)
-    assert ratio_host <= ratio_image <= stretch * ratio_host
+    if len(boundary_host) != len(boundary_image) or not ratio_host <= ratio_image <= stretch * ratio_host:
+        raise SandwichViolationError(
+            f"the sandwich fails: ratio(A) = {ratio_host} with {len(boundary_host)} boundary vertices, "
+            f"ratio(image) = {ratio_image} with {len(boundary_image)}, stretch = {stretch}"
+        )
     return SandwichResult(ratio_host, ratio_image, stretch, boundary_host, frozenset(boundary_image), image)
 
 
 def min_degree3_bound_check(host, members: Iterable, exception_vertex=None) -> bool:
     """Check |A| <= 2|boundary(A)|, with slack 2 when the designated exception is inside.
 
-    The counting argument only consumes the host degrees of A's own members,
+    A must be nonempty and connected in the host; ValueError otherwise. The
+    counting argument only consumes the host degrees of A's own members,
     so those are what get validated: every member needs degree >= 3, except
     the designated vertex which may have degree 2.
     """
-    return _degree3_bound(host, frozenset(members), exception_vertex)[0]
+    A = frozenset(members)
+    if A and not is_connected_in(host, A):
+        raise ValueError("the members are not connected")
+    return _degree3_bound(host, A, exception_vertex)[0]
 
 
 def _degree3_bound(host, A: frozenset, exception_vertex) -> tuple:
-    """min_degree3_bound_check's verdict on A, and the boundary of A it was computed from."""
+    """min_degree3_bound_check's verdict on A, and the boundary of A it was computed from.
+
+    A's connectivity is the caller's to know: the public check walks it,
+    and the dichotomy's bound side passes subsets it has just grown.
+    """
     if not A:
         raise ValueError("empty subset")
-    if not is_connected_in(host, A):
-        raise ValueError("the members are not connected")
     for v in A:
         d = len(host.neighbors(v))
         if v == exception_vertex:
@@ -738,12 +751,32 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
     return {"cheeger_scope": None, "cheeger_floor_observed": None}
 
 
+_FLOAT_EXACT = 1 << 26  # sizes below this order their ratios exactly as floats
+
+
+def _ratio_keys(pairs: list) -> list:
+    """Keys that order the ratios b/k of int pairs (b, k), 0 <= b <= k and k >= 1, exactly.
+
+    While every k is below 2^26, the keys are the floats b/k. Two distinct
+    ratios b/k and b'/k' then differ by at least 1/(k k') > 2^-52, which is
+    at least two float spacings in [0, 1]; a correctly rounded division moves
+    each by at most half a spacing, and rounding is monotone. So distinct
+    ratios get distinct floats in the same order, and equal ratios equal
+    floats. Past that size the keys are Fractions, for every pair at once,
+    since a float key and a Fraction key may not compare as their ratios do.
+    """
+    if all(k < _FLOAT_EXACT for _, k in pairs):
+        return [b / k for b, k in pairs]
+    return [Fraction(b, k) for b, k in pairs]
+
+
 def _witness_order(witnesses: list) -> list:
     """Witnesses by decreasing ratio, then increasing size, then their sorted members' ``repr`` strings.
 
     The ``repr`` key is built only inside a run of equal ratio and size.
     """
-    keys = [(-c.ratio, c.size) for c in witnesses]
+    ratios = _ratio_keys([(len(c.boundary), c.size) for c in witnesses])
+    keys = [(-r, c.size) for r, c in zip(ratios, witnesses)]
     out = []
     for _, run in groupby(sorted(range(len(witnesses)), key=keys.__getitem__), key=keys.__getitem__):
         tied = [witnesses[i] for i in run]

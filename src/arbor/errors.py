@@ -35,6 +35,10 @@ class DegenerateImageError(ArborError):
     """The subset lies inside a single chain interior, so its contraction image is empty."""
 
 
+class SandwichViolationError(ArborError):
+    """A subset and its chain-contracted image break the sandwich inequalities, so the contraction is wrong."""
+
+
 class NoBranchStructureError(ArborError):
     """Chain contraction needs at least one vertex of degree other than 2."""
 

@@ -225,5 +225,7 @@ def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = No
         if not layer:
             break
     frontier = [v for v in layer if dist[v] == radius]
-    tree = Tree(adj, root=0)
+    # Connected, symmetric and in range by construction; a host that reports
+    # a cycle or a neighbor twice adds an edge, which the count catches.
+    tree = Tree._trusted(adj, root=0)
     return Ball(oracle, center, radius, tree, frontier, handles, dist)

@@ -366,7 +366,7 @@ class GWSample:
                 for child in range(start, off[g + 1] + int(cs[j])):
                     adj[parent].append(child)
                     adj[child].append(parent)
-        return Tree(adj, root=0)
+        return Tree._trusted(adj, root=0)
 
     def truncate(self, k: int) -> "GWSample":
         """The sample restricted to generations 0..k."""
@@ -1074,7 +1074,8 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
             size = 1 + rng.randrange(subset_size)
             members = random_connected_subset(ball, size, rng)
             checked += 1
-            # min_degree3_bound_check, keeping the boundary for the ratio
+            # min_degree3_bound_check, keeping the boundary for the ratio and
+            # skipping its connectivity walk: the members were grown connected
             holds, boundary = _degree3_bound(ball, members, 0)
             if not holds:
                 bad += 1

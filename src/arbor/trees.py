@@ -1,7 +1,11 @@
 """Finite trees over dense integer ids: construction, canonical codes, parsing.
 
 Trees are the only graph class in this package. Construction validates the
-tree invariants once, so downstream code never rechecks them. Three walks
+tree invariants once, so downstream code never rechecks them. Balls and
+samples that the library builds itself go through the private
+``Tree._trusted``, which keeps one check, the edge count: their walks make
+them connected, symmetric and in range, and a connected graph on n
+vertices with n - 1 edges is a tree. Three walks
 are shared by the rest of the package: ``reach``, the breadth-first walk of
 the connectivity and component checks; ``bfs_layers``, the layer-by-layer
 walk of the trim-level scans; and ``peel``, the one leaf-removal loop behind
@@ -39,7 +43,8 @@ class Tree:
 
     Construction validates symmetry, absence of loops and duplicate edges,
     the tree edge count, and connectivity. Downstream code relies on these
-    and never rechecks them.
+    and never rechecks them. The library's own balls and samples are built
+    through ``_trusted``, which checks only the edge count.
     """
 
     __slots__ = ("vertex_count", "adjacency", "root")
@@ -80,6 +85,27 @@ class Tree:
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "root", root)
+
+    @classmethod
+    def _trusted(cls, adjacency: list[list[int]], root: int | None = None) -> "Tree":
+        """A tree from adjacency lists that a library walk built, checking the edge count alone.
+
+        The caller guarantees what its walk makes true: at least one vertex,
+        every id an int in range, symmetric lists, no self-loop, every vertex
+        reachable from vertex 0, and ``root`` in range. A connected graph on n
+        vertices is a tree exactly when it has n - 1 edges, and a bad host
+        can break nothing else: a cycle or a repeated neighbor it reports
+        adds an edge, so either raises NotATreeError("contains a cycle").
+        Each list is sorted, as ``__init__`` sorts it.
+        """
+        adj = tuple(tuple(sorted(ns)) for ns in adjacency)
+        if sum(map(len, adj)) != 2 * (len(adj) - 1):
+            raise NotATreeError("contains a cycle")
+        t = object.__new__(cls)
+        object.__setattr__(t, "vertex_count", len(adj))
+        object.__setattr__(t, "adjacency", adj)
+        object.__setattr__(t, "root", root)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,7 +37,8 @@ from arbor import (
     sandwich_check,
     subdivide_tree,
 )
-from arbor.amenability import _branchless_run, _inessential_witnesses, _path_witnesses
+from arbor.amenability import _FLOAT_EXACT, _branchless_run, _inessential_witnesses, _path_witnesses, _ratio_keys
+from arbor.errors import SandwichViolationError
 from brute import star_tree
 
 
@@ -397,6 +399,22 @@ def test_sandwich_rejects_degenerate_and_leafy():
         sandwich_check(t, set())
 
 
+def test_sandwich_raises_when_the_contraction_understates_the_stretch(monkeypatch):
+    # hubs 0 and 1, each with two leaves, joined through the chain 6..10
+    t = Tree.from_edges([(0, 2), (0, 3), (0, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 1), (1, 4), (1, 5)])
+    members = {0, 6, 7, 8, 9, 10}
+    res = sandwich_check(t, members)
+    assert (res.ratio_host, res.ratio_image, res.stretch) == (Fraction(1, 3), Fraction(1), 6)
+
+    def short_chains(tree):
+        c = contract_branchless(tree)
+        return replace(c, chains=tuple((a, b, interior[:1]) for a, b, interior in c.chains))
+
+    monkeypatch.setattr(amenability, "contract_branchless", short_chains)
+    with pytest.raises(SandwichViolationError, match=r"ratio\(A\) = 1/3 .*ratio\(image\) = 1 .*stretch = 2$"):
+        sandwich_check(t, members)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sandwich_on_subdivided_regular_ball(seed: int):
     # rehearses the chain-contraction comparison away from the frontier
@@ -431,6 +449,55 @@ def test_min_degree3_bound():
         min_degree3_bound_check(ball, set())
     with pytest.raises(ValueError):
         min_degree3_bound_check(ball, {1, 2})  # two ball branches, not connected
+
+
+@st.composite
+def ratio_pairs(draw: st.DrawFn, top: int):
+    """An int pair (b, k) with 0 <= b <= k < top."""
+    k = draw(st.integers(min_value=1, max_value=top - 1))
+    b = draw(st.integers(min_value=0, max_value=k))
+    return b, k
+
+
+def near_ties(pairs: list, top: int, data) -> list:
+    """b/k against (b m - 1)/(k m), b/k and (b m + 1)/(k m), for each pair whose k m stays below top."""
+    out = []
+    for b, k in pairs:
+        m = data.draw(st.integers(min_value=1, max_value=max(1, (top - 1) // k)), label="m")
+        out += [(b * m + e, k * m) for e in (-1, 0, 1) if 0 <= b * m + e <= k * m]
+    return out
+
+
+def assert_orders_like_fractions(pairs: list, keys: list):
+    exact = [Fraction(b, k) for b, k in pairs]
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            assert (keys[i] < keys[j]) == (exact[i] < exact[j])
+            assert (keys[i] == keys[j]) == (exact[i] == exact[j])
+
+
+@given(st.data())
+def test_ratio_keys_order_like_fractions(data):
+    small = data.draw(st.lists(ratio_pairs(_FLOAT_EXACT) | ratio_pairs(1000), min_size=1, max_size=8), label="small")
+    pairs = small + near_ties(small, _FLOAT_EXACT, data)
+    keys = _ratio_keys(pairs)
+    assert all(type(x) is float for x in keys)
+    assert_orders_like_fractions(pairs, keys)
+
+    # one size at 2^26 or more puts every pair on Fraction keys
+    big = data.draw(st.lists(ratio_pairs(1 << 62), min_size=1, max_size=4), label="big")
+    pairs = small + near_ties(big, 1 << 62, data) + [(_FLOAT_EXACT, _FLOAT_EXACT)]
+    keys = _ratio_keys(pairs)
+    assert all(type(x) is Fraction for x in keys)
+    assert_orders_like_fractions(pairs, keys)
+
+
+def test_ratio_keys_fall_back_where_floats_tie():
+    # distinct ratios whose quotients round to the same float
+    pairs = [(2**60 + 1, 3 * 2**60), (1, 3)]
+    assert pairs[0][0] / pairs[0][1] == pairs[1][0] / pairs[1][1]
+    assert _ratio_keys(pairs) == [Fraction(2**60 + 1, 3 * 2**60), Fraction(1, 3)]
+    assert_orders_like_fractions(pairs, _ratio_keys(pairs))
 
 
 def test_declared_bounds():

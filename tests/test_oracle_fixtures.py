@@ -11,6 +11,7 @@ from arbor import (
     BudgetExhaustedError,
     IncompleteKnowledgeError,
     InvalidVertexError,
+    NotATreeError,
     Tree,
     TreeAsOracle,
     UnknownFixtureError,
@@ -162,6 +163,38 @@ def test_ball_handle_roundtrip():
 def test_explore_ball_budget():
     with pytest.raises(BudgetExhaustedError):
         explore_ball(make_fixture("regular(3)"), 10, max_vertices=50)
+
+
+class ListedOracle:
+    """A host that answers ``neighbors`` from a fixed table, right or wrong."""
+
+    root = 0
+
+    def __init__(self, table: dict):
+        self.table = table
+
+    def neighbors(self, h):
+        return self.table[h]
+
+
+def test_explore_ball_rejects_a_cycle_oracle():
+    square = ListedOracle({0: [1, 3], 1: [0, 2], 2: [1, 3], 3: [2, 0]})
+    with pytest.raises(NotATreeError, match="cycle"):
+        explore_ball(square, 2)
+
+
+def test_explore_ball_rejects_a_repeated_neighbor():
+    # Only the type is pinned: the ball's edge count catches this as a cycle.
+    twice = ListedOracle({0: [1, 1], 1: [0]})
+    with pytest.raises(NotATreeError):
+        explore_ball(twice, 1)
+
+
+def test_explore_ball_drops_an_edge_inside_a_layer():
+    triangle = ListedOracle({0: [1, 2], 1: [0, 2], 2: [0, 1]})
+    ball = explore_ball(triangle, 3)
+    assert ball.tree == Tree([[1, 2], [0], [0]], root=0)
+    assert ball.frontier == frozenset()
 
 
 def ball_interior_degrees(fixture, radius: int):

@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 import random
+from contextlib import contextmanager
 from itertools import islice, product
 
 import pytest
@@ -11,13 +12,18 @@ from hypothesis import strategies as st
 import arbor
 import brute
 from arbor import (
+    GWSpec,
     InvalidVertexError,
     NotATreeError,
     Tree,
+    TreeAsOracle,
     canonical_form,
+    explore_ball,
+    make_fixture,
     parse_child_list,
     parse_tree,
     path_tree,
+    sample,
     sary_tree,
     serialize_child_list,
     subdivide_tree,
@@ -69,6 +75,64 @@ def test_rejects_empty():
 def test_rejects_bad_root():
     with pytest.raises(InvalidVertexError):
         Tree([[1], [0]], root=5)
+
+
+@contextmanager
+def trusted_calls():
+    """Every Tree._trusted call inside the block, as (adjacency lists as given, root, result)."""
+    calls = []
+    build = Tree._trusted.__func__
+
+    def recording(cls, adjacency, root=None):
+        calls.append(([list(ns) for ns in adjacency], root, build(cls, adjacency, root)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tree, "_trusted", classmethod(recording))
+        yield calls
+
+
+def assert_trusted_matches_tree(calls, expected: int):
+    assert len(calls) == expected
+    for adjacency, root, t in calls:
+        assert all(type(u) is int for ns in t.adjacency for u in ns)
+        checked = Tree(adjacency, root)
+        assert (t.adjacency, t.root, t.vertex_count) == (checked.adjacency, checked.root, checked.vertex_count)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["regular(3)", "regular(4)", "sary(1)", "sary(2)", "zline_pendant", "threereg_plus_ray", "staircase", "staircase_n(3)"],
+)
+def test_trusted_builder_matches_tree_on_fixture_balls(name: str):
+    with trusted_calls() as calls:
+        for radius in range(7):
+            explore_ball(make_fixture(name), radius)
+    assert_trusted_matches_tree(calls, 7)
+
+
+@given(random_trees(), st.integers(min_value=0, max_value=12))
+def test_trusted_builder_matches_tree_on_tree_balls(t: Tree, radius: int):
+    with trusted_calls() as calls:
+        for center in range(t.vertex_count):
+            explore_ball(TreeAsOracle(t), radius, center=center)
+    assert_trusted_matches_tree(calls, t.vertex_count)
+
+
+@pytest.mark.parametrize("spec", [GWSpec(("1/4", "1/4", "1/2")), GWSpec.poisson(1.5)], ids=["quarter", "poisson1.5"])
+def test_trusted_builder_matches_tree_on_gw_samples(spec: GWSpec):
+    with trusted_calls() as calls:
+        for trial in range(12):
+            sample(spec, 7, 9, 3000, trial=trial).to_tree()
+    assert_trusted_matches_tree(calls, 12)
+    assert max(t.vertex_count for _, _, t in calls) > 100
+
+
+def test_trusted_builder_counts_edges():
+    assert Tree._trusted([[]], root=0) == Tree([[]], root=0)
+    assert Tree._trusted([[2, 1], [0], [0]]).adjacency == ((1, 2), (0,), (0,))
+    with pytest.raises(NotATreeError, match="cycle"):
+        Tree._trusted([[1, 2], [0, 2], [0, 1]])
 
 
 def test_single_vertex():
