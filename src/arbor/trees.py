@@ -96,9 +96,12 @@ class Tree:
         vertices is a tree exactly when it has n - 1 edges, and a bad host
         can break nothing else: a cycle or a repeated neighbor it reports
         adds an edge, so either raises NotATreeError("contains a cycle").
-        Each list is sorted, as ``__init__`` sorts it.
+        Each list must also be in increasing order, as ``__init__`` sorts it.
+        Both callers number vertices in breadth-first order, so a tree's
+        lists come out that way: each vertex's parent, then its children as
+        they are numbered.
         """
-        adj = tuple(tuple(sorted(ns)) for ns in adjacency)
+        adj = tuple(map(tuple, adjacency))
         if sum(map(len, adj)) != 2 * (len(adj) - 1):
             raise NotATreeError("contains a cycle")
         t = object.__new__(cls)

@@ -130,7 +130,7 @@ def test_trusted_builder_matches_tree_on_gw_samples(spec: GWSpec):
 
 def test_trusted_builder_counts_edges():
     assert Tree._trusted([[]], root=0) == Tree([[]], root=0)
-    assert Tree._trusted([[2, 1], [0], [0]]).adjacency == ((1, 2), (0,), (0,))
+    assert Tree._trusted([[1, 2], [0], [0]], root=0) == Tree([[1, 2], [0], [0]], root=0)
     with pytest.raises(NotATreeError, match="cycle"):
         Tree._trusted([[1, 2], [0, 2], [0, 1]])
 
