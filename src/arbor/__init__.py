@@ -16,13 +16,11 @@ from .amenability import (
     AmenabilityReport,
     CheegerResult,
     ClassifyBudgets,
-    ContractionResult,
     DeclaredBounds,
     FolnerCandidate,
     SandwichResult,
     cheeger_exact,
     classify,
-    contract_branchless,
     jsonable,
     min_degree3_bound_check,
     sandwich_check,
@@ -60,7 +58,6 @@ from .galton_watson import (
 from .subsets import (
     boundary_of,
     connected_subsets,
-    is_connected_in,
     random_connected_subset,
 )
 from .trees import (
@@ -74,16 +71,11 @@ from .trees import (
     subdivide_tree,
 )
 from .trimming import (
-    HangingComponent,
-    InessentialSubtree,
     TrimOrbit,
     TrimmedView,
     ball_code_sequence,
     detect_period,
-    hanging_components,
     is_inessential,
-    lift_subset_through_trims,
-    removal_steps_in_ball,
     trim_depth,
     trim_orbit,
 )
@@ -101,7 +93,6 @@ __all__ = [
     "subdivide_tree",
     # subsets
     "boundary_of",
-    "is_connected_in",
     "connected_subsets",
     "random_connected_subset",
     # exploration
@@ -114,21 +105,14 @@ __all__ = [
     "trim_orbit",
     "TrimOrbit",
     "trim_depth",
-    "removal_steps_in_ball",
     "TrimmedView",
     "ball_code_sequence",
     "detect_period",
-    "InessentialSubtree",
     "is_inessential",
-    "HangingComponent",
-    "hanging_components",
-    "lift_subset_through_trims",
     # amenability
     "FolnerCandidate",
     "CheegerResult",
     "cheeger_exact",
-    "ContractionResult",
-    "contract_branchless",
     "SandwichResult",
     "sandwich_check",
     "min_degree3_bound_check",
@@ -163,4 +147,7 @@ __all__ = [
     "UnsupportedStructureError",
     "InsufficientDepthError",
     "DeclaredBoundsRefutedError",
+    # SandwichViolationError stays in arbor.errors: sandwich_check raises it only
+    # when the library's own contraction breaks its stretch bound, a defect no
+    # caller can act on beyond what catching ArborError gives.
 ]

@@ -68,7 +68,11 @@ class GWSpec:
     """An offspring distribution with exact rational probabilities.
 
     The tuple is normalized so the probabilities sum to exactly 1 and has no
-    trailing zeros; entry k is the probability of k children.
+    trailing zeros; entry k is the probability of k children. The sampling
+    table and the extinction probability rho that verify_dichotomy reports
+    are computed on first use and cached, so a law is read-only afterwards:
+    reassigning ``probabilities`` (through object.__setattr__, the dataclass
+    being frozen) would leave the caches stale.
     """
 
     probabilities: tuple
@@ -155,6 +159,11 @@ class GWSpec:
         cum = self.cumulative()
         cum.setflags(write=False)
         return cum
+
+    @cached_property
+    def _rho(self) -> float:
+        """extinction_probability(self) at its default tolerance, computed once per law."""
+        return extinction_probability(self)
 
     def extinction_probability(self, tol: float = 1e-12) -> float:
         return extinction_probability(self, tol)
@@ -416,9 +425,11 @@ def sample(
     if max_vertices is not None and max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
     rng = _rng(seed, (trial,) if attempt is None else (trial, attempt))
-    cum = spec._cum_table
+    advance, random = rng.bit_generator.advance, rng.random
+    searchsorted = spec._cum_table.searchsorted
     counts: list[np.ndarray] = []
     sizes = [1]
+    total = 1  # sum(sizes)
 
     def done(budget_hit: bool) -> GWSample:
         smp = GWSample(spec, seed, trial, tuple(counts), len(counts), budget_hit)
@@ -430,14 +441,30 @@ def sample(
         if width == 0:
             break
         if gen:
-            rng.bit_generator.advance(_PCG_JUMP - sizes[-2])  # generation gen - 1 drew sizes[-2] doubles
-        c = np.searchsorted(cum, rng.random(width), side="right")
+            advance(_PCG_JUMP - sizes[-2])  # generation gen - 1 drew sizes[-2] doubles
+        c = searchsorted(random(width), side="right")
         nxt = int(c.sum())
-        if max_vertices is not None and sum(sizes) + nxt > max_vertices:
+        total += nxt
+        if max_vertices is not None and total > max_vertices:
             return done(True)
         counts.append(c)
         sizes.append(nxt)
     return done(False)
+
+
+def _prefix(smp: GWSample, h: int) -> GWSample:
+    """What sample() returns at max_generation h, given smp drawn from the same stream and budget to a deeper horizon.
+
+    Generation g's draw and the budget test read only the stream and the
+    generations below g, so sample() at h returns smp itself when smp
+    stopped before h, or at h without a budget hit, and otherwise smp's
+    first h generations with no budget hit.
+    """
+    if smp.truncated_at < h or (smp.truncated_at == h and not smp.budget_hit):
+        return smp
+    cut = GWSample(smp.spec, smp.seed, smp.trial, smp.counts[:h], h, False)
+    cut.__dict__["generation_sizes"] = smp.generation_sizes[:h + 1]
+    return cut
 
 
 # The streams of many trials at once, as sample() draws them one trial at a
@@ -992,8 +1019,35 @@ class DichotomyReport:
         return doc
 
 
+def _draw_survivors(spec, seed, trial, horizons, max_vertices) -> dict:
+    """For each horizon h, the trial's first attempt whose sample to h survives, and the attempts taken.
+
+    Each (trial, attempt) stream is drawn once, to the deepest horizon, and
+    each h reads the prefix sample() would draw to h (_prefix). A tree that
+    survives to h survives to every shallower horizon, so the horizons
+    settle in increasing order and attempts stop once the deepest settles.
+    A horizon that no attempt in 64 survives gets the 64th, extinct sample.
+    """
+    horizons = sorted(set(horizons))
+    deepest = horizons[-1]
+    out = {}
+    for a in range(64):
+        smp = sample(spec, seed, deepest, max_vertices, trial=trial, attempt=a)
+        reach = smp.truncated_at if smp.extinct else deepest + 1  # the prefix survives at every h < reach
+        for h in horizons[len(out):]:
+            if h >= reach:
+                break
+            out[h] = (_prefix(smp, h), a + 1)
+        if len(out) == len(horizons):
+            return out
+    for h in horizons[len(out):]:
+        out[h] = (_prefix(smp, h), 64)
+    return out
+
+
 def _amenable_side(spec, d_list, trials, seed, max_vertices):
-    rho = extinction_probability(spec)
+    rho = spec._rho
+    by_trial = [_draw_survivors(spec, seed, t, [d * d + d + 1 for d in d_list], max_vertices) for t in range(trials)]
     per_d = []
     rows = []
     for d in d_list:
@@ -1002,15 +1056,7 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
         horizon = n + d + 1
         q = _collapse_q(spec, d)
         floor = 1.0 - (1.0 - q) ** r
-
-        def draw(t: int):
-            for a in range(64):
-                smp = sample(spec, seed, horizon, max_vertices, trial=t, attempt=a)
-                if not smp.extinct:
-                    break
-            return smp, a + 1
-
-        drawn = [draw(t) for t in range(trials)]
+        drawn = [by_horizon[horizon] for by_horizon in by_trial]
         found = iter(_scan_witness([smp for smp, _ in drawn if not smp.extinct], n))
         results = [
             (t, None, None, "", attempts) if smp.extinct else (t, smp.generation_sizes, *next(found), attempts)
@@ -1145,8 +1191,11 @@ def verify_dichotomy(
     (seed, t), so the report depends only on the arguments. A sample stops
     before the generation that would take it past max_vertices vertices.
     On the witness side trial t redraws from (seed, t, attempt) until its
-    tree survives, up to 64 attempts, and counts as skipped if none does.
-    Every trial of a d is drawn first; the surviving trees cut at the same
+    tree survives to the horizon d*d + d + 1, up to 64 attempts, and counts
+    as skipped if none does. Each (trial, attempt) stream is drawn once, to
+    the deepest horizon in d_list, and each d reads the prefix of it down to
+    its own horizon, which is what a draw to that horizon would give. Every
+    trial is drawn first; for each d the surviving trees cut at the same
     generation are then scanned together as one forest, one vectorized
     pass per generation, for dead subtrees, single-child runs and the
     depth n-1 ball (n = d*d). A forest holds at most 2^15 vertices, unless

@@ -24,7 +24,7 @@ vertex's radius-k ball with the library's ``explore_ball``, whose budget it
 keeps, and peels it with ``peel_by_rescan``. With ``lift_by_ball``, the
 former subset lift built on it, it is the reference for the level chain of
 ``TrimmedView``. ``inessential_witnesses_by_parts`` is the library's former
-witness scan of ``classify``, built from the public ``hanging_components``
+witness scan of ``classify``, built from ``arbor.trimming.hanging_components``
 and from ``make_inessential`` and ``folner_from_inessential``, the
 library's former witness constructors, each of which rechecks what it is
 given; it is the reference for ``_inessential_witnesses``.
@@ -40,12 +40,11 @@ from types import SimpleNamespace
 
 from arbor import (
     FolnerCandidate,
-    InessentialSubtree,
     SearchTooLargeError,
     Tree,
     explore_ball,
-    hanging_components,
 )
+from arbor.trimming import InessentialSubtree, hanging_components
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:

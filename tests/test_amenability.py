@@ -25,10 +25,8 @@ from arbor import (
     boundary_of,
     cheeger_exact,
     classify,
-    contract_branchless,
     explore_ball,
     jsonable,
-    lift_subset_through_trims,
     make_fixture,
     min_degree3_bound_check,
     path_tree,
@@ -37,8 +35,16 @@ from arbor import (
     sandwich_check,
     subdivide_tree,
 )
-from arbor.amenability import _FLOAT_EXACT, _branchless_run, _inessential_witnesses, _path_witnesses, _ratio_keys
+from arbor.amenability import (
+    _FLOAT_EXACT,
+    _branchless_run,
+    _inessential_witnesses,
+    _path_witnesses,
+    _ratio_keys,
+    contract_branchless,
+)
 from arbor.errors import SandwichViolationError
+from arbor.trimming import lift_subset_through_trims
 from brute import star_tree
 
 

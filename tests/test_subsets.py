@@ -13,11 +13,11 @@ from arbor import (
     boundary_of,
     connected_subsets,
     explore_ball,
-    is_connected_in,
     make_fixture,
     path_tree,
     random_connected_subset,
 )
+from arbor.subsets import is_connected_in
 from brute import star_tree
 
 

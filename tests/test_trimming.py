@@ -17,17 +17,15 @@ from arbor import (
     connected_subsets,
     detect_period,
     explore_ball,
-    hanging_components,
     is_inessential,
-    lift_subset_through_trims,
     make_fixture,
     path_tree,
-    removal_steps_in_ball,
     sary_tree,
     trim_depth,
     trim_orbit,
 )
 from arbor.errors import UnsupportedStructureError
+from arbor.trimming import hanging_components, lift_subset_through_trims, removal_steps_in_ball
 from brute import star_tree
 
 
