@@ -1041,7 +1041,7 @@ def _draw_survivors(spec, seed, trial, horizons, max_vertices) -> dict:
         if len(out) == len(horizons):
             return out
     for h in horizons[len(out):]:
-        out[h] = (_prefix(smp, h), 64)
+        out[h] = (smp, 64)  # extinct by generation h, so it is its own prefix
     return out
 
 

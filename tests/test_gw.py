@@ -349,15 +349,24 @@ def test_collapse_q_poisson_depth_four():
     assert _collapse_q(GWSpec.poisson(1.5), 4) == 0.002799989623882845
 
 
-def surviving_samples(spec, seed, trials, depth, max_vertices) -> list:
-    """Each trial's first surviving sample in 64 attempts, drawn as verify_dichotomy draws them."""
+def surviving_samples(spec, seed, trials, depth, max_vertices, skips: bool = False) -> list:
+    """Each trial's first surviving sample in 64 attempts, each attempt drawn to depth itself.
+
+    This is the per-d reference for verify_dichotomy, which draws each
+    (trial, attempt) once to the deepest horizon of its d_list and cuts it.
+    Trials with no survivor are left out; with skips, every trial gives
+    (sample, attempts taken), a skipped one its 64th, extinct sample.
+    """
     out = []
     for t in range(trials):
         for a in range(64):
             smp = sample(spec, seed, depth, max_vertices, trial=t, attempt=a)
             if not smp.extinct:
-                out.append(smp)
                 break
+        if skips:
+            out.append((smp, a + 1))
+        elif not smp.extinct:
+            out.append(smp)
     return out
 
 
@@ -682,3 +691,126 @@ def test_scan_witness_matches_bfs_on_random_forests(spec, seed, d, trials, max_v
     samples = surviving_samples(spec, seed, trials, n + d + 1, max_vertices)
     with mock.patch.object(gw, "_SCAN_VERTICES", bound or gw._SCAN_VERTICES):
         assert_scan_matches_bfs(samples, n)
+
+
+def assert_same_sample(got, want):
+    assert got.truncated_at == want.truncated_at
+    assert got.budget_hit == want.budget_hit
+    assert got.extinct == want.extinct
+    assert got.generation_sizes == want.generation_sizes == (1, *(int(c.sum()) for c in got.counts))
+    assert len(got.counts) == len(want.counts)
+    assert all(np.array_equal(x, y) for x, y in zip(got.counts, want.counts))
+
+
+@given(
+    rational_laws() | st.sampled_from(ENGINE_LAWS),
+    st.integers(0, 2**40),
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(1, 31),
+    st.data(),
+    st.sampled_from([1, 60, 1500, 20000]),  # wide laws grow past any memory without a budget
+)
+def test_sample_prefix_matches_shallower_sample(spec, seed, trial, attempt, deepest, data, max_vertices):
+    h = data.draw(st.integers(0, deepest), label="h")
+    deep = sample(spec, seed, deepest, max_vertices, trial=trial, attempt=attempt)
+    assert_same_sample(gw._prefix(deep, h), sample(spec, seed, h, max_vertices, trial=trial, attempt=attempt))
+
+
+def test_sample_prefix_at_extinction_and_budget_edges():
+    # A tree that dies exactly at generation h, a budget hit below h, and one
+    # at h itself, which a draw to h never reaches.
+    edges = {"dies at h": 0, "budget hit below h": 0, "budget hit at h": 0}
+    for attempt in range(40):
+        for max_vertices in (None, 30):
+            deep = sample(QUARTER_LAW, 4, 20, max_vertices, trial=1, attempt=attempt)
+            for h in range(20):
+                got = gw._prefix(deep, h)
+                assert_same_sample(got, sample(QUARTER_LAW, 4, h, max_vertices, trial=1, attempt=attempt))
+                edges["dies at h"] += deep.extinct and deep.truncated_at == h
+                edges["budget hit below h"] += deep.budget_hit and deep.truncated_at < h
+                if deep.budget_hit and deep.truncated_at == h:
+                    edges["budget hit at h"] += 1
+                    assert not got.budget_hit and got.counts == deep.counts
+    assert min(edges.values()) > 0, edges
+
+
+def dichotomy_by_redraw(spec, d_list, trials, seed, max_vertices):
+    """verify_dichotomy with every d's trials redrawn at its own horizon by surviving_samples."""
+    redrawn = {}
+
+    def draw(spec, seed, trial, horizons, max_vertices):
+        for h in horizons:
+            if h not in redrawn:
+                redrawn[h] = surviving_samples(spec, seed, trials, h, max_vertices, skips=True)
+        return {h: redrawn[h][trial] for h in horizons}
+
+    with mock.patch.object(gw, "_draw_survivors", draw):
+        return verify_dichotomy(spec, d_list, trials, seed, max_vertices)
+
+
+# Subcritical: a trial mostly survives to horizon 3 (d = 1) within 64
+# attempts, and never to 21 (d = 4), so it is skipped there.
+FADING_LAW = GWSpec(("1/2", "1/2"))
+
+
+@given(
+    (rational_laws() | st.sampled_from([*ENGINE_LAWS, FADING_LAW])).filter(lambda spec: spec.p(0) or spec.p(1)),
+    st.integers(0, 2**40),
+    st.sampled_from([[5, 3], [3, 3], [1, 2, 4], [3, 5], [2], [1, 3, 3]]),
+    st.integers(1, 6),
+    st.sampled_from([1, 60, 1500, 20000]),
+)
+@example(FADING_LAW, 3, [1, 2, 4], 4, 20000)
+@example(QUARTER_LAW, 1, [5, 3], 6, 60)
+@example(QUARTER_LAW, 1, [5, 3], 6, 1500)
+def test_dichotomy_shared_draws_match_per_d_redraws(spec, seed, d_list, trials, max_vertices):
+    got = verify_dichotomy(spec, d_list, trials, seed, max_vertices)
+    want = dichotomy_by_redraw(spec, d_list, trials, seed, max_vertices)
+    assert got.per_d == want.per_d
+    assert got.csv_rows() == want.csv_rows()
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "spec, d_list, max_vertices",
+    [
+        (QUARTER_LAW, [3, 5], 20000),
+        (QUARTER_LAW, [5, 3], 60),  # budget hits below generation 13
+        (QUARTER_LAW, [5, 3], 1500),  # budget hits between generations 13 and 31
+        (QUARTER_LAW, [3, 3], 20000),
+        (FADING_LAW, [1, 2, 4], 20000),  # d = 4 exhausts its 64 attempts
+        (GWSpec.poisson(1.5), [1, 3], 20000),
+    ],
+)
+def test_dichotomy_shared_draws_draw_each_attempt_once(spec, d_list, max_vertices):
+    def drawn_by(d_list) -> list:
+        calls = []
+
+        def counted(spec, seed, max_generation, max_vertices=None, trial=0, attempt=None):
+            smp = real(spec, seed, max_generation, max_vertices, trial, attempt)
+            calls.append((trial, attempt, max_generation, smp))
+            return smp
+
+        with mock.patch.object(gw, "sample", counted):
+            report = verify_dichotomy(spec, d_list, 12, 1, max_vertices)
+        return calls, report
+
+    real = gw.sample
+    calls, report = drawn_by(d_list)
+    deepest = max(d * d + d + 1 for d in d_list)
+    keys = [(t, a) for t, a, _, _ in calls]
+    assert len(set(keys)) == len(keys)  # no (trial, attempt) drawn twice
+    assert {g for _, _, g, _ in calls} == {deepest}
+    # The deepest d alone needs exactly these attempts.
+    assert keys == [(t, a) for t, a, _, _ in drawn_by([max(d_list)])[0]]
+    assert report == dichotomy_by_redraw(spec, d_list, 12, 1, max_vertices)
+    shallow = min(d * d + d + 1 for d in d_list)
+    hits = [smp.truncated_at for *_, smp in calls if smp.budget_hit]
+    if max_vertices == 60:
+        assert any(h < shallow for h in hits)
+    if max_vertices == 1500:
+        assert any(shallow < h for h in hits)
+    if spec is FADING_LAW:
+        skipped = {entry["d"]: entry["skipped"] for entry in report.per_d}
+        assert skipped[4] == 12 and skipped[1] < 12
