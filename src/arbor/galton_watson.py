@@ -453,7 +453,7 @@ def sample(
 
 
 def _prefix(smp: GWSample, h: int) -> GWSample:
-    """What sample() returns at max_generation h, given smp drawn from the same stream and budget to a deeper horizon.
+    """What sample() returns at max_generation h, given smp drawn deeper from the same stream and budget.
 
     Generation g's draw and the budget test read only the stream and the
     generations below g, so sample() at h returns smp itself when smp
@@ -1047,7 +1047,8 @@ def _draw_survivors(spec, seed, trial, horizons, max_vertices) -> dict:
 
 def _amenable_side(spec, d_list, trials, seed, max_vertices):
     rho = spec._rho
-    by_trial = [_draw_survivors(spec, seed, t, [d * d + d + 1 for d in d_list], max_vertices) for t in range(trials)]
+    horizons = [d * d + d + 1 for d in d_list]
+    by_trial = [_draw_survivors(spec, seed, t, horizons, max_vertices) for t in range(trials)]
     per_d = []
     rows = []
     for d in d_list:
