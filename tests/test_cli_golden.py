@@ -226,6 +226,11 @@ def _classify_rows() -> list:
     out.append(["classify", "--fixture", "staircase", "--radius", "6", "--declared-k", "1", "--declared-d", "3",
                 "--declared-R", "4"])
     out.append(["classify", "--input", "{tree:rand30}", "--declared-k", "9", "--declared-d", "30", "--declared-R", "30"])
+    # refuted by R alone: k and d hold, and an inessential subtree is larger than R
+    for fmt in ("json", "text"):
+        out.append(["classify", "--fixture", "staircase", "--radius", "6", "--declared-k", "9", "--declared-d", "30",
+                    "--declared-R", "4", "--format", fmt])
+    out.append(["classify", "--input", "{tree:rand12}", "--declared-k", "9", "--declared-d", "30", "--declared-R", "3"])
     for name in TREES:
         out.append(["classify", "--input", f"{{tree:{name}}}"])
         out.append(["classify", "--input", f"{{tree:{name}}}", "--d-target", "3", "--format", "text"])
