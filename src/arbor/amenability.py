@@ -29,7 +29,6 @@ from .exploration import Ball, _NeighborMemo, explore_ball
 from .subsets import _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import (
-    InessentialSubtree,
     TrimmedView,
     hanging_components,
     lift_subset_through_trims,
@@ -622,7 +621,11 @@ class AmenabilityReport:
 
 
 def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
-    """Witness candidates from inessential subtrees, plus every subtree found.
+    """Witness candidates from inessential subtrees, each a subtree minus its root.
+
+    A candidate's ``detail`` holds the subtree's root and its size, which is
+    the candidate's size plus one; ``classify`` reads nothing else of the
+    subtree.
 
     Fixtures that can answer component sizes are scanned at every explored
     interior vertex; black-box oracles only at the breadth-first earliest
@@ -640,7 +643,6 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
         scan = scan[: budgets.scan_limit]
     adjacency = ball.tree.adjacency
     candidates = []
-    found = []
     for v in scan:
         if len(adjacency[v]) < 2:
             continue
@@ -651,10 +653,9 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
         if 2 <= len(walked) < len(comps):
             pieces.append((frozenset().union(*(c.members for c in walked)), [c.attach for c in walked]))
         for witness, attaches in pieces:
-            ines = InessentialSubtree(oracle, witness | {r}, r)
-            found.append(ines)
-            candidates.append(FolnerCandidate(witness, frozenset(attaches), "inessential-minus-root", {"root": r, "subtree_size": ines.size}))
-    return candidates, found
+            detail = {"root": r, "subtree_size": len(witness) + 1}
+            candidates.append(FolnerCandidate(witness, frozenset(attaches), "inessential-minus-root", detail))
+    return candidates
 
 
 def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: int):
@@ -684,7 +685,7 @@ def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: i
     return candidates, chain_lengths
 
 
-def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: DeclaredBounds, found_inessentials, witnesses):
+def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: DeclaredBounds, inessential, witnesses):
     removed, known = removal_steps_in_ball(ball, ball.radius)
     for v in range(ball.vertex_count):
         step = removed[v]
@@ -722,11 +723,12 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
                 counterexample={"chain": [ball.handle_of(x) for x in comp]},
             )
 
-    for ines in found_inessentials:
-        if ines.size > declared.R:
+    for cand in inessential:  # each an inessential subtree minus its root
+        size, root = cand.detail["subtree_size"], cand.detail["root"]
+        if size > declared.R:
             raise DeclaredBoundsRefutedError(
-                f"an inessential subtree of {ines.size} vertices exceeds the declared R={declared.R}",
-                counterexample={"members": ines.members, "root": ines.root},
+                f"an inessential subtree of {size} vertices exceeds the declared R={declared.R}",
+                counterexample={"members": cand.members | {root}, "root": root},
             )
 
     floor = declared.lower_bound
@@ -811,7 +813,7 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
         raise ValueError("k_max must be nonnegative")
     oracle = _NeighborMemo(oracle)
     ball = explore_ball(oracle, budgets.radius, max_vertices=budgets.max_vertices)
-    ines_cands, found = _inessential_witnesses(oracle, ball, budgets)
+    ines_cands = _inessential_witnesses(oracle, ball, budgets)
     path_cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target)
 
     seen_members = set()
@@ -831,11 +833,11 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
         "path_target": path_target,
         "d_target": d_target,
         "chain_lengths_by_level": chain_lengths,
-        "inessential_subtrees_found": len(found),
+        "inessential_subtrees_found": len(ines_cands),
     }
 
     if declared is not None:
-        cert_extra = _certificate_checks(oracle, ball, budgets, declared, found, witnesses)
+        cert_extra = _certificate_checks(oracle, ball, budgets, declared, ines_cands, witnesses)
         certificate = {
             "k": declared.k,
             "d": declared.d,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .amenability import ClassifyBudgets, DeclaredBounds, cheeger_exact, classify
+from .amenability import ClassifyBudgets, DeclaredBounds, cheeger_exact, classify, jsonable
 from .errors import (
     ArborError,
     BudgetExhaustedError,
@@ -100,7 +100,8 @@ def _render(x) -> str:
 def _render_value(x, nl: str) -> str:
     """One value; ``nl`` is the newline and indent of the line it starts on."""
     # Exact types first: documents are made of them, and the isinstance
-    # checks below cost more, Fraction's most (it goes through ABCMeta).
+    # checks below and in jsonable cost more, Fraction's most (it goes
+    # through ABCMeta).
     t = type(x)
     if t is str:
         return _encode_str(x)
@@ -114,24 +115,15 @@ def _render_value(x, nl: str) -> str:
         return _render_dict(x, nl)
     if t is Fraction:
         return _encode_str(str(x))
-    # Subclasses and everything else, checked in jsonable's order.
+    # Scalars and their subclasses, which jsonable returns as they are.
     if x is None or isinstance(x, (bool, float)):
         return json.dumps(x)
     if isinstance(x, str):
         return _encode_str(x)
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, (tuple, list)):
-        return _render_list(x, nl)
-    if isinstance(x, Fraction):
-        return _encode_str(str(x))
-    if isinstance(x, (set, frozenset)):
-        return _render_list(sorted_handles(x), nl)
-    if isinstance(x, dict):
-        return _render_dict(x, nl)
-    if hasattr(x, "item"):
-        return _render_value(x.item(), nl)
-    return _encode_str(repr(x))
+    # Everything else goes through jsonable, which turns it into the types above.
+    return _render_value(jsonable(x), nl)
 
 
 def _render_list(items, nl: str) -> str:

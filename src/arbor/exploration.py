@@ -106,6 +106,11 @@ class _NeighborMemo:
 class Ball:
     """A fully explored radius-r ball, relabeled to dense ids with the center at 0.
 
+    ``handles[v]`` is the host's handle behind id v, in the order the walk
+    that built the ball found them; ``handle_of`` reads it with a range
+    check. ``explore_ball`` and ``GWSample.truncate_ball`` build balls; the
+    ball keeps no link to its host.
+
     ``frontier`` holds the ids at exact distance r whose neighborhoods were
     not queried. Asking for their neighbors raises IncompleteKnowledgeError.
     An empty frontier means the exploration exhausted the component and the
@@ -120,20 +125,14 @@ class Ball:
     ``frontier`` (or ``tree``) would leave the caches stale.
     """
 
-    __slots__ = (
-        "oracle", "center", "radius", "tree", "frontier", "handles", "depths", "index",
-        "_interior", "_sorted_interior",
-    )
+    __slots__ = ("radius", "tree", "frontier", "handles", "depths", "_interior", "_sorted_interior")
 
-    def __init__(self, oracle, center, radius: int, tree: Tree, frontier, handles, depths):
-        self.oracle = oracle
-        self.center = center
+    def __init__(self, radius: int, tree: Tree, frontier, handles, depths):
         self.radius = radius
         self.tree = tree
         self.frontier = frozenset(frontier)
         self.handles = tuple(handles)
         self.depths = tuple(depths)
-        self.index = {h: i for i, h in enumerate(self.handles)}
         self._interior: frozenset[int] | None = None
         self._sorted_interior: tuple[int, ...] | None = None
 
@@ -164,20 +163,11 @@ class Ball:
             )
         return self.tree.neighbors(v)
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def handle_of(self, v: int):
         """The oracle-side handle behind local id ``v``."""
         if not 0 <= v < len(self.handles):
             raise InvalidVertexError(f"vertex {v} is out of range")
         return self.handles[v]
-
-    def id_of(self, handle) -> int:
-        try:
-            return self.index[handle]
-        except KeyError:
-            raise InvalidVertexError(f"handle {handle!r} is not in this ball") from None
 
     def __repr__(self) -> str:
         return f"Ball(radius={self.radius}, {self.vertex_count} vertices, frontier={len(self.frontier)})"
@@ -228,4 +218,4 @@ def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = No
     # Connected, symmetric and in range by construction; a host that reports
     # a cycle or a neighbor twice adds an edge, which the count catches.
     tree = Tree._trusted(adj, root=0)
-    return Ball(oracle, center, radius, tree, frontier, handles, dist)
+    return Ball(radius, tree, frontier, handles, dist)

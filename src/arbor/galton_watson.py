@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDepthError, InvalidVertexError
+from .errors import InsufficientDepthError
 from .exploration import Ball
 from .trees import Tree
 
@@ -148,25 +148,24 @@ class GWSpec:
     def mean(self) -> Fraction:
         return sum(Fraction(k) * p for k, p in enumerate(self.probabilities))
 
-    def cumulative(self) -> np.ndarray:
-        cum = np.cumsum(np.array([float(p) for p in self.probabilities]))
-        cum[-1] = 1.0
-        return cum
-
     @cached_property
     def _cum_table(self) -> np.ndarray:
-        """cumulative() built once, read-only; a vertex drawing u has searchsorted(table, u, "right") children."""
-        cum = self.cumulative()
+        """The running sums of the float probabilities, the last set to 1.0; built once, read-only.
+
+        A vertex drawing u has searchsorted(table, u, "right") children.
+        """
+        cum = np.cumsum(np.array([float(p) for p in self.probabilities]))
+        cum[-1] = 1.0
         cum.setflags(write=False)
         return cum
 
     @cached_property
     def _rho(self) -> float:
-        """extinction_probability(self) at its default tolerance, computed once per law."""
+        """extinction_probability(self), computed once per law."""
         return extinction_probability(self)
 
-    def extinction_probability(self, tol: float = 1e-12) -> float:
-        return extinction_probability(self, tol)
+    def extinction_probability(self) -> float:
+        return self._rho
 
     def to_json(self) -> dict:
         doc = {"p": [str(p) for p in self.probabilities]}
@@ -175,10 +174,12 @@ class GWSpec:
         return doc
 
 
-def extinction_probability(spec: GWSpec, tol: float = 1e-12, max_iter: int = 1_000_000) -> float:
+def extinction_probability(spec: GWSpec) -> float:
     """Smallest fixed point of the generating function, found by iteration from 0.
 
-    Zero when no vertex can die (p0 = 0), one at or below criticality.
+    Zero when no vertex can die (p0 = 0), one at or below criticality. The
+    iteration stops at the first step smaller than 1e-12, or after a million
+    steps.
     """
     if spec.p(0) == 0:
         return 0.0
@@ -186,9 +187,9 @@ def extinction_probability(spec: GWSpec, tol: float = 1e-12, max_iter: int = 1_0
         return 1.0
     probs = [float(p) for p in spec.probabilities]
     x = 0.0
-    for _ in range(max_iter):
+    for _ in range(1_000_000):
         nxt = sum(p * x**k for k, p in enumerate(probs))
-        if abs(nxt - x) < tol:
+        if abs(nxt - x) < 1e-12:
             return nxt
         x = nxt
     return x
@@ -309,8 +310,8 @@ class GWSample:
 
     counts[g][j] is the number of children of the j-th generation-g vertex in
     breadth-first order; truncated_at is the first generation whose children
-    were never drawn. Vertices are labeled by 1-based sibling tuples, the
-    root being the empty tuple.
+    were never drawn. ``truncate_ball`` labels each vertex by its 1-based
+    sibling tuple, the root being the empty tuple.
     """
 
     spec: GWSpec
@@ -338,31 +339,6 @@ class GWSample:
     @property
     def vertex_count(self) -> int:
         return self._offsets[-1]
-
-    def _generation_of(self, index: int) -> int:
-        if not 0 <= index < self.vertex_count:
-            raise InvalidVertexError(f"vertex {index} is out of range")
-        off = self._offsets
-        lo, hi = 0, len(off) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if off[mid] <= index:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def label_of(self, index: int) -> tuple:
-        g = self._generation_of(index)
-        pos = index - self._offsets[g]
-        parts = []
-        while g > 0:
-            cs = np.cumsum(self.counts[g - 1])
-            parent = int(np.searchsorted(cs, pos, side="right"))
-            before = int(cs[parent - 1]) if parent else 0
-            parts.append(pos - before + 1)
-            pos, g = parent, g - 1
-        return tuple(reversed(parts))
 
     def to_tree(self) -> Tree:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -393,7 +369,7 @@ class GWSample:
         """The depth-k tree as a Ball whose frontier is the deepest generation."""
         t = self.truncate(k)
         tree = t.to_tree()
-        # One pass over the generations: child j of parent p has label[p] + (j,), as in label_of.
+        # One pass over the generations: child j of parent p has label[p] + (j,).
         handles = [()]
         off = t._offsets
         for g, c in enumerate(t.counts):
@@ -404,7 +380,7 @@ class GWSample:
         else:
             frontier = frozenset(range(off[t.truncated_at], off[t.truncated_at + 1]))
         depths = [g for g, w in enumerate(t.generation_sizes) for _ in range(w)]
-        return Ball(None, (), k, tree, frontier, handles, depths)
+        return Ball(k, tree, frontier, handles, depths)
 
 
 def sample(
@@ -1049,9 +1025,8 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
     rho = spec._rho
     horizons = [d * d + d + 1 for d in d_list]
     by_trial = [_draw_survivors(spec, seed, t, horizons, max_vertices) for t in range(trials)]
-    per_d = []
-    rows = []
-    for d in d_list:
+    each = {}  # a d listed twice is scanned once
+    for d in dict.fromkeys(d_list):
         r = d
         n = d * d
         horizon = n + d + 1
@@ -1075,27 +1050,27 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
         se = math.sqrt(max(fraction * (1 - fraction), 1e-12) / effective) if effective else 0.0
         acc_rate = first_try / trials
         se_acc = math.sqrt(max(acc_rate * (1 - acc_rate), 1e-12) / trials)
-        per_d.append(
-            {
-                "d": d,
-                "r": r,
-                "n": n,
-                "horizon": horizon,
-                "trials": trials,
-                "skipped": skipped,
-                "successes": successes,
-                "fraction": fraction,
-                "collapse_event_prob": q,
-                "floor": floor,
-                "std_error": se,
-                "floor_ok": fraction > floor - 3 * se,
-                "acceptance_rate": acc_rate,
-                "survival_floor": 1.0 - rho,
-                "acceptance_ok": acc_rate >= (1.0 - rho) - 4 * se_acc,
-            }
-        )
-        for t, sizes, ratio, kind, _ in results:
-            rows.append((d, t, sizes or (), str(ratio) if ratio is not None else None, kind))
+        entry = {
+            "d": d,
+            "r": r,
+            "n": n,
+            "horizon": horizon,
+            "trials": trials,
+            "skipped": skipped,
+            "successes": successes,
+            "fraction": fraction,
+            "collapse_event_prob": q,
+            "floor": floor,
+            "std_error": se,
+            "floor_ok": fraction > floor - 3 * se,
+            "acceptance_rate": acc_rate,
+            "survival_floor": 1.0 - rho,
+            "acceptance_ok": acc_rate >= (1.0 - rho) - 4 * se_acc,
+        }
+        each[d] = entry, [(d, t, sizes or (), str(ratio) if ratio is not None else None, kind)
+                          for t, sizes, ratio, kind, _ in results]
+    per_d = [dict(each[d][0]) for d in d_list]  # each listing gets its own dict
+    rows = [row for d in d_list for row in each[d][1]]
     return per_d, rows, rho
 
 
@@ -1200,7 +1175,8 @@ def verify_dichotomy(
     generation are then scanned together as one forest, one vectorized
     pass per generation, for dead subtrees, single-child runs and the
     depth n-1 ball (n = d*d). A forest holds at most 2^15 vertices, unless
-    one tree alone is larger.
+    one tree alone is larger. A d listed more than once is scanned once, and
+    its per_d entry and rows are repeated at each place it is listed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

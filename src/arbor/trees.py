@@ -136,17 +136,11 @@ class Tree:
             raise InvalidVertexError(f"vertex {v} is out of range (0..{self.vertex_count - 1})")
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for v, ns in enumerate(self.adjacency):
             for u in ns:
                 if u > v:
                     yield (v, u)
-
-    def with_root(self, root: int | None) -> "Tree":
-        return Tree(self.adjacency, root=root)
 
     def __eq__(self, other) -> bool:
         return (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
@@ -32,7 +32,6 @@ __all__ = [
     "TrimmedView",
     "ball_code_sequence",
     "detect_period",
-    "InessentialSubtree",
     "is_inessential",
     "HangingComponent",
     "hanging_components",
@@ -274,23 +273,6 @@ def detect_period(codes: list[bytes]) -> tuple[int, int] | None:
             if all(codes[j] == codes[j + p] for j in range(q, n - p)):
                 return (q, p)
     return None
-
-
-@dataclass(frozen=True)
-class InessentialSubtree:
-    """A finite subtree glued to the rest of the host at a single root vertex.
-
-    Every member except ``root`` has all its neighbors inside; the root has
-    at least one neighbor outside (and host-degree >= 2).
-    """
-
-    host: object = field(compare=False)
-    members: frozenset = field(compare=True)
-    root: object = field(compare=True)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def is_inessential(host, members: Iterable) -> bool:

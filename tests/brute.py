@@ -27,7 +27,11 @@ former subset lift built on it, it is the reference for the level chain of
 witness scan of ``classify``, built from ``arbor.trimming.hanging_components``
 and from ``make_inessential`` and ``folner_from_inessential``, the
 library's former witness constructors, each of which rechecks what it is
-given; it is the reference for ``_inessential_witnesses``.
+given; it is the reference for ``_inessential_witnesses``. An inessential
+subtree is passed around as its members and its root, the one member with
+an outside neighbor. ``generation_of`` and ``label_of`` are the library's
+former labeling of a Galton-Watson sample's vertices by sibling tuples, the
+reference for the handles of ``GWSample.truncate_ball``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from arbor import (
     Tree,
     explore_ball,
 )
-from arbor.trimming import InessentialSubtree, hanging_components
+from arbor.trimming import hanging_components
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -276,8 +280,8 @@ def trim_depth_by_ball(oracle, v, k: int, max_vertices: int | None = None) -> in
     return None
 
 
-def make_inessential(host, members) -> InessentialSubtree:
-    """The members as an InessentialSubtree, rooted at the one member with an outside neighbor."""
+def make_inessential(host, members) -> tuple[frozenset, object]:
+    """The members of an inessential subtree and its root, the one member with an outside neighbor."""
     mem = frozenset(members)
     if len(mem) < 2:
         raise ValueError("an inessential subtree needs at least one edge (two vertices)")
@@ -287,18 +291,18 @@ def make_inessential(host, members) -> InessentialSubtree:
     if len(touching) != 1:
         raise ValueError(f"{len(touching)} members have an outside neighbor, not one")
     (root,) = touching
-    return InessentialSubtree(host, mem, root)
+    return mem, root
 
 
-def folner_from_inessential(ines) -> FolnerCandidate:
+def folner_from_inessential(host, members, root) -> FolnerCandidate:
     """The inessential subtree minus its root, whose only outside contact is the root."""
-    members = ines.members - {ines.root}
-    detail = {"root": ines.root, "subtree_size": ines.size}
-    return FolnerCandidate(members, frozenset(boundary(ines.host, members)), "inessential-minus-root", detail)
+    rest = members - {root}
+    detail = {"root": root, "subtree_size": len(members)}
+    return FolnerCandidate(rest, frozenset(boundary(host, rest)), "inessential-minus-root", detail)
 
 
 def inessential_witnesses_by_parts(oracle, ball, budgets):
-    """The witness candidates and inessential subtrees classify's scan finds, by the public pieces.
+    """The witness candidates classify's scan finds, by the public pieces.
 
     Also counts the components too large to walk (``"unwalked"``) and the
     union witnesses formed when some component was left unwalked (``"union"``).
@@ -306,7 +310,7 @@ def inessential_witnesses_by_parts(oracle, ball, budgets):
     scan = ball.sorted_interior
     if not hasattr(oracle, "hanging_component_sizes"):
         scan = scan[: budgets.scan_limit]
-    candidates, found = [], []
+    candidates = []
     counts = {"unwalked": 0, "union": 0}
     for v in scan:
         r = ball.handle_of(v)
@@ -320,10 +324,8 @@ def inessential_witnesses_by_parts(oracle, ball, budgets):
             counts["union"] += 1
             pieces.append({r}.union(*pieces))
         for members in pieces:
-            ines = make_inessential(oracle, members)
-            found.append(ines)
-            candidates.append(folner_from_inessential(ines))
-    return candidates, found, counts
+            candidates.append(folner_from_inessential(oracle, *make_inessential(oracle, members)))
+    return candidates, counts
 
 
 def lift_by_ball(oracle, members, k: int) -> frozenset:
@@ -536,3 +538,29 @@ def scan_witness_by_bfs(t, last_generation: int, n: int) -> tuple[Fraction | Non
         return None, ""
     low = min(r for r, _ in candidates)
     return next(c for c in candidates if c[0] == low)
+
+
+def generation_of(smp, index: int) -> int:
+    """The generation of vertex ``index`` of a Galton-Watson sample, whose vertices are numbered breadth-first."""
+    first = 0
+    for g, width in enumerate(smp.generation_sizes):
+        if first <= index < first + width:
+            return g
+        first += width
+    raise ValueError(f"vertex {index} is out of range")
+
+
+def label_of(smp, index: int) -> tuple:
+    """Vertex ``index``'s 1-based sibling tuple: the root is (), and child j of a vertex labeled L is L + (j,)."""
+    g = generation_of(smp, index)
+    pos = index - sum(smp.generation_sizes[:g])
+    parts = []
+    while g > 0:
+        counts = [int(c) for c in smp.counts[g - 1]]
+        parent = 0
+        while pos >= counts[parent]:  # the children of earlier parents come first
+            pos -= counts[parent]
+            parent += 1
+        parts.append(pos + 1)
+        pos, g = parent, g - 1
+    return tuple(reversed(parts))

@@ -6,6 +6,8 @@ import math
 import random
 import sys
 import time
+from collections import OrderedDict, defaultdict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -444,6 +446,28 @@ _documents = st.recursive(
 )
 
 
+# Subclasses of the types documents are made of, which _render hands to jsonable.
+_Pair = namedtuple("_Pair", "first second")
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+class _Name(str):
+    pass
+
+
+_subclassed = st.one_of(
+    st.builds(_Pair, _documents, _documents),
+    st.dictionaries(_keys, _documents, max_size=3).map(OrderedDict),
+    st.dictionaries(_keys, _documents, max_size=3).map(lambda d: defaultdict(list, d)),
+    st.sampled_from(list(_Level)),
+    st.text(max_size=4).map(_Name),
+)
+
+
 def _nested(depth: int):
     doc = [Fraction(1, 3)]
     for i in range(depth):
@@ -451,7 +475,7 @@ def _nested(depth: int):
     return doc
 
 
-@given(_documents)
+@given(_documents | _subclassed | st.lists(_subclassed, max_size=4))
 @example({2: "a", 10: "b"})
 @example({1: "int", "1": "str"})
 @example({"1": "str", 1: "int"})
@@ -461,6 +485,10 @@ def _nested(depth: int):
 @example({10, 9, -1})
 @example([math.nan, math.inf, -math.inf, -0.0])
 @example(_nested(40))
+@example(_Pair(Fraction(1, 3), frozenset({(1, "z"), 2})))
+@example(OrderedDict([(10, _Pair((), [])), (2, "b"), ("1", None)]))
+@example(defaultdict(list, {_Level.HIGH: [_Level.LOW], 1: {"k": _Name("v")}}))
+@example([_Level.LOW, _Name("a\"b"), {_Name("key"): _Level.HIGH}])
 def test_render_matches_json_dumps_of_jsonable(doc):
     assert _render(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2)
 

@@ -13,7 +13,6 @@ from arbor import (
     GWSpec,
     IncompleteKnowledgeError,
     InsufficientDepthError,
-    InvalidVertexError,
     canonical_form,
     event_path_prob,
     event_sary_prob,
@@ -118,7 +117,9 @@ def stated_stream_counts(spec, seed, key, g, width):
     """Generation g's child counts drawn as the module docstring states."""
     bg = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)).jumped(g)
     draws = np.random.Generator(bg).random(width)
-    return np.searchsorted(spec.cumulative(), draws, side="right")
+    cum = np.cumsum([float(p) for p in spec.probabilities])
+    cum[-1] = 1.0
+    return np.searchsorted(cum, draws, side="right")
 
 
 def test_sample_follows_the_stated_stream():
@@ -188,16 +189,14 @@ def test_sample_extinction_and_zero_depth():
 
 def test_labels_and_indices_roundtrip():
     smp = sample(DOUBLING_LAW, 1, 3)
-    assert [smp.label_of(i) for i in range(4)] == [(), (1,), (2,), (1, 1)]
+    assert [brute.label_of(smp, i) for i in range(4)] == [(), (1,), (2,), (1, 1)]
     # In to_tree() ids, vertex i's children carry its label extended by 1, 2, ...
     t = smp.to_tree()
-    labels = [smp.label_of(i) for i in range(smp.vertex_count)]
+    labels = [brute.label_of(smp, i) for i in range(smp.vertex_count)]
     assert len(set(labels)) == smp.vertex_count
     for i in range(smp.vertex_count):
         kids = [u for u in t.neighbors(i) if u > i]
         assert [labels[u] for u in kids] == [labels[i] + (j,) for j in range(1, len(kids) + 1)]
-    with pytest.raises(InvalidVertexError):
-        smp.label_of(smp.vertex_count)
 
 
 def test_to_tree_shape():
@@ -257,7 +256,7 @@ def test_truncate_ball_handles_are_labels(spec):
         smp = sample(spec, seed, 5)
         for k in range(min(5, smp.truncated_at) + 1):
             cut = smp.truncate(k)
-            assert smp.truncate_ball(k).handles == tuple(cut.label_of(i) for i in range(cut.vertex_count))
+            assert smp.truncate_ball(k).handles == tuple(brute.label_of(cut, i) for i in range(cut.vertex_count))
 
 
 def test_event_probs_match_enumeration():
@@ -814,3 +813,21 @@ def test_dichotomy_shared_draws_draw_each_attempt_once(spec, d_list, max_vertice
     if spec is FADING_LAW:
         skipped = {entry["d"]: entry["skipped"] for entry in report.per_d}
         assert skipped[4] == 12 and skipped[1] < 12
+
+
+def test_dichotomy_scans_a_repeated_d_once():
+    d_list = [3, 3, 5, 3]
+    scanned = []
+    real = gw._scan_witness
+
+    def counted(samples, n):
+        scanned.append(n)
+        return real(samples, n)
+
+    with mock.patch.object(gw, "_scan_witness", counted):
+        got = verify_dichotomy(QUARTER_LAW, d_list, 12, 1)
+    assert scanned == [9, 25]  # n = d*d, once for each distinct d
+    alone = {d: verify_dichotomy(QUARTER_LAW, [d], 12, 1) for d in set(d_list)}
+    assert list(got.per_d) == [alone[d].per_d[0] for d in d_list]
+    assert len({id(entry) for entry in got.per_d}) == len(d_list)  # each listing has its own dict
+    assert list(got.rows) == [row for d in d_list for row in alone[d].rows]

@@ -1,9 +1,14 @@
 import importlib
+import inspect
 import json
 import pkgutil
 import random
+import re
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import islice, product
+from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import given
@@ -38,7 +43,7 @@ def random_trees(draw: st.DrawFn, min_size: int = 1, max_size: int = 12) -> Tree
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
     t = Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
     if draw(st.booleans()):
-        t = t.with_root(draw(st.integers(min_value=0, max_value=n - 1)))
+        t = Tree(t.adjacency, root=draw(st.integers(min_value=0, max_value=n - 1)))
     return t
 
 
@@ -139,7 +144,7 @@ def test_single_vertex():
     t = Tree([[]])
     assert t.vertex_count == 1
     assert t.neighbors(0) == ()
-    assert t.degree(0) == 0
+    assert len(t.neighbors(0)) == 0
     assert centers(t) == (0,)
 
 
@@ -171,7 +176,7 @@ def test_equality_respects_root():
 
 
 def degrees(t: Tree) -> list[int]:
-    return [t.degree(v) for v in range(t.vertex_count)]
+    return [len(t.neighbors(v)) for v in range(t.vertex_count)]
 
 
 def test_leaves_and_branches():
@@ -183,7 +188,7 @@ def test_sary_tree_counts():
     t = sary_tree(2, 3)
     assert t.vertex_count == 15
     assert t.root == 0
-    assert t.degree(0) == 2
+    assert len(t.neighbors(0)) == 2
     assert degrees(t).count(1) == 8
     assert sary_tree(1, 4).vertex_count == 5
     assert sary_tree(3, 0).vertex_count == 1
@@ -193,9 +198,9 @@ def test_subdivide_keeps_original_ids():
     t = star_tree(3)
     s = subdivide_tree(t)
     assert s.vertex_count == 7
-    assert s.degree(0) == 3
+    assert len(s.neighbors(0)) == 3
     for mid in range(4, 7):
-        assert s.degree(mid) == 2
+        assert len(s.neighbors(mid)) == 2
     # original edges are gone, replaced by two-step paths
     assert 1 not in s.neighbors(0)
 
@@ -230,7 +235,7 @@ def test_parse_tree_single_vertex_via_root_line():
 
 @given(random_trees())
 def test_child_list_roundtrip(t: Tree):
-    rooted = t if t.root is not None else t.with_root(0)
+    rooted = t if t.root is not None else Tree(t.adjacency, root=0)
     doc = serialize_child_list(rooted)
     back = parse_child_list(json.loads(json.dumps(doc)))
     assert canonical_form(back, rooted=True) == canonical_form(rooted, rooted=True)
@@ -290,13 +295,11 @@ def test_canonical_form_agrees_with_reference(a: Tree, b: Tree):
 
 def test_canonical_form_rooted_vs_unrooted():
     p = path_tree(3)
-    assert canonical_form(p.with_root(0), rooted=True) != canonical_form(
-        p.with_root(1), rooted=True
-    )
+    assert canonical_form(path_tree(3, root=0), rooted=True) != canonical_form(path_tree(3, root=1), rooted=True)
     with pytest.raises(ValueError):
         canonical_form(p, rooted=True)
     # default follows the root flag
-    assert canonical_form(p.with_root(0)) == canonical_form(p.with_root(0), rooted=True)
+    assert canonical_form(path_tree(3, root=0)) == canonical_form(path_tree(3, root=0), rooted=True)
     assert canonical_form(p) == canonical_form(p, rooted=False)
 
 
@@ -377,3 +380,49 @@ def test_exports_resolve_once():
         module = importlib.import_module(f"arbor.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"arbor.{info.name}.{name}"
+
+
+REPO = Path(__file__).resolve().parents[1]
+# Where a public method or property may be read: the library, the demos, the
+# README, the benchmark and the acceptance tests. A unit test alone does not count.
+READERS = [
+    *sorted((REPO / "src" / "arbor").glob("*.py")),
+    *sorted((REPO / "demos").glob("*.py")),
+    REPO / "README.md",
+    *sorted((REPO / "perfbench").glob("*.py")),
+    REPO / "tests" / "test_acceptance.py",
+]
+MEMBER_KINDS = (FunctionType, property, cached_property, classmethod, staticmethod)
+
+
+def _source_span(member) -> tuple:
+    fn = getattr(member, "fget", None) or getattr(member, "func", None) or getattr(member, "__func__", None) or member
+    lines, first = inspect.getsourcelines(fn)
+    return Path(inspect.getsourcefile(fn)).resolve(), range(first, first + len(lines))
+
+
+def test_every_public_member_of_an_export_has_a_reader():
+    # A read counts as ``.name`` outside the member's own def and outside its
+    # class's private members: a public name that only private code reads is
+    # a private helper.
+    texts = {path.resolve(): path.read_text(encoding="utf-8").splitlines() for path in READERS}
+    unread = []
+    for export in arbor.__all__:
+        cls = getattr(arbor, export)
+        if not isinstance(cls, type):
+            continue
+        members = {name: m for name, m in vars(cls).items() if isinstance(m, MEMBER_KINDS)}
+        private = [_source_span(m) for name, m in members.items() if name.startswith("_") and not name.startswith("__")]
+        for name, member in members.items():
+            if name.startswith("_"):
+                continue
+            skip = [_source_span(member), *private]
+            read = re.compile(rf"\.{name}\b")
+            if not any(
+                read.search(line)
+                for path, lines in texts.items()
+                for i, line in enumerate(lines, 1)
+                if not any(path == where and i in span for where, span in skip)
+            ):
+                unread.append(f"{export}.{name}")
+    assert unread == []

@@ -382,9 +382,9 @@ def test_inessential_rejects_degenerates():
 
 def test_make_inessential_and_find_root():
     t = star_tree(4)
-    ines = brute.make_inessential(t, {0, 1, 2})
-    assert ines.root == 0
-    assert ines.size == 3
+    members, root = brute.make_inessential(t, {0, 1, 2})
+    assert root == 0
+    assert members == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
         brute.make_inessential(path_tree(5), {1, 2, 3})  # two members touch outside
 
