@@ -28,12 +28,7 @@ from .errors import (
 from .exploration import Ball, _NeighborMemo, explore_ball
 from .subsets import _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
-from .trimming import (
-    TrimmedView,
-    hanging_components,
-    lift_subset_through_trims,
-    removal_steps_in_ball,
-)
+from .trimming import TrimmedView, lift_subset_through_trims, removal_steps_in_ball
 
 __all__ = [
     "FolnerCandidate",
@@ -629,29 +624,48 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
 
     Fixtures that can answer component sizes are scanned at every explored
     interior vertex; black-box oracles only at the breadth-first earliest
-    scan_limit vertices.
-
-    Every fact reported comes from the walk that ``hanging_components``
-    makes, and an interior vertex's degree from the ball, which holds all its
-    neighbors. Each witness is a union of whole components of host - r, so
+    scan_limit vertices. A vertex whose components are all infinite or over
+    component_budget is skipped unsorted. Otherwise each component within
+    budget, in ``sorted_handles`` order of all of r's neighbors, is walked
+    up to the budget; a walk that disagrees with a claimed size raises
+    UnsupportedStructureError. An interior vertex's degree comes from the
+    ball, which holds all its neighbors. Each witness is a union of whole components of host - r, so
     with r it is connected, and r, of degree >= 2, is its only member with an
     outside neighbor. In a tree each component's attach vertex is its only
     neighbor of r, so the attach vertices are the witness's boundary.
     """
     scan = ball.sorted_interior
-    if not hasattr(oracle, "hanging_component_sizes"):
+    sizes_of = getattr(oracle, "hanging_component_sizes", None)
+    if sizes_of is None:
         scan = scan[: budgets.scan_limit]
-    adjacency = ball.tree.adjacency
+    cap = budgets.component_budget
+    adjacency, handles = ball.tree.adjacency, ball.handles
     candidates = []
     for v in scan:
         if len(adjacency[v]) < 2:
             continue
-        r = ball.handle_of(v)
-        comps = hanging_components(oracle, r, budgets.component_budget)
-        walked = [c for c in comps if c.members is not None]
-        pieces = [(c.members, (c.attach,)) for c in walked]
-        if 2 <= len(walked) < len(comps):
-            pieces.append((frozenset().union(*(c.members for c in walked)), [c.attach for c in walked]))
+        r = handles[v]
+        sizes = sizes_of(r) if sizes_of is not None else dict.fromkeys(oracle.neighbors(r))
+        if all(s is not None and s > cap for s in sizes.values()):
+            continue
+        walked = []  # (attach, members) of each component walked
+        for u in sorted_handles(sizes):
+            s = sizes[u]
+            if s is not None and s > cap:
+                continue
+            # A claimed size s <= cap that is true ends this walk after s vertices.
+            comp = reach(oracle.neighbors, u, avoid=(r,), cap=cap)
+            if s is not None and (comp is None or len(comp) != s):
+                found = f"more than {cap}" if comp is None else len(comp)
+                raise UnsupportedStructureError(
+                    f"the host claims the component of {u!r} in the tree minus {r!r} has {s} vertices, "
+                    f"but a walk finds {found}"
+                )
+            if comp is not None:
+                walked.append((u, frozenset(comp)))
+        pieces = [(members, (u,)) for u, members in walked]
+        if 2 <= len(walked) < len(sizes):
+            pieces.append((frozenset().union(*(m for _, m in walked)), [u for u, _ in walked]))
         for witness, attaches in pieces:
             detail = {"root": r, "subtree_size": len(witness) + 1}
             candidates.append(FolnerCandidate(witness, frozenset(attaches), "inessential-minus-root", detail))
@@ -797,8 +811,8 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
     bounds (k, d, R) it instead cross-examines the explored region against
     them and, if nothing contradicts, certifies the ratio floor 1/(2dR).
     Every reader goes through one memo of the host's neighbors, dropped on
-    return, so each handle reaches the host once per call (and once more
-    inside ``hanging_component_sizes``). Deterministic for fixed inputs.
+    return, so each handle reaches the host once per call. Deterministic
+    for fixed inputs.
     """
     budgets = budgets or ClassifyBudgets()
     if d_target < 1:

@@ -5,9 +5,10 @@ handles), and optionally ``hanging_component_sizes(r)``: a dict from each
 neighbor u of r to the size of u's component in the tree minus r
 (``math.inf`` when it is infinite), for hosts that can answer without a
 walk. A host without it is a black box whose components are walked up to a
-budget. ``explore_ball`` materializes a finite rooted ball and records
-exactly which vertices sit on the information frontier, so later boundary
-computations can refuse to guess instead of being wrong.
+budget; the fixtures and ``TreeAsOracle`` answer by a rule on r's neighbors
+(``_SizeRule``). ``explore_ball`` materializes a finite rooted ball and
+records exactly which vertices sit on the information frontier, so later
+boundary computations can refuse to guess instead of being wrong.
 
 ``classify`` and ``ball_code_sequence`` put their host behind a per-call
 memo of ``neighbors``, so each handle reaches the host once per call
@@ -22,7 +23,20 @@ from .trees import Tree
 __all__ = ["TreeAsOracle", "Ball", "explore_ball"]
 
 
-class TreeAsOracle:
+class _SizeRule:
+    """``hanging_component_sizes(r)`` as a host's rule ``_sizes(r, hood)``, hood = ``neighbors(r)``.
+
+    The public method checks r by asking ``neighbors(r)``; a
+    ``_NeighborMemo`` passes the hood it already holds, so r is asked once.
+    """
+
+    __slots__ = ()
+
+    def hanging_component_sizes(self, r) -> dict:
+        return self._sizes(r, self.neighbors(r))
+
+
+class TreeAsOracle(_SizeRule):
     """Wrap a finite Tree as a neighbor oracle.
 
     Useful for exercising the exploration machinery against hosts where the
@@ -47,14 +61,13 @@ class TreeAsOracle:
     def neighbors(self, v: int):
         return self.tree.neighbors(v)
 
-    def hanging_component_sizes(self, r: int) -> dict[int, int]:
+    def _sizes(self, r: int, hood) -> dict[int, int]:
         """Each neighbor u of r mapped to the size of u's component after deleting r."""
-        ns = self.tree.neighbors(r)  # checks r
         if self._below is None:
             self._root_pass()
         parent, below = self._parent, self._below
         above = self.tree.vertex_count - below[r]
-        return {u: below[u] if parent[u] == r else above for u in ns}
+        return {u: below[u] if parent[u] == r else above for u in hood}
 
     def _root_pass(self) -> None:
         """Each vertex's parent and subtree size in the tree rooted at ``root``."""
@@ -78,15 +91,20 @@ class _NeighborMemo:
     Each handle reaches the host's ``neighbors`` once; an error is not kept,
     so asking again asks the host again. ``root`` and
     ``hanging_component_sizes`` are the host's own, and absent exactly when
-    the host lacks them. The memo keeps every answer for as long as it
-    lives, so a caller drops it when it returns.
+    the host lacks them, except that ``_SizeRule`` sizes are read off the
+    memo's ``neighbors(r)``; a host's override is asked as it is. The memo
+    keeps every answer for as long as it lives, so a caller drops it when it
+    returns.
     """
 
-    __slots__ = ("host", "_hoods")
+    __slots__ = ("host", "_hoods", "_rule")
 
     def __init__(self, host):
         self.host = host
         self._hoods: dict = {}
+        own = getattr(host, "hanging_component_sizes", None)
+        ruled = getattr(own, "__self__", None) is host and getattr(own, "__func__", None) is _SizeRule.hanging_component_sizes
+        self._rule = host._sizes if ruled else None
 
     def neighbors(self, h):
         ns = self._hoods.get(h)
@@ -100,7 +118,12 @@ class _NeighborMemo:
 
     @property
     def hanging_component_sizes(self):
-        return self.host.hanging_component_sizes
+        if self._rule is None:
+            return self.host.hanging_component_sizes
+        return self._ruled_sizes
+
+    def _ruled_sizes(self, r) -> dict:
+        return self._rule(r, self.neighbors(r))
 
 
 class Ball:

@@ -5,8 +5,8 @@ Each fixture is a neighbor oracle over hashable handles: ``root`` and
 vertex. Fixtures also answer ``hanging_component_sizes(r)``: a dict from
 each neighbor u of r, in ``neighbors(r)`` order, to the size of u's
 component in the tree minus r (``math.inf`` when that component is
-infinite). It checks r once, through ``neighbors(r)``, and is what lets
-searches over these hosts skip unbounded walks.
+infinite), stated once as the rule ``_sizes(r, hood)`` on r's neighbors
+(``exploration._SizeRule``). It lets searches skip unbounded walks.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import re
 
 from .errors import InvalidVertexError, UnknownFixtureError
+from .exploration import _SizeRule
 
 __all__ = [
     "RegularTree",
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-class RegularTree:
+class RegularTree(_SizeRule):
     """The infinite tree in which every vertex has degree exactly k.
 
     Handles are child-index tuples: the root is (), its k subtrees start
@@ -59,14 +60,14 @@ class RegularTree:
             return tuple((i,) for i in range(self.k))
         return (h[:-1],) + tuple(h + (i,) for i in range(self.k - 1))
 
-    def hanging_component_sizes(self, r) -> dict:
-        return dict.fromkeys(self.neighbors(r), math.inf)
+    def _sizes(self, r, hood) -> dict:
+        return dict.fromkeys(hood, math.inf)
 
     def __repr__(self) -> str:
         return f"RegularTree({self.k})"
 
 
-class SAryTree:
+class SAryTree(_SizeRule):
     """The infinite rooted tree where every vertex has exactly s children.
 
     The root has degree s; everything else has degree s+1. Handles are
@@ -98,8 +99,8 @@ class SAryTree:
             return kids
         return (h[:-1],) + kids
 
-    def hanging_component_sizes(self, r) -> dict:
-        sizes = dict.fromkeys(self.neighbors(r), math.inf)
+    def _sizes(self, r, hood) -> dict:
+        sizes = dict.fromkeys(hood, math.inf)
         if r and self.s == 1:
             # On the single ray the component through the parent is finite.
             sizes[r[:-1]] = len(r)
@@ -109,7 +110,7 @@ class SAryTree:
         return f"SAryTree({self.s})"
 
 
-class ZLinePendant:
+class ZLinePendant(_SizeRule):
     """A two-way infinite line with one extra leaf hanging at the origin.
 
     Handles: ("z", n) for line vertices, ("p", 0) for the pendant leaf.
@@ -141,8 +142,8 @@ class ZLinePendant:
             out = out + (("p", 0),)
         return out
 
-    def hanging_component_sizes(self, r) -> dict:
-        sizes = dict.fromkeys(self.neighbors(r), math.inf)
+    def _sizes(self, r, hood) -> dict:
+        sizes = dict.fromkeys(hood, math.inf)
         if ("p", 0) in sizes:
             sizes[("p", 0)] = 1
         return sizes
@@ -151,7 +152,7 @@ class ZLinePendant:
         return "ZLinePendant()"
 
 
-class ThreeRegularPlusRay:
+class ThreeRegularPlusRay(_SizeRule):
     """A 3-regular tree with a one-way infinite ray grafted at one vertex.
 
     The graft vertex ("t", ()) has degree 4; other tree vertices have degree
@@ -191,14 +192,14 @@ class ThreeRegularPlusRay:
             return tuple(("t", (i,)) for i in range(3)) + (("r", 1),)
         return (("t", rest[:-1]),) + tuple(("t", rest + (i,)) for i in range(2))
 
-    def hanging_component_sizes(self, r) -> dict:
-        return dict.fromkeys(self.neighbors(r), math.inf)
+    def _sizes(self, r, hood) -> dict:
+        return dict.fromkeys(hood, math.inf)
 
     def __repr__(self) -> str:
         return "ThreeRegularPlusRay()"
 
 
-class Staircase:
+class Staircase(_SizeRule):
     """A one-way spine with a finite column of n*i vertices above spine position i.
 
     Handles are (i, j): spine vertices (i, 0) for i >= 0, and column vertices
@@ -246,8 +247,8 @@ class Staircase:
                 out.append((i, j + 1))
         return tuple(sorted(out))
 
-    def hanging_component_sizes(self, r) -> dict:
-        sizes = dict.fromkeys(self.neighbors(r), math.inf)
+    def _sizes(self, r, hood) -> dict:
+        sizes = dict.fromkeys(hood, math.inf)
         i, j = r
         if j == 0:
             if (i, 1) in sizes:

@@ -13,16 +13,15 @@ oracle-driven computation exact.
 
 from __future__ import annotations
 
-import math
 from copy import copy
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from .errors import BudgetExhaustedError, InvalidVertexError, UnsupportedStructureError
+from .errors import BudgetExhaustedError, InvalidVertexError
 from .exploration import Ball, _NeighborMemo, explore_ball
 from .subsets import boundary_of, is_connected_in
-from .trees import Tree, bfs_layers, canonical_form, peel, reach, sorted_handles
+from .trees import Tree, bfs_layers, canonical_form, peel
 
 __all__ = [
     "TrimOrbit",
@@ -33,8 +32,6 @@ __all__ = [
     "ball_code_sequence",
     "detect_period",
     "is_inessential",
-    "HangingComponent",
-    "hanging_components",
     "lift_subset_through_trims",
 ]
 
@@ -292,51 +289,6 @@ def is_inessential(host, members: Iterable) -> bool:
     if not touching:
         raise ValueError("no member has an outside neighbor; the subset is the whole tree")
     return len(touching) == 1
-
-
-@dataclass(frozen=True)
-class HangingComponent:
-    """One component of host minus a vertex, as seen from that vertex."""
-
-    attach: object
-    status: str  # finite | infinite | unknown
-    size: int | None
-    members: frozenset | None
-
-
-def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingComponent]:
-    """Classify each component of host - r as finite (with members), infinite, or unknown.
-
-    A host with ``hanging_component_sizes`` names r's neighbors and their
-    component sizes in one call, and each finite component within
-    max_vertices is walked to collect its members; a walk that disagrees
-    with the claimed size raises UnsupportedStructureError. Any other host
-    has each component walked up to max_vertices, and 'unknown' is an honest
-    budget verdict, never a guess.
-    """
-    sizes_of = getattr(oracle, "hanging_component_sizes", None)
-    sizes = sizes_of(r) if sizes_of is not None else dict.fromkeys(oracle.neighbors(r))
-    out = []
-    for u in sorted_handles(sizes):
-        s = sizes[u]
-        if s == math.inf:
-            out.append(HangingComponent(u, "infinite", None, None))
-        elif s is not None and s > max_vertices:
-            out.append(HangingComponent(u, "finite", int(s), None))
-        else:
-            # A claimed size s <= max_vertices that is true ends this walk after s vertices.
-            comp = reach(oracle.neighbors, u, avoid=(r,), cap=max_vertices)
-            if s is not None and (comp is None or len(comp) != s):
-                walked = f"more than {max_vertices}" if comp is None else len(comp)
-                raise UnsupportedStructureError(
-                    f"the host claims the component of {u!r} in the tree minus {r!r} has {s} vertices, "
-                    f"but a walk finds {walked}"
-                )
-            if comp is None:
-                out.append(HangingComponent(u, "unknown", None, None))
-            else:
-                out.append(HangingComponent(u, "finite", len(comp), frozenset(comp)))
-    return out
 
 
 def lift_subset_through_trims(view: TrimmedView, members: Iterable) -> frozenset:

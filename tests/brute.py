@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: straight from the definitions, no
 shared code with the library beyond the Tree container (its constructor
-and the accessors vertex_count, neighbors) and the SearchTooLargeError
-type. Slow is fine; these only run on small inputs.
+and the accessors vertex_count, neighbors) and the SearchTooLargeError and
+UnsupportedStructureError types, except where a former library function
+kept here says what it calls. Slow is fine; these only run on small inputs.
 
 Besides the definitions themselves, two property checks live here:
 ``edge_complement_is_connected``, the reference for the library's fast
@@ -24,12 +25,14 @@ vertex's radius-k ball with the library's ``explore_ball``, whose budget it
 keeps, and peels it with ``peel_by_rescan``. With ``lift_by_ball``, the
 former subset lift built on it, it is the reference for the level chain of
 ``TrimmedView``. ``inessential_witnesses_by_parts`` is the library's former
-witness scan of ``classify``, built from ``arbor.trimming.hanging_components``
-and from ``make_inessential`` and ``folner_from_inessential``, the
-library's former witness constructors, each of which rechecks what it is
-given; it is the reference for ``_inessential_witnesses``. An inessential
-subtree is passed around as its members and its root, the one member with
-an outside neighbor. ``generation_of`` and ``label_of`` are the library's
+witness scan of ``classify``, the reference for ``_inessential_witnesses``.
+It is built from ``hanging_components``, the library's former description
+of every component of the host minus a vertex as a ``HangingComponent``
+(with the library's ``reach`` and ``sorted_handles``), and from
+``make_inessential`` and ``folner_from_inessential``, the library's former
+witness constructors, each of which rechecks what it is given. An
+inessential subtree is passed around as its members and its root, the one
+member with an outside neighbor. ``generation_of`` and ``label_of`` are the library's
 former labeling of a Galton-Watson sample's vertices by sibling tuples, the
 reference for the handles of ``GWSample.truncate_ball``.
 """
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -46,9 +51,10 @@ from arbor import (
     FolnerCandidate,
     SearchTooLargeError,
     Tree,
+    UnsupportedStructureError,
     explore_ball,
 )
-from arbor.trimming import hanging_components
+from arbor.trees import reach, sorted_handles
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -278,6 +284,50 @@ def trim_depth_by_ball(oracle, v, k: int, max_vertices: int | None = None) -> in
         if 0 in dead:
             return t
     return None
+
+
+@dataclass(frozen=True)
+class HangingComponent:
+    """One component of host minus a vertex, as seen from that vertex."""
+
+    attach: object
+    status: str  # finite | infinite | unknown
+    size: int | None
+    members: frozenset | None
+
+
+def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingComponent]:
+    """Classify each component of host - r as finite (with members), infinite, or unknown.
+
+    A host with ``hanging_component_sizes`` names r's neighbors and their
+    component sizes in one call, and each finite component within
+    max_vertices is walked to collect its members; a walk that disagrees
+    with the claimed size raises UnsupportedStructureError. Any other host
+    has each component walked up to max_vertices, and 'unknown' is an honest
+    budget verdict, never a guess.
+    """
+    sizes_of = getattr(oracle, "hanging_component_sizes", None)
+    sizes = sizes_of(r) if sizes_of is not None else dict.fromkeys(oracle.neighbors(r))
+    out = []
+    for u in sorted_handles(sizes):
+        s = sizes[u]
+        if s == math.inf:
+            out.append(HangingComponent(u, "infinite", None, None))
+        elif s is not None and s > max_vertices:
+            out.append(HangingComponent(u, "finite", int(s), None))
+        else:
+            comp = reach(oracle.neighbors, u, avoid=(r,), cap=max_vertices)
+            if s is not None and (comp is None or len(comp) != s):
+                walked = f"more than {max_vertices}" if comp is None else len(comp)
+                raise UnsupportedStructureError(
+                    f"the host claims the component of {u!r} in the tree minus {r!r} has {s} vertices, "
+                    f"but a walk finds {walked}"
+                )
+            if comp is None:
+                out.append(HangingComponent(u, "unknown", None, None))
+            else:
+                out.append(HangingComponent(u, "finite", len(comp), frozenset(comp)))
+    return out
 
 
 def make_inessential(host, members) -> tuple[frozenset, object]:

@@ -44,6 +44,8 @@ from arbor.amenability import (
     contract_branchless,
 )
 from arbor.errors import SandwichViolationError
+from arbor.exploration import _NeighborMemo
+from arbor.fixtures import Staircase
 from arbor.trimming import lift_subset_through_trims
 from brute import star_tree
 
@@ -263,6 +265,8 @@ def check_witness_scan(oracle, radius: int, component_budget: int, scan_limit: i
     assert [(c.members, c.provenance, c.detail) for c in cands] == [
         (c.members, c.provenance, c.detail) for c in ref_cands
     ]
+    # classify scans through its neighbor memo, which reads a fixture's sizes off its own answers
+    assert _inessential_witnesses(_NeighborMemo(oracle), ball, budgets) == cands
     for c in cands:
         boundary = brute.boundary(oracle, c.members)
         assert c.boundary == boundary
@@ -293,6 +297,96 @@ def test_inessential_witnesses_match_parts_on_random_trees(t: Tree, data):
         # no hanging_component_sizes: components are walked up to the budget
         oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
     check_witness_scan(oracle, radius, budget, scan_limit=data.draw(st.integers(1, 30), label="scan_limit"))
+
+
+def test_hanging_components_with_capability():
+    comps = brute.hanging_components(make_fixture("zline_pendant"), ("z", 0))
+    by_attach = {c.attach: c for c in comps}
+    assert by_attach[("p", 0)].status == "finite"
+    assert by_attach[("p", 0)].members == frozenset({("p", 0)})
+    assert by_attach[("z", 1)].status == "infinite"
+    assert by_attach[("z", -1)].size is None
+
+
+def test_hanging_components_by_walk():
+    t = path_tree(7)
+    comps = brute.hanging_components(SimpleNamespace(root=3, neighbors=t.neighbors), 3)
+    assert {c.attach: c.size for c in comps} == {2: 3, 4: 3}
+    assert all(c.status == "finite" for c in comps)
+
+    regular = make_fixture("regular(3)")
+    capped = brute.hanging_components(SimpleNamespace(root=(), neighbors=regular.neighbors), (), max_vertices=40)
+    assert all(c.status == "unknown" and c.members is None for c in capped)
+
+
+def test_hanging_components_finite_but_unwalkable():
+    comps = brute.hanging_components(make_fixture("staircase"), (9, 0), max_vertices=5)
+    by_attach = {c.attach: c for c in comps}
+    left = by_attach[(8, 0)]
+    assert left.status == "finite" and left.size == 45 and left.members is None
+    assert by_attach[(10, 0)].status == "infinite"
+
+
+class MisreportingOracle(TreeAsOracle):
+    """A finite tree whose claimed component sizes are off by ``delta``."""
+
+    def __init__(self, tree, delta: int, root: int | None = None):
+        super().__init__(tree, root)
+        self.delta = delta
+
+    def hanging_component_sizes(self, r):
+        return {u: s + self.delta for u, s in super().hanging_component_sizes(r).items()}
+
+
+MISREPORTS = pytest.mark.parametrize(
+    "delta, max_vertices, walked",
+    [(1, 2000, "3"), (-1, 2000, "3"), (-1, 2, "more than 2")],
+)
+
+
+@MISREPORTS
+def test_hanging_components_refuses_a_misreported_size(delta: int, max_vertices: int, walked: str):
+    # over-reporting used to return a component whose size disagreed with its
+    # members, and under-reporting a bare TypeError; neither may depend on assert
+    host = MisreportingOracle(path_tree(7), delta)
+    with pytest.raises(UnsupportedStructureError) as info:
+        brute.hanging_components(host, 3, max_vertices=max_vertices)
+    assert str(info.value) == (
+        f"the host claims the component of 2 in the tree minus 3 has {3 + delta} vertices, "
+        f"but a walk finds {walked}"
+    )
+
+
+@MISREPORTS
+def test_classify_refuses_a_misreported_size_behind_its_memo(delta: int, max_vertices: int, walked: str):
+    # the memo reads sizes off its own neighbors only for a host's size rule;
+    # an override of hanging_component_sizes is asked as it is
+    host = MisreportingOracle(path_tree(7), delta, root=3)
+    with pytest.raises(UnsupportedStructureError) as info:
+        classify(host, ClassifyBudgets(radius=3, component_budget=max_vertices))
+    assert str(info.value) == (
+        f"the host claims the component of 2 in the tree minus 3 has {3 + delta} vertices, "
+        f"but a walk finds {walked}"
+    )
+
+
+class ColumnMisreportingStaircase(Staircase):
+    """The staircase, but claiming one vertex too many in the column at spine position 3."""
+
+    def hanging_component_sizes(self, r):
+        sizes = super().hanging_component_sizes(r)
+        if r == (3, 0):
+            sizes[(3, 1)] += 1
+        return sizes
+
+
+def test_classify_asks_a_fixture_override_for_its_sizes():
+    with pytest.raises(UnsupportedStructureError) as info:
+        classify(ColumnMisreportingStaircase(), ClassifyBudgets(radius=6))
+    assert str(info.value) == (
+        "the host claims the component of (3, 1) in the tree minus (3, 0) has 4 vertices, but a walk finds 3"
+    )
+    assert classify(Staircase(), ClassifyBudgets(radius=6)).verdict == "amenable-witnessed"
 
 
 def branchless_run(oracle, k: int, target_len: int, seed_radius: int = 6):

@@ -1,8 +1,9 @@
 """How often classify and trim ask their host for a handle's neighbors.
 
 Both put the host behind a per-call memo of ``neighbors``, so a handle
-reaches the host once through the memo, and once more inside
-``hanging_component_sizes``, which checks its r itself.
+reaches the host once per call. The memo reads a fixture's component sizes
+off the neighbors it already holds, so classify's inessential scan asks
+nothing again.
 """
 
 import io
@@ -22,6 +23,7 @@ from arbor import (
     TreeAsOracle,
     ball_code_sequence,
     classify,
+    explore_ball,
     make_fixture,
 )
 from arbor.exploration import _NeighborMemo
@@ -60,15 +62,16 @@ def run_counted(monkeypatch, argv: list) -> Counter:
 @pytest.mark.parametrize(
     "argv, calls, handles",
     [
-        (["classify", "--fixture", "regular(3)", "--declared-k", "0", "--declared-d", "1", "--declared-R", "1"], 3068, 1534),
-        (["classify", "--fixture", "staircase", "--radius", "25", "--d-target", "23"], 481, 325),
-        (["classify", "--fixture", "zline_pendant", "--d-target", "30"], 90, 71),
+        (["classify", "--fixture", "regular(3)", "--declared-k", "0", "--declared-d", "1", "--declared-R", "1"], 1534, 1534),
+        (["classify", "--fixture", "staircase", "--radius", "25", "--d-target", "23"], 325, 325),
+        (["classify", "--fixture", "zline_pendant", "--d-target", "30"], 71, 71),
     ],
 )
-def test_classify_asks_each_handle_at_most_twice(monkeypatch, argv: list, calls: int, handles: int):
-    # without the memo the busiest handle was asked 11, 35 and 13 times
+def test_classify_asks_each_handle_once(monkeypatch, argv: list, calls: int, handles: int):
+    # without the memo the busiest handle was asked 11, 35 and 13 times, and
+    # while the sizes asked for r again, 3068, 481 and 90 calls were made
     asked = run_counted(monkeypatch, argv)
-    assert max(asked.values()) <= 2
+    assert set(asked.values()) == {1}
     assert (sum(asked.values()), len(asked)) == (calls, handles)
 
 
@@ -79,13 +82,13 @@ def test_trim_asks_each_handle_once(monkeypatch):
     assert len(asked) == 102
 
 
-def test_classify_on_a_finite_tree_asks_each_handle_at_most_twice():
+def test_classify_on_a_finite_tree_asks_each_handle_once_per_call():
     t = Tree.from_edges(brute.random_tree_edges(random.Random(7), 120), vertex_count=120)
     host = counting(TreeAsOracle(t, root=5))
     classify(host, ClassifyBudgets(radius=6), declared=DeclaredBounds(3, 4, 200))
-    assert max(host.asked.values()) <= 2
+    assert set(host.asked.values()) == {1}
     classify(host, ClassifyBudgets(radius=6))
-    assert max(host.asked.values()) <= 4  # a second call starts a new memo
+    assert set(host.asked.values()) == {2}  # a second call starts a new memo
 
 
 def test_classify_asks_a_black_box_host_each_handle_once():
@@ -115,6 +118,38 @@ def test_neighbor_memo_forwards_only_what_the_host_has():
     bare = _NeighborMemo(SimpleNamespace(neighbors=fixture.neighbors))
     assert not hasattr(bare, "root")
     assert not hasattr(bare, "hanging_component_sizes")
+    # the public method but no size rule: the memo hands out the host's own
+    sized = SimpleNamespace(neighbors=fixture.neighbors, hanging_component_sizes=fixture.hanging_component_sizes)
+    assert _NeighborMemo(sized).hanging_component_sizes is sized.hanging_component_sizes
+    assert not hasattr(sized, "_sizes")
+
+
+HOSTS = [
+    "regular(2)",
+    "regular(3)",
+    "sary(1)",
+    "sary(2)",
+    "zline_pendant",
+    "threereg_plus_ray",
+    "staircase",
+    "staircase_n(2)",
+]
+
+
+@pytest.mark.parametrize("name", HOSTS + ["tree"])
+def test_neighbor_memo_sizes_match_the_public_ones(name: str):
+    if name == "tree":
+        t = Tree.from_edges(brute.random_tree_edges(random.Random(3), 80), vertex_count=80)
+        host = TreeAsOracle(t, root=9)
+    else:
+        host = make_fixture(name)
+    memo = _NeighborMemo(counting(host))
+    ball = explore_ball(memo, 6)  # asks the memo for every interior handle, as classify does
+    for v in ball.sorted_interior:
+        r = ball.handles[v]
+        # key order included: the scan's witness order starts from it
+        assert list(memo.hanging_component_sizes(r).items()) == list(host.hanging_component_sizes(r).items())
+    assert set(memo.host.asked.values()) == {1}
 
 
 def test_neighbor_memo_keeps_answers_but_not_errors():

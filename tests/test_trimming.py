@@ -24,8 +24,7 @@ from arbor import (
     trim_depth,
     trim_orbit,
 )
-from arbor.errors import UnsupportedStructureError
-from arbor.trimming import hanging_components, lift_subset_through_trims, removal_steps_in_ball
+from arbor.trimming import lift_subset_through_trims, removal_steps_in_ball
 from brute import star_tree
 
 
@@ -398,60 +397,6 @@ def test_is_inessential_reads_each_member_at_most_twice(t: Tree):
         host = CountingOracle(t)
         is_inessential(host, sub)
         assert host.calls <= 2 * len(sub)
-
-
-def test_hanging_components_with_capability():
-    comps = hanging_components(make_fixture("zline_pendant"), ("z", 0))
-    by_attach = {c.attach: c for c in comps}
-    assert by_attach[("p", 0)].status == "finite"
-    assert by_attach[("p", 0)].members == frozenset({("p", 0)})
-    assert by_attach[("z", 1)].status == "infinite"
-    assert by_attach[("z", -1)].size is None
-
-
-def test_hanging_components_by_walk():
-    t = path_tree(7)
-    comps = hanging_components(PlainOracle(TreeAsOracle(t, root=3)), 3)
-    assert {c.attach: c.size for c in comps} == {2: 3, 4: 3}
-    assert all(c.status == "finite" for c in comps)
-
-    capped = hanging_components(PlainOracle(make_fixture("regular(3)")), (), max_vertices=40)
-    assert all(c.status == "unknown" and c.members is None for c in capped)
-
-
-def test_hanging_components_finite_but_unwalkable():
-    comps = hanging_components(make_fixture("staircase"), (9, 0), max_vertices=5)
-    by_attach = {c.attach: c for c in comps}
-    left = by_attach[(8, 0)]
-    assert left.status == "finite" and left.size == 45 and left.members is None
-    assert by_attach[(10, 0)].status == "infinite"
-
-
-class MisreportingOracle(TreeAsOracle):
-    """A finite tree whose claimed component sizes are off by ``delta``."""
-
-    def __init__(self, tree, delta: int):
-        super().__init__(tree)
-        self.delta = delta
-
-    def hanging_component_sizes(self, r):
-        return {u: s + self.delta for u, s in super().hanging_component_sizes(r).items()}
-
-
-@pytest.mark.parametrize(
-    "delta, max_vertices, walked",
-    [(1, 2000, "3"), (-1, 2000, "3"), (-1, 2, "more than 2")],
-)
-def test_hanging_components_refuses_a_misreported_size(delta: int, max_vertices: int, walked: str):
-    # over-reporting used to return a component whose size disagreed with its
-    # members, and under-reporting a bare TypeError; neither may depend on assert
-    host = MisreportingOracle(path_tree(7), delta)
-    with pytest.raises(UnsupportedStructureError) as info:
-        hanging_components(host, 3, max_vertices=max_vertices)
-    assert str(info.value) == (
-        f"the host claims the component of 2 in the tree minus 3 has {3 + delta} vertices, "
-        f"but a walk finds {walked}"
-    )
 
 
 def test_lift_subset_through_trims_preserves_boundary():
