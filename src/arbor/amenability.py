@@ -629,10 +629,11 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     budget, in ``sorted_handles`` order of all of r's neighbors, is walked
     up to the budget; a walk that disagrees with a claimed size raises
     UnsupportedStructureError. An interior vertex's degree comes from the
-    ball, which holds all its neighbors. Each witness is a union of whole components of host - r, so
-    with r it is connected, and r, of degree >= 2, is its only member with an
-    outside neighbor. In a tree each component's attach vertex is its only
-    neighbor of r, so the attach vertices are the witness's boundary.
+    ball, which holds all its neighbors. Each witness is a union of whole
+    components of host - r, so with r it is connected, and r, of degree
+    >= 2, is its only member with an outside neighbor. In a tree each
+    component's attach vertex is its only neighbor of r, so the attach
+    vertices are the witness's boundary.
     """
     scan = ball.sorted_interior
     sizes_of = getattr(oracle, "hanging_component_sizes", None)

@@ -103,8 +103,8 @@ class _NeighborMemo:
         self.host = host
         self._hoods: dict = {}
         own = getattr(host, "hanging_component_sizes", None)
-        ruled = getattr(own, "__self__", None) is host and getattr(own, "__func__", None) is _SizeRule.hanging_component_sizes
-        self._rule = host._sizes if ruled else None
+        rule = getattr(own, "__func__", None) is _SizeRule.hanging_component_sizes
+        self._rule = host._sizes if rule and own.__self__ is host else None
 
     def neighbors(self, h):
         ns = self._hoods.get(h)
