@@ -93,12 +93,21 @@ def _render(x) -> str:
     ``str`` before they are sorted. json's C encoder is off whenever
     ``indent`` is set, so a list of ints and strings, such as a handle, is
     written with one ``str.join``, and a list of handles with one per handle.
+
+    A handle is written once per call and indentation: a witness lists the
+    same handle objects as the others (classify's neighbor memo hands out
+    one object per vertex), so the memo keys each handle's text by its
+    ``id`` and the indentation's width. Not by value: ``(True, 0) == (1, 0)``
+    but the two are written differently, and list handles do not hash. Each
+    entry holds its handle, so no object the call made and dropped, such as
+    a ``jsonable`` result, can free an ``id`` for another handle to reuse.
+    The memo lives for the one call, so rendering keeps no state.
     """
-    return _render_value(x, "\n")
+    return _render_value(x, "\n", {})
 
 
-def _render_value(x, nl: str) -> str:
-    """One value; ``nl`` is the newline and indent of the line it starts on."""
+def _render_value(x, nl: str, memo: dict) -> str:
+    """One value; ``nl`` is the newline and indent of the line it starts on, ``memo`` the call's handle texts."""
     # Exact types first: documents are made of them, and the isinstance
     # checks below and in jsonable cost more, Fraction's most (it goes
     # through ABCMeta).
@@ -108,11 +117,11 @@ def _render_value(x, nl: str) -> str:
     if t is int:
         return int.__repr__(x)
     if t is tuple or t is list:
-        return _render_list(x, nl)
+        return _render_list(x, nl, memo)
     if t is frozenset or t is set:
-        return _render_list(sorted_handles(x), nl)
+        return _render_list(sorted_handles(x), nl, memo)
     if t is dict:
-        return _render_dict(x, nl)
+        return _render_dict(x, nl, memo)
     if t is Fraction:
         return _encode_str(str(x))
     # Scalars and their subclasses, which jsonable returns as they are.
@@ -123,10 +132,10 @@ def _render_value(x, nl: str) -> str:
     if isinstance(x, int):
         return int.__repr__(x)
     # Everything else goes through jsonable, which turns it into the types above.
-    return _render_value(jsonable(x), nl)
+    return _render_value(jsonable(x), nl, memo)
 
 
-def _render_list(items, nl: str) -> str:
+def _render_list(items, nl: str, memo: dict) -> str:
     if not items:
         return "[]"
     inner = nl + "  "
@@ -134,29 +143,36 @@ def _render_list(items, nl: str) -> str:
         body = [_SCALARS[type(i)](i) for i in items]
     except KeyError:
         # A list of handles, such as a witness's members, with one join per
-        # handle. If an item is neither an int, a str nor a non-empty list
-        # of ints and strs, every item goes through _render_value instead.
+        # handle not written before at this indentation. If an item is
+        # neither an int, a str nor a non-empty list of ints and strs, every
+        # item goes through _render_value instead.
         sub = inner + "  "
         sep = "," + sub
+        texts = memo.setdefault(len(inner), {})
+        body = []
         try:
-            body = [
-                "[" + sub + sep.join([_SCALARS[type(j)](j) for j in i]) + inner + "]"
-                if type(i) in _SEQUENCES and i
-                else _SCALARS[type(i)](i)
-                for i in items
-            ]
+            for i in items:
+                hit = texts.get(id(i))
+                if hit is not None:
+                    body.append(hit[1])
+                elif type(i) in _SEQUENCES and i:
+                    text = "[" + sub + sep.join([_SCALARS[type(j)](j) for j in i]) + inner + "]"
+                    texts[id(i)] = (i, text)
+                    body.append(text)
+                else:
+                    body.append(_SCALARS[type(i)](i))
         except KeyError:
-            body = [_render_value(i, inner) for i in items]
+            body = [_render_value(i, inner, memo) for i in items]
     return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
-def _render_dict(x, nl: str) -> str:
+def _render_dict(x, nl: str, memo: dict) -> str:
     if not x:
         return "{}"
     inner = nl + "  "
     # As in jsonable, keys become str before sorting: "10" precedes "2", and of 1 and "1" the last wins.
     items = sorted({str(k): v for k, v in x.items()}.items())
-    return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + _render_value(v, inner) for k, v in items]) + nl + "}"
+    return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + _render_value(v, inner, memo) for k, v in items]) + nl + "}"
 
 
 def _emit(doc, code, args, stdout, text_lines, csv_rows=None) -> int:
@@ -268,10 +284,11 @@ def _classify_lines(report, d_target: int) -> list[str]:
     if report.certificate:
         lines.append(f"certified lower bound: {report.certificate['lower_bound']}")
     lines.append("d  best_ratio  provenance")
+    # The first witness least by (ratio, size) is eligible at d exactly when
+    # its ratio is at most 1/d, and then it is also the least eligible one.
+    best = min(report.witnesses, key=lambda w: (w.ratio, w.size), default=None)
     for d in range(1, d_target + 1):
-        eligible = [w for w in report.witnesses if w.ratio <= Fraction(1, d)]
-        if eligible:
-            best = min(eligible, key=lambda w: (w.ratio, w.size))
+        if best is not None and best.ratio * d <= 1:
             lines.append(f"{d}  {best.ratio}  {best.provenance}")
         else:
             lines.append(f"{d}  -  -")

@@ -26,7 +26,7 @@ import operator
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -51,6 +51,30 @@ __all__ = [
     "DichotomyReport",
     "verify_dichotomy",
 ]
+
+
+# Correctly rounded, so the floats a report prints do not depend on the
+# platform's libm, which IEEE 754 does not require to round correctly.
+def _pow(x: float, k: int) -> float:
+    """``x ** k`` for an int ``k >= 0``, correctly rounded: glibc gives ``3.0 ** 34`` the odd neighbor of a tie."""
+    return float(Fraction(x) ** k)
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, correctly rounded.
+
+    Decimal's exp is correctly rounded at any precision, so the true value
+    lies strictly between the decimal result's two neighbors. When both
+    round to one float, so does the true value; otherwise it lies near a
+    midpoint of two floats and the digits are doubled.
+    """
+    prec = 40
+    while True:
+        ctx = Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        y = ctx.exp(Decimal(float(x)))
+        if float(ctx.next_minus(y)) == float(ctx.next_plus(y)):
+            return float(y)
+        prec *= 2
 
 
 def _as_fraction(x) -> Fraction:
@@ -99,8 +123,9 @@ class GWSpec:
         probs = []
         mass = 0.0
         k = 0
+        e = _exp(-lam)
         while mass < 1.0 - truncation:
-            p = math.exp(-lam) * lam**k / math.factorial(k)
+            p = e * _pow(lam, k) / math.factorial(k)
             probs.append(p)
             mass += p
             k += 1
@@ -1031,7 +1056,7 @@ def _amenable_side(spec, d_list, trials, seed, max_vertices):
         n = d * d
         horizon = n + d + 1
         q = _collapse_q(spec, d)
-        floor = 1.0 - (1.0 - q) ** r
+        floor = 1.0 - _pow(1.0 - q, r)
         drawn = [by_horizon[horizon] for by_horizon in by_trial]
         found = iter(_scan_witness([smp for smp, _ in drawn if not smp.extinct], n))
         results = [

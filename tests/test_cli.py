@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from collections import OrderedDict, defaultdict, namedtuple
+from types import SimpleNamespace
 from enum import IntEnum
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from arbor import (
     ClassifyBudgets,
     DeclaredBounds,
+    FolnerCandidate,
     GWSpec,
     TreeAsOracle,
     cheeger_exact,
@@ -30,7 +32,7 @@ from arbor import (
     path_tree,
     sary_tree,
 )
-from arbor.cli import _render, main
+from arbor.cli import _classify_lines, _render, main
 from arbor.galton_watson import _fraction_str
 from brute import serialize_tree
 
@@ -175,6 +177,49 @@ def test_classify_text_table():
     assert lines[0] == "verdict: amenable-witnessed"
     assert lines[1] == "d  best_ratio  provenance"
     assert len(lines) == 5
+
+
+def _per_d_lines(report, d_target):
+    """The text table's rows with the least eligible witness sought afresh at every d."""
+    rows = []
+    for d in range(1, d_target + 1):
+        eligible = [w for w in report.witnesses if w.ratio <= Fraction(1, d)]
+        if eligible:
+            best = min(eligible, key=lambda w: (w.ratio, w.size))
+            rows.append(f"{d}  {best.ratio}  {best.provenance}")
+        else:
+            rows.append(f"{d}  -  -")
+    return rows
+
+
+def _tied_report():
+    """Witnesses tied on (ratio, size) whose provenances differ, behind a larger one of the same ratio."""
+    def candidate(size, boundary, provenance):
+        return FolnerCandidate(frozenset(range(size)), frozenset(range(boundary)), provenance)
+
+    witnesses = [candidate(8, 2, "larger"), candidate(12, 5, "worse"), candidate(4, 1, "first"), candidate(4, 1, "second")]
+    return SimpleNamespace(verdict="amenable-witnessed", certificate=None, witnesses=witnesses)
+
+
+@pytest.mark.parametrize(
+    "make_report",
+    [
+        lambda: classify(make_fixture("staircase"), ClassifyBudgets(radius=25, max_vertices=30000)),  # least ratio 1/300
+        lambda: classify(make_fixture("zline_pendant"), ClassifyBudgets(radius=10, max_vertices=30000)),
+        lambda: classify(make_fixture("regular(3)"), ClassifyBudgets(radius=4, max_vertices=30000)),  # no witness
+        lambda: classify(
+            make_fixture("regular(3)"), ClassifyBudgets(radius=4, max_vertices=30000), declared=DeclaredBounds(0, 1, 1)
+        ),
+        _tied_report,
+    ],
+    ids=["staircase", "zline_pendant", "regular3", "regular3-certified", "ties"],
+)
+def test_classify_text_lines_match_the_per_d_reference(make_report):
+    report = make_report()
+    d_target = 400
+    lines = _classify_lines(report, d_target)
+    assert lines[-d_target - 1] == "d  best_ratio  provenance"
+    assert lines[-d_target:] == _per_d_lines(report, d_target)
 
 
 def test_input_validation():
@@ -468,6 +513,10 @@ _subclassed = st.one_of(
 )
 
 
+# One handle object, which a document may list at more than one indentation.
+_HANDLE = (3, "z")
+
+
 def _nested(depth: int):
     doc = [Fraction(1, 3)]
     for i in range(depth):
@@ -489,8 +538,29 @@ def _nested(depth: int):
 @example(OrderedDict([(10, _Pair((), [])), (2, "b"), ("1", None)]))
 @example(defaultdict(list, {_Level.HIGH: [_Level.LOW], 1: {"k": _Name("v")}}))
 @example([_Level.LOW, _Name("a\"b"), {_Name("key"): _Level.HIGH}])
+@example({"a": [_HANDLE, _HANDLE], "b": {"c": [_HANDLE, [0, "z"]]}})
+@example([(1, 0), (True, 0), [1, 0], (1, 0)])  # equal and hashing alike, but written differently
+@example([_Pair((i, 0), [i, 1]) for i in range(8)])  # each _Pair's jsonable lists are dropped before the next
 def test_render_matches_json_dumps_of_jsonable(doc):
     assert _render(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2)
+
+
+def test_render_keeps_no_handle_text_between_calls():
+    handle = [0, "z"]
+    shared = (1, 2)
+    first = {"members": [handle, shared]}
+    second = {"members": [shared, handle], "inner": {"members": [handle, shared]}}
+    assert _render(first) == json.dumps(jsonable(first), sort_keys=True, indent=2)
+    handle[0] = 5
+    for doc in (second, first):
+        assert _render(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2)
+
+
+def test_render_of_a_staircase_classify_document_is_json_dumps():
+    code, text = run("classify", "--fixture", "staircase", "--radius", "25", "--d-target", "23")
+    assert code == 0
+    doc = _library_classify(make_fixture("staircase"), {"fixture": "staircase"}, 25, 23)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _library_classify(oracle, source, radius=10, d_target=10, declared=None):

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -81,6 +83,39 @@ def test_spec_families_and_json():
         GWSpec.geometric(1)
     with pytest.raises(ValueError):
         GWSpec.from_json({"family": "zeta", "s": 2})
+
+
+def _assert_nearest(r: float, exact: Fraction):
+    """``r`` is the float nearest ``exact``, a tie going to the neighbor whose last significand bit is 0."""
+    gap = abs(Fraction(r) - exact)
+    for neighbor in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
+        other = abs(Fraction(neighbor) - exact)
+        assert gap < other or (gap == other and Fraction(r) / Fraction(math.ulp(r)) % 2 == 0)
+
+
+@given(st.floats(0, 8), st.integers(0, 60))
+@example(1.5, 34)
+@example(3.0, 34)
+@example(1e-300, 2)  # underflows to 0.0
+def test_correctly_rounded_pow_matches_fraction(x, k):
+    _assert_nearest(gw._pow(x, k), Fraction(x) ** k)
+
+
+def test_correctly_rounded_pow_breaks_halfway_ties_to_even():
+    # 3^34 is odd and between 2^53 and 2^54, where floats are 2 apart, so it
+    # lies halfway between two of them; glibc's pow returns the odd one.
+    assert 3**34 % 2 == 1 and 2**53 < 3**34 < 2**54
+    assert gw._pow(3.0, 34) == 3**34 - 1
+    assert gw._pow(1.5, 34) == math.ldexp(3**34 - 1, -34)
+
+
+@given(st.floats(-800, 10))
+@example(0.0)
+@example(-1.5)  # Poisson(1.5)'s p(0)
+@example(-745.1332191019412)  # near half the smallest subnormal
+def test_correctly_rounded_exp_matches_decimal(x):
+    exact = Context(prec=120, Emax=MAX_EMAX, Emin=MIN_EMIN).exp(Decimal(x))
+    _assert_nearest(gw._exp(x), Fraction(exact))
 
 
 def test_extinction_probability():
