@@ -7,9 +7,9 @@ import random
 import sys
 import time
 from collections import OrderedDict, defaultdict, namedtuple
-from types import SimpleNamespace
 from enum import IntEnum
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
