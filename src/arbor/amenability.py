@@ -25,6 +25,7 @@ from .errors import (
     SearchTooLargeError,
     UnsupportedStructureError,
 )
+from . import subsets
 from .exploration import Ball, _NeighborMemo, explore_ball
 from .subsets import _pool, _walk, boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
@@ -113,19 +114,20 @@ class CheegerResult:
         }
 
 
-def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: int = 10**7) -> CheegerResult:
+def cheeger_exact(host, max_size: int) -> CheegerResult:
     """Exact minimum boundary ratio over all connected subsets of at most max_size vertices.
 
-    The subsets range over the pool: ``region`` when given, else a Ball's
-    interior or a finite host's vertices. Each pool vertex is asked for its
-    neighbors once, up front, and the argmin's boundary is read off those
-    lists too. When the pool spans a forest, a subtree knapsack (the
-    k-cardinality tree DP) gives the least boundary count and the number of
-    connected subsets at every size, topped at each vertex;
-    ``scope["subsets_enumerated"]`` is the sum of those numbers. Otherwise,
-    or when the ties for the minimum are too many to list, the ESU walk
-    visits every subset. Either way SearchTooLargeError is raised once more
-    than ``guard`` subsets have two or more members.
+    The subsets range over the host's pool (see ``subsets``): a Ball's
+    interior, or a finite host's vertices. A host that offers ``interior``
+    and ``sorted_interior`` narrows the search to any region it likes. Each
+    pool vertex is asked for its neighbors once, up front, and the argmin's
+    boundary is read off those lists too. When the pool spans a forest, a
+    subtree knapsack (the k-cardinality tree DP) gives the least boundary
+    count and the number of connected subsets at every size, topped at each
+    vertex; ``scope["subsets_enumerated"]`` is the sum of those numbers.
+    Otherwise, or when the ties for the minimum are too many to list, the
+    ESU walk visits every subset. Either way SearchTooLargeError is raised
+    once more than ``subsets._GUARD`` subsets have two or more members.
 
     For an infinite host explored through a Ball this is a certified upper
     bound on the true infimum, since every boundary counted is exact.
@@ -134,9 +136,10 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    pool = _pool(host, region)
+    pool = _pool(host)
     if not pool:
         raise ValueError("no admissible subsets: the search region is empty")
+    guard = subsets._GUARD
     hoods = [host.neighbors(v) for v in pool]
     hood = dict(zip(pool, hoods))
     least = _least_by_knapsack(pool, hoods, max_size, guard)
@@ -147,8 +150,6 @@ def cheeger_exact(host, max_size: int, region: Iterable | None = None, guard: in
     boundary = frozenset(v for v in members if not members.issuperset(hood[v]))
     argmin = FolnerCandidate(members, boundary, "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
-    if region is not None:
-        scope["region_size"] = len(pool)
     return CheegerResult(Fraction(best_b, best_k), argmin, scope)
 
 
@@ -518,25 +519,27 @@ def sandwich_check(t: Tree, members: Iterable) -> SandwichResult:
     return SandwichResult(ratio_host, ratio_image, stretch, boundary_host, frozenset(boundary_image), image)
 
 
-def min_degree3_bound_check(host, members: Iterable, exception_vertex=None) -> bool:
-    """Check |A| <= 2|boundary(A)|, with slack 2 when the designated exception is inside.
+def min_degree3_bound_check(host, members: Iterable) -> bool:
+    """Check |A| <= 2|boundary(A)| for a connected A whose members all have degree >= 3.
 
     A must be nonempty and connected in the host; ValueError otherwise. The
     counting argument only consumes the host degrees of A's own members,
-    so those are what get validated: every member needs degree >= 3, except
-    the designated vertex which may have degree 2.
+    so those are what get validated: a member of degree < 3 raises
+    UnsupportedStructureError.
     """
     A = frozenset(members)
     if A and not is_connected_in(host, A):
         raise ValueError("the members are not connected")
-    return _degree3_bound(host, A, exception_vertex)[0]
+    return _degree3_bound(host, A, None)
 
 
-def _degree3_bound(host, A: frozenset, exception_vertex) -> tuple:
-    """min_degree3_bound_check's verdict on A, and the boundary of A it was computed from.
+def _degree3_bound(host, A: frozenset, exception_vertex) -> bool:
+    """Whether |A| <= 2|boundary(A)|, with slack 2 when ``exception_vertex`` is in A.
 
-    A's connectivity is the caller's to know: the public check walks it,
-    and the dichotomy's bound side passes subsets it has just grown.
+    The exception vertex may have degree 2; every other member needs degree
+    >= 3. The dichotomy's bound side passes its ball's root, which has no
+    parent. A's connectivity is the caller's to know: the public check walks
+    it, and the bound side passes subsets it has just grown.
     """
     if not A:
         raise ValueError("empty subset")
@@ -548,8 +551,7 @@ def _degree3_bound(host, A: frozenset, exception_vertex) -> tuple:
         elif d < 3:
             raise UnsupportedStructureError(f"member {v!r} has degree {d} < 3")
     slack = 2 if exception_vertex in A else 0
-    boundary = boundary_of(host, A)
-    return len(A) <= 2 * len(boundary) + slack, boundary
+    return len(A) <= 2 * len(boundary_of(host, A)) + slack
 
 
 @dataclass(frozen=True)
@@ -578,12 +580,14 @@ class ClassifyBudgets:
     radius: int = 10
     max_vertices: int = 30000
     component_budget: int = 2000
-    scan_limit: int = 256
-    seed_radius: int = 6
-    cert_subset_size: int = 8
-    cert_region_radius: int = 4
     k_max: int | None = None
     path_target: int | None = None
+
+
+_SCAN_LIMIT = 256  # interior vertices a black-box host is scanned at for inessential subtrees
+_SEED_RADIUS = 6  # how far from the view root a branchless run may start
+_CERT_SUBSET_SIZE = 8  # the certificate's enumerated subsets have at most this many vertices
+_CERT_REGION_RADIUS = 4  # they lie in the interior of the ball of this radius
 
 
 @dataclass(frozen=True)
@@ -615,7 +619,7 @@ class AmenabilityReport:
         return doc
 
 
-def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
+def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets, scan_limit: int):
     """Witness candidates from inessential subtrees, each a subtree minus its root.
 
     A candidate's ``detail`` holds the subtree's root and its size, which is
@@ -638,7 +642,7 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     scan = ball.sorted_interior
     sizes_of = getattr(oracle, "hanging_component_sizes", None)
     if sizes_of is None:
-        scan = scan[: budgets.scan_limit]
+        scan = scan[:scan_limit]
     cap = budgets.component_budget
     adjacency, handles = ball.tree.adjacency, ball.handles
     candidates = []
@@ -673,7 +677,7 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets):
     return candidates
 
 
-def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: int):
+def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: int, seed_radius: int):
     """Witnesses from the longest degree-2 run of each trim level 0..k_max, pulled back to the host.
 
     Every prefix run[:L] gives one witness. Each run vertex is lifted once,
@@ -690,7 +694,7 @@ def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: i
     for k in range(k_max + 1):
         if view.root is None:
             break
-        run = _branchless_run(view, budgets.seed_radius, path_target)
+        run = _branchless_run(view, seed_radius, path_target)
         chain_lengths[k] = len(run)
         members = frozenset()
         for length, h in enumerate(run, 1):
@@ -753,9 +757,9 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
                 f"witness with ratio {w.ratio} beats the implied lower bound {floor}",
                 counterexample={"members": w.members, "ratio": w.ratio},
             )
-    region = explore_ball(oracle, budgets.cert_region_radius, max_vertices=budgets.max_vertices)
+    region = explore_ball(oracle, _CERT_REGION_RADIUS, max_vertices=budgets.max_vertices)
     if region.interior:
-        result = cheeger_exact(region, budgets.cert_subset_size)
+        result = cheeger_exact(region, _CERT_SUBSET_SIZE)
         if result.value < floor:
             raise DeclaredBoundsRefutedError(
                 f"an enumerated subset has ratio {result.value}, below the implied lower bound {floor}",
@@ -828,8 +832,8 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
         raise ValueError("k_max must be nonnegative")
     oracle = _NeighborMemo(oracle)
     ball = explore_ball(oracle, budgets.radius, max_vertices=budgets.max_vertices)
-    ines_cands = _inessential_witnesses(oracle, ball, budgets)
-    path_cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target)
+    ines_cands = _inessential_witnesses(oracle, ball, budgets, _SCAN_LIMIT)
+    path_cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target, _SEED_RADIUS)
 
     seen_members = set()
     witnesses = []

@@ -18,7 +18,7 @@ however many readers ask for it.
 from __future__ import annotations
 
 from .errors import BudgetExhaustedError, IncompleteKnowledgeError, InvalidVertexError
-from .trees import Tree
+from .trees import Tree, rooted_order
 
 __all__ = ["TreeAsOracle", "Ball", "explore_ball"]
 
@@ -37,24 +37,22 @@ class _SizeRule:
 
 
 class TreeAsOracle(_SizeRule):
-    """Wrap a finite Tree as a neighbor oracle.
+    """Wrap a finite Tree as a neighbor oracle, rooted at the tree's root, or at 0 if it has none.
 
     Useful for exercising the exploration machinery against hosts where the
-    whole truth is already known. It answers ``hanging_component_sizes(r)``
-    for every neighbor of r, all finite. The first such call caches one pass
-    over the tree rooted at ``root``, so the oracle is read-only afterwards:
-    reassigning ``tree`` or ``root`` would leave the cache stale.
+    whole truth is already known. To root the oracle elsewhere, root the
+    tree there: ``Tree(t.adjacency, root=r)``. It answers
+    ``hanging_component_sizes(r)`` for every neighbor of r, all finite. The
+    first such call caches one pass over the tree rooted at ``root``, so
+    the oracle is read-only afterwards: reassigning ``tree`` or ``root``
+    would leave the cache stale.
     """
 
     __slots__ = ("tree", "root", "_parent", "_below")
 
-    def __init__(self, tree: Tree, root: int | None = None):
+    def __init__(self, tree: Tree):
         self.tree = tree
-        if root is None:
-            root = tree.root if tree.root is not None else 0
-        if not 0 <= root < tree.vertex_count:
-            raise InvalidVertexError(f"root {root} is out of range")
-        self.root = root
+        self.root = tree.root if tree.root is not None else 0
         self._parent: list[int] | None = None
         self._below: list[int] | None = None
 
@@ -71,15 +69,8 @@ class TreeAsOracle(_SizeRule):
 
     def _root_pass(self) -> None:
         """Each vertex's parent and subtree size in the tree rooted at ``root``."""
-        adj = self.tree.adjacency
-        parent = [-1] * len(adj)
-        order = [self.root]
-        for v in order:
-            for u in adj[v]:
-                if u != parent[v]:
-                    parent[u] = v
-                    order.append(u)
-        below = [1] * len(adj)
+        order, parent = rooted_order(self.tree.adjacency, self.root)
+        below = [1] * len(order)
         for v in reversed(order[1:]):
             below[parent[v]] += below[v]
         self._parent, self._below = parent, below

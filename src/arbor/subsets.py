@@ -4,6 +4,12 @@ A host is anything with a ``neighbors(v)`` method. That covers finite trees,
 explored balls of infinite trees, and the lazily evaluated fixtures. Boundary
 here always means the inner boundary: members with at least one neighbor
 outside the subset.
+
+An enumeration ranges over the host's pool (``_pool``): a host with
+``interior`` and ``sorted_interior``, as a Ball has, offers the interior; any
+other host offers its ids 0..vertex_count-1. A pool vertex's neighbors
+outside the pool still count toward its boundary. Every enumeration stops
+with SearchTooLargeError past ``_GUARD`` units of work.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ __all__ = [
     "connected_subsets",
     "random_connected_subset",
 ]
+
+_GUARD = 10**7  # units of work an enumeration may take: subset extensions, or subsets counted
 
 
 def boundary_of(host, members: Iterable[int]) -> frozenset[int]:
@@ -39,10 +47,8 @@ def is_connected_in(host, members: Iterable[int]) -> bool:
     return bool(mem) and len(reach(host.neighbors, next(iter(mem)), within=mem)) == len(mem)
 
 
-def _pool(host, allowed: Iterable | None) -> Sequence:
+def _pool(host) -> Sequence:
     """The vertices an enumeration may use, in increasing order; a vertex's index is its rank."""
-    if allowed is not None:
-        return sorted(set(allowed))
     if hasattr(host, "interior"):
         return host.sorted_interior
     return list(range(host.vertex_count))
@@ -112,26 +118,21 @@ def _walk(host, max_size: int, pool: Sequence, guard: int) -> Iterator[tuple[lis
                 exts.append([])  # full size: the next step drops w again
 
 
-def connected_subsets(
-    host,
-    max_size: int,
-    allowed: Iterable[int] | None = None,
-    guard: int = 10**7,
-) -> Iterator[frozenset[int]]:
-    """Enumerate every connected subset of 1..max_size vertices, each exactly once.
+def connected_subsets(host, max_size: int) -> Iterator[frozenset[int]]:
+    """Enumerate every connected subset of 1..max_size pool vertices, each exactly once.
 
-    Subsets are anchored at their smallest allowed vertex and grown only
+    Subsets are anchored at their smallest pool vertex and grown only
     through exclusive neighborhoods, so no subset is produced twice. Each
     vertex's count of neighbors inside the current subset is kept up to date
-    as members join and leave, so no step rebuilds a neighborhood union. The
-    ``guard`` caps total extension work; past it, SearchTooLargeError.
-    Singletons alone (``max_size`` 1) ask the host for no neighbors.
+    as members join and leave, so no step rebuilds a neighborhood union.
+    Past ``_GUARD`` extensions, SearchTooLargeError. Singletons alone
+    (``max_size`` 1) ask the host for no neighbors.
     """
-    pool = _pool(host, allowed)
+    pool = _pool(host)
     if max_size <= 1:
         yield from (frozenset((v,)) for v in pool)
         return
-    for sub, _ in _walk(host, max_size, pool, guard):
+    for sub, _ in _walk(host, max_size, pool, _GUARD):
         yield frozenset(map(pool.__getitem__, sub))
 
 
@@ -139,14 +140,15 @@ def random_connected_subset(
     host,
     size: int,
     rng: random.Random,
-    start: int | None = None,
     allowed: Iterable[int] | None = None,
 ) -> frozenset[int]:
     """Grow a random connected subset of about ``size`` vertices.
 
-    Growth picks a uniform candidate from the current neighbor pool, so this
-    does not sample uniformly over all subsets; it is a cheap source of varied
-    test inputs, nothing more. May return fewer vertices if growth gets stuck.
+    The start is a uniform member of ``allowed`` when it is given, else of
+    the host's pool, and growth never leaves that set. Growth picks a
+    uniform candidate from the current neighbor pool, so this does not
+    sample uniformly over all subsets; it is a cheap source of varied test
+    inputs, nothing more. May return fewer vertices if growth gets stuck.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
@@ -156,11 +158,10 @@ def random_connected_subset(
             raise ValueError("allowed must not be empty")
     else:
         allowed_set = getattr(host, "interior", None)  # never mutated below, so no copy
-    if start is None:
-        if allowed_set:
-            start = rng.choice(sorted(allowed_set) if allowed is not None else host.sorted_interior)
-        else:
-            start = rng.randrange(host.vertex_count)
+    if allowed_set:
+        start = rng.choice(sorted(allowed_set) if allowed is not None else host.sorted_interior)
+    else:
+        start = rng.randrange(host.vertex_count)
     members = {start}
     pool = [u for u in host.neighbors(start) if allowed_set is None or u in allowed_set]
     while len(members) < size and pool:

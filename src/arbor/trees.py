@@ -5,12 +5,14 @@ tree invariants once, so downstream code never rechecks them. Balls and
 samples that the library builds itself go through the private
 ``Tree._trusted``, which keeps one check, the edge count: their walks make
 them connected, symmetric and in range, and a connected graph on n
-vertices with n - 1 edges is a tree. Three walks
+vertices with n - 1 edges is a tree. Four walks
 are shared by the rest of the package: ``reach``, the breadth-first walk of
 the connectivity and component checks; ``bfs_layers``, the layer-by-layer
-walk of the trim-level scans; and ``peel``, the one leaf-removal loop behind
-centers, trim orbits and trim depths. ``reach`` and ``bfs_layers`` work on
-any ``neighbors`` callable, not only on trees.
+walk of the trim-level scans; ``rooted_order``, the parent walk of a tree's
+adjacency lists behind canonical codes, the child-list form and
+``TreeAsOracle``'s component sizes; and ``peel``, the one leaf-removal loop
+behind trim orbits and a ball's removal steps. ``reach`` and ``bfs_layers``
+work on any ``neighbors`` callable, not only on trees.
 """
 
 from __future__ import annotations
@@ -217,6 +219,8 @@ def peel(adj, known) -> Iterator[tuple[int, list[int]]]:
     through round known[w]: after that its degree may depend on vertices the
     caller cannot see, so it is never removed. A vertex is looked at only when
     its degree drops to 1, so a whole call costs O(n log n) at most.
+    ``trim_orbit`` peels a whole tree, with every known[w] at the round cap;
+    ``removal_steps_in_ball`` peels a ball, with known[w] cut by the frontier.
     """
     deg = [len(ns) for ns in adj]
     gone = [False] * len(adj)
@@ -237,45 +241,39 @@ def peel(adj, known) -> Iterator[tuple[int, list[int]]]:
         yield t, dead
 
 
-def centers(t: Tree) -> tuple[int, ...]:
-    """The one or two eccentricity-minimizing vertices: what the peel leaves, or its last round."""
-    n = t.vertex_count
-    gone = set()
-    dead = []
-    for _, dead in peel(t.adjacency, [n] * n):
-        gone.update(dead)
-    return tuple(v for v in range(n) if v not in gone) or tuple(dead)
+def rooted_order(adj, root) -> tuple[list[int], list[int]]:
+    """A finite tree's vertices in breadth-first order from ``root``, and each vertex's parent.
 
-
-def _rooted_code(t: Tree, root: int) -> bytes:
+    ``adj`` holds the tree's adjacency lists, indexed by vertex id, and the
+    walk visits neighbors in the order each list gives them. parent[root]
+    is -1. The lists must form a tree: the walk takes every neighbor but the
+    parent as a child.
+    """
+    parent = [-1] * len(adj)
     order = [root]
-    parent = {root: -1}
     for v in order:
-        for u in t.adjacency[v]:
-            if u not in parent:
+        for u in adj[v]:
+            if u != parent[v]:
                 parent[u] = v
                 order.append(u)
-    code: dict[int, bytes] = {}
-    for v in reversed(order):
-        kids = sorted(code[u] for u in t.adjacency[v] if parent.get(u) == v)
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
+    return order, parent
 
 
-def canonical_form(t: Tree, rooted: bool | None = None) -> bytes:
-    """Canonical byte code; equal codes mean isomorphic trees.
+def canonical_form(t: Tree) -> bytes:
+    """Canonical byte code of a rooted tree; equal codes mean isomorphic rooted trees.
 
-    With ``rooted`` left as None, the tree's own root decides: rooted trees
-    get a root-respecting code, unrooted trees are canonicalized at the
-    center (ties broken by the lexicographically smaller code).
+    Each vertex's code is its children's codes, sorted and joined, in
+    parentheses; the tree's code is its root's. An unrooted tree is a
+    ValueError.
     """
-    if rooted is None:
-        rooted = t.root is not None
-    if rooted:
-        if t.root is None:
-            raise ValueError("rooted code requested for an unrooted tree")
-        return _rooted_code(t, t.root)
-    return min(_rooted_code(t, c) for c in centers(t))
+    if t.root is None:
+        raise ValueError("a canonical code needs a rooted tree")
+    adj = t.adjacency
+    order, parent = rooted_order(adj, t.root)
+    code: list = [None] * len(adj)
+    for v in reversed(order):
+        code[v] = b"(" + b"".join(sorted(code[u] for u in adj[v] if u != parent[v])) + b")"
+    return code[t.root]
 
 
 def parse_tree(text: str) -> Tree:
@@ -330,29 +328,23 @@ def parse_child_list(data: str | Mapping) -> Tree:
 def serialize_child_list(t: Tree) -> dict:
     if t.root is None:
         raise ValueError("child-list form needs a rooted tree")
-    parent = {t.root: -1}
-    order = [t.root]
-    for v in order:
-        for u in t.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    order, parent = rooted_order(t.adjacency, t.root)
     children: dict[str, list[int]] = {}
     for v in order:
-        kids = [u for u in t.adjacency[v] if parent.get(u) == v]
+        kids = [u for u in t.adjacency[v] if u != parent[v]]
         if kids:
             children[str(v)] = kids
     return {"root": t.root, "children": children}
 
 
-def path_tree(n: int, root: int | None = None) -> Tree:
+def path_tree(n: int) -> Tree:
     if n < 1:
         raise ValueError("n must be at least 1")
     adj = [[] for _ in range(n)]
     for v in range(n - 1):
         adj[v].append(v + 1)
         adj[v + 1].append(v)
-    return Tree(adj, root=root)
+    return Tree(adj)
 
 
 def sary_tree(s: int, depth: int) -> Tree:
@@ -374,16 +366,14 @@ def sary_tree(s: int, depth: int) -> Tree:
     return Tree(adj, root=0)
 
 
-def subdivide_tree(t: Tree, times: int = 1) -> Tree:
-    """Insert a midpoint on every edge, ``times`` times. Ids of original vertices persist."""
-    for _ in range(times):
-        n = t.vertex_count
-        adj: list[list[int]] = [[] for _ in range(n)]
-        nxt = n
-        for u, v in t.edges():
-            adj.append([u, v])
-            adj[u].append(nxt)
-            adj[v].append(nxt)
-            nxt += 1
-        t = Tree(adj, root=t.root)
-    return t
+def subdivide_tree(t: Tree) -> Tree:
+    """Insert a midpoint on every edge. Ids of original vertices persist."""
+    n = t.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    nxt = n
+    for u, v in t.edges():
+        adj.append([u, v])
+        adj[u].append(nxt)
+        adj[v].append(nxt)
+        nxt += 1
+    return Tree(adj, root=t.root)

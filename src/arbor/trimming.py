@@ -108,16 +108,17 @@ def trim_orbit(t: Tree, max_steps: int | None = None) -> TrimOrbit:
     return TrimOrbit(removed, rounds, "budget-exhausted")
 
 
-def trim_depth(oracle, v, k: int, max_vertices: int | None = None) -> int | None:
+def trim_depth(oracle, v, k: int) -> int | None:
     """Removal step of v under iterated trimming, or None if v survives k rounds.
 
-    Read off a fresh ``TrimmedView`` chain of k levels, dropped when the call
-    returns: the step is the level at which v is first gone, by the rule
-    that a vertex still present survives the next round unless exactly one
-    of its neighbors is still present. Steps are 1-based. ``max_vertices``
-    bounds the handles decided at any one level, as in ``TrimmedView``.
+    Read off a fresh ``TrimmedView`` chain of k levels, with no vertex
+    budget, dropped when the call returns: the step is the level at which v
+    is first gone, by the rule that a vertex still present survives the next
+    round unless exactly one of its neighbors is still present. Steps are
+    1-based. A caller that needs a budget asks a ``TrimmedView`` built with
+    one.
     """
-    view = TrimmedView(oracle, k, max_vertices)
+    view = TrimmedView(oracle, k)
     if view.survives(v):
         return None
     while not view.below.survives(v):
@@ -253,7 +254,7 @@ def ball_code_sequence(oracle, radius: int, steps: int, max_vertices: int | None
             codes.append(b"*")
             break
         ball = explore_ball(view, radius, center=base, max_vertices=max_vertices)
-        codes.append(canonical_form(ball.tree, rooted=True))
+        codes.append(canonical_form(ball.tree))
         view = view.trimmed()
     return codes
 

@@ -13,7 +13,9 @@ exhaustive search that a host with an outward branch has an inessential
 subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
 ``star_tree``, ``random_graph`` and ``serialize_tree`` build small hosts
-and tree files for the tests. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
+and tree files for the tests, and ``region_host`` narrows a host's
+enumeration pool to a chosen region through the ``interior`` protocol of a
+Ball. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
 references for the dichotomy's collapse floor and witness scan, and
 ``peel_by_rescan``, which rescans every vertex every round, is the
 reference for the library's leaf-removal loop ``trees.peel``.
@@ -120,19 +122,16 @@ def cheeger_by_enumeration(t, max_size: int, allowed=None) -> tuple[Fraction, fr
     return ratio(t, best), best, len(subs)
 
 
-def connected_subsets_by_closed_union(host, max_size: int, allowed=None, guard: int = 10**7):
+def connected_subsets_by_closed_union(host, max_size: int, guard: int = 10**7):
     """The library's former connected-subset enumeration, kept as the order reference.
 
     The same ESU order, but each extension step rebuilds the closed
     neighborhood of the whole subset as a set union.
     """
-    if allowed is None:
-        if hasattr(host, "interior"):
-            pool = host.sorted_interior
-        else:
-            pool = list(range(host.vertex_count))
+    if hasattr(host, "interior"):
+        pool = host.sorted_interior
     else:
-        pool = sorted(set(allowed))
+        pool = list(range(host.vertex_count))
     allowed_set = set(pool)
     order = {v: i for i, v in enumerate(pool)}
     work = 0
@@ -351,7 +350,7 @@ def folner_from_inessential(host, members, root) -> FolnerCandidate:
     return FolnerCandidate(rest, frozenset(boundary(host, rest)), "inessential-minus-root", detail)
 
 
-def inessential_witnesses_by_parts(oracle, ball, budgets):
+def inessential_witnesses_by_parts(oracle, ball, budgets, scan_limit: int):
     """The witness candidates classify's scan finds, by the public pieces.
 
     Also counts the components too large to walk (``"unwalked"``) and the
@@ -359,7 +358,7 @@ def inessential_witnesses_by_parts(oracle, ball, budgets):
     """
     scan = ball.sorted_interior
     if not hasattr(oracle, "hanging_component_sizes"):
-        scan = scan[: budgets.scan_limit]
+        scan = scan[:scan_limit]
     candidates = []
     counts = {"unwalked": 0, "union": 0}
     for v in scan:
@@ -398,14 +397,6 @@ def removal_step(stages: list[set[int]], v: int) -> int | None:
     return None if stages[-1] == stages[-2] else len(stages)
 
 
-def eccentricity_centers(t) -> set[int]:
-    ecc = {}
-    for v in range(t.vertex_count):
-        ecc[v] = max(bfs_distances(t, v).values())
-    low = min(ecc.values())
-    return {v for v, e in ecc.items() if e == low}
-
-
 def ahu_rooted(t, root: int) -> str:
     """Recursive AHU string code; compares equal exactly for rooted isomorphs."""
 
@@ -414,10 +405,6 @@ def ahu_rooted(t, root: int) -> str:
         return "(" + "".join(subs) + ")"
 
     return enc(root, -1)
-
-
-def ahu_unrooted(t) -> str:
-    return min(ahu_rooted(t, c) for c in eccentricity_centers(t))
 
 
 def random_tree_edges(rng, n: int) -> list[tuple[int, int]]:
@@ -466,6 +453,12 @@ def relabel_tree(t, permutation) -> Tree:
         adj[perm[v]] = [perm[u] for u in ns]
     root = perm[t.root] if t.root is not None else None
     return Tree(adj, root=root)
+
+
+def region_host(host, region) -> SimpleNamespace:
+    """``host``'s neighbors, with the enumeration pool cut down to ``region``, as a Ball offers its interior."""
+    interior = frozenset(region)
+    return SimpleNamespace(neighbors=host.neighbors, interior=interior, sorted_interior=sorted(interior))
 
 
 def star_tree(leaf_count: int) -> Tree:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import arbor.amenability as amenability
+import arbor.subsets as subsets
 import brute
 from arbor import (
     BudgetExhaustedError,
@@ -38,6 +39,7 @@ from arbor import (
 from arbor.amenability import (
     _FLOAT_EXACT,
     _branchless_run,
+    _degree3_bound,
     _inessential_witnesses,
     _path_witnesses,
     _ratio_keys,
@@ -60,7 +62,7 @@ def random_trees(draw: st.DrawFn, min_size: int = 2, max_size: int = 10):
 @given(random_trees(min_size=1, max_size=12), st.integers(min_value=1, max_value=6), st.data())
 def test_cheeger_matches_enumeration(t: Tree, max_size: int, data):
     region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=1), label="region")
-    result = cheeger_exact(t, max_size, region=region)
+    result = cheeger_exact(t if region is None else brute.region_host(t, region), max_size)
     value, argmin, count = brute.cheeger_by_enumeration(t, max_size, region)
     assert result.value == value
     assert result.argmin.members == argmin
@@ -89,27 +91,31 @@ def test_cheeger_deterministic_tiebreak():
     assert a.value == Fraction(1, 3)  # an end segment beats interior ones
     assert a.argmin.members == frozenset({0, 1, 2})
     # equal ratio and size: the sorted members' repr strings decide, and "10" < "9"
-    assert cheeger_exact(path_tree(12), 1, region=[9, 10]).argmin.members == frozenset({10})
+    assert cheeger_exact(brute.region_host(path_tree(12), [9, 10]), 1).argmin.members == frozenset({10})
     # {3}, {4} and {3, 4} all have ratio 1 in this region: the smaller size wins first
-    assert cheeger_exact(path_tree(8), 2, region=[3, 4]).argmin.members == frozenset({3})
+    assert cheeger_exact(brute.region_host(path_tree(8), [3, 4]), 2).argmin.members == frozenset({3})
 
 
-def test_cheeger_region_and_errors():
+def test_cheeger_region_and_errors(monkeypatch):
     t = path_tree(8)
-    capped = cheeger_exact(t, 3, region=[2, 3, 4])
+    capped = cheeger_exact(brute.region_host(t, [2, 3, 4]), 3)
     assert capped.value == Fraction(2, 3)
-    assert capped.scope["region_size"] == 3
+    assert capped.scope == {"max_size": 3, "subsets_enumerated": 6}
     with pytest.raises(ValueError):
         cheeger_exact(t, 0)
     with pytest.raises(ValueError):
-        cheeger_exact(t, 3, region=[])
+        cheeger_exact(brute.region_host(t, []), 3)
+    with pytest.raises(ValueError, match="^no admissible subsets: the search region is empty$"):
+        cheeger_exact(explore_ball(make_fixture("regular(3)"), 0), 3)  # a lone center is all frontier
     ball = explore_ball(make_fixture("regular(3)"), 2)
+    whole = brute.region_host(ball, range(ball.vertex_count))
     for max_size in (1, 3):  # a region reaching the frontier has no exact boundary
         with pytest.raises(IncompleteKnowledgeError):
-            cheeger_exact(ball, max_size, region=range(ball.vertex_count))
+            cheeger_exact(whole, max_size)
     # every pool vertex is asked for its neighbors before any subset is counted
+    monkeypatch.setattr(subsets, "_GUARD", 0)
     with pytest.raises(IncompleteKnowledgeError):
-        cheeger_exact(ball, 3, region=range(ball.vertex_count), guard=0)
+        cheeger_exact(whole, 3)
 
 
 def test_cheeger_on_regular_ball():
@@ -144,9 +150,10 @@ GW_BALL_LAWS = [((0, 0, 0, 1), 3), ((0, 0, "1/2", "1/2"), 3), (("1/4", "1/4", "1
 
 
 def check_cheeger_against_brute(host, max_size: int, region=None) -> None:
-    result = cheeger_exact(host, max_size, region=region)
-    allowed = region if region is not None else getattr(host, "sorted_interior", None)
-    expected = brute.cheeger_by_enumeration(host, max_size, allowed)
+    if region is not None:
+        host = brute.region_host(host, region)
+    result = cheeger_exact(host, max_size)
+    expected = brute.cheeger_by_enumeration(host, max_size, getattr(host, "sorted_interior", None))
     assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == expected
     assert result.argmin.boundary == brute.boundary(host, result.argmin.members)
     assert result.argmin.ratio == result.value
@@ -178,15 +185,18 @@ def test_cheeger_matches_enumeration_on_gw_sample_balls(law, seed: int, trial: i
 def test_cheeger_work_guard_trips_past_the_subset_count(t: Tree, max_size: int, data):
     region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=2), label="region")
     pool = region if region is not None else range(t.vertex_count)
+    host = t if region is None else brute.region_host(t, region)
     multi = sum(1 for sub in brute.connected_subsets_by_filter(t, max_size, pool) if len(sub) >= 2)
     for guard in {0, max(0, multi - 1), multi, multi + 1}:
-        if multi > guard:
-            with pytest.raises(SearchTooLargeError) as exc:
-                cheeger_exact(t, max_size, region=region, guard=guard)
-            assert str(exc.value) == f"connected-subset enumeration exceeded the work budget ({guard})"
-        else:
-            result = cheeger_exact(t, max_size, region=region, guard=guard)
-            assert result.scope["subsets_enumerated"] == multi + len(set(pool))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsets, "_GUARD", guard)
+            if multi > guard:
+                with pytest.raises(SearchTooLargeError) as exc:
+                    cheeger_exact(host, max_size)
+                assert str(exc.value) == f"connected-subset enumeration exceeded the work budget ({guard})"
+            else:
+                result = cheeger_exact(host, max_size)
+                assert result.scope["subsets_enumerated"] == multi + len(set(pool))
 
 
 def test_cheeger_tie_break_on_relabeled_paths():
@@ -231,8 +241,8 @@ class CountingHost:
 @given(random_trees(min_size=1, max_size=12), st.integers(min_value=1, max_value=6), st.data())
 def test_cheeger_asks_each_pool_vertex_for_its_neighbors_once(t: Tree, max_size: int, data):
     region = data.draw(st.none() | st.sets(st.integers(0, t.vertex_count - 1), min_size=1), label="region")
-    host = CountingHost(t)
-    cheeger_exact(host, max_size, region=region).to_json()  # the argmin's boundary comes from the same lists
+    host = CountingHost(t if region is None else brute.region_host(t, region))
+    cheeger_exact(host, max_size).to_json()  # the argmin's boundary comes from the same lists
     pool = region if region is not None else range(t.vertex_count)
     assert host.calls == {v: 1 for v in pool}
 
@@ -256,17 +266,17 @@ def test_folner_from_inessential_single_attach():
     assert cand.detail["subtree_size"] == 4
 
 
-def check_witness_scan(oracle, radius: int, component_budget: int, scan_limit: int = 256) -> dict:
+def check_witness_scan(oracle, radius: int, component_budget: int, scan_limit: int = amenability._SCAN_LIMIT) -> dict:
     """Compare classify's witness scan with the reference built from the public pieces."""
-    budgets = ClassifyBudgets(radius=radius, component_budget=component_budget, scan_limit=scan_limit)
+    budgets = ClassifyBudgets(radius=radius, component_budget=component_budget)
     ball = explore_ball(oracle, radius)
-    cands = _inessential_witnesses(oracle, ball, budgets)
-    ref_cands, counts = brute.inessential_witnesses_by_parts(oracle, ball, budgets)
+    cands = _inessential_witnesses(oracle, ball, budgets, scan_limit)
+    ref_cands, counts = brute.inessential_witnesses_by_parts(oracle, ball, budgets, scan_limit)
     assert [(c.members, c.provenance, c.detail) for c in cands] == [
         (c.members, c.provenance, c.detail) for c in ref_cands
     ]
     # classify scans through its neighbor memo, which reads a fixture's sizes off its own answers
-    assert _inessential_witnesses(_NeighborMemo(oracle), ball, budgets) == cands
+    assert _inessential_witnesses(_NeighborMemo(oracle), ball, budgets, scan_limit) == cands
     for c in cands:
         boundary = brute.boundary(oracle, c.members)
         assert c.boundary == boundary
@@ -283,7 +293,7 @@ def test_inessential_witnesses_match_parts_on_staircases(n: int):
 
 def test_inessential_witnesses_match_parts_on_a_finite_tree():
     t = Tree.from_edges(brute.random_tree_edges(random.Random(40), 40), vertex_count=40)
-    counts = check_witness_scan(TreeAsOracle(t, root=17), 5, 4)
+    counts = check_witness_scan(TreeAsOracle(Tree(t.adjacency, root=17)), 5, 4)
     assert counts["unwalked"] > 0 and counts["union"] > 0
 
 
@@ -292,7 +302,7 @@ def test_inessential_witnesses_match_parts_on_random_trees(t: Tree, data):
     root = data.draw(st.integers(0, t.vertex_count - 1), label="root")
     radius = data.draw(st.integers(0, 6), label="radius")
     budget = data.draw(st.integers(1, 8), label="component_budget")
-    oracle = TreeAsOracle(t, root)
+    oracle = TreeAsOracle(Tree(t.adjacency, root=root))
     if data.draw(st.booleans(), label="black box"):
         # no hanging_component_sizes: components are walked up to the budget
         oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
@@ -330,8 +340,8 @@ def test_hanging_components_finite_but_unwalkable():
 class MisreportingOracle(TreeAsOracle):
     """A finite tree whose claimed component sizes are off by ``delta``."""
 
-    def __init__(self, tree, delta: int, root: int | None = None):
-        super().__init__(tree, root)
+    def __init__(self, tree, delta: int):
+        super().__init__(tree)
         self.delta = delta
 
     def hanging_component_sizes(self, r):
@@ -361,7 +371,7 @@ def test_hanging_components_refuses_a_misreported_size(delta: int, max_vertices:
 def test_classify_refuses_a_misreported_size_behind_its_memo(delta: int, max_vertices: int, walked: str):
     # the memo reads sizes off its own neighbors only for a host's size rule;
     # an override of hanging_component_sizes is asked as it is
-    host = MisreportingOracle(path_tree(7), delta, root=3)
+    host = MisreportingOracle(Tree(path_tree(7).adjacency, root=3), delta)
     with pytest.raises(UnsupportedStructureError) as info:
         classify(host, ClassifyBudgets(radius=3, component_budget=max_vertices))
     assert str(info.value) == (
@@ -389,16 +399,15 @@ def test_classify_asks_a_fixture_override_for_its_sizes():
     assert classify(Staircase(), ClassifyBudgets(radius=6)).verdict == "amenable-witnessed"
 
 
-def branchless_run(oracle, k: int, target_len: int, seed_radius: int = 6):
+def branchless_run(oracle, k: int, target_len: int, seed_radius: int = amenability._SEED_RADIUS):
     """The trim-level-k view and the run classify would lift from it."""
     view = TrimmedView(oracle, k)
     return view, _branchless_run(view, seed_radius, target_len)
 
 
-def check_path_witnesses(oracle, k_max: int, path_target: int, seed_radius: int = 6) -> list:
+def check_path_witnesses(oracle, k_max: int, path_target: int, seed_radius: int = amenability._SEED_RADIUS) -> list:
     """Compare classify's path witnesses with each run prefix lifted from scratch."""
-    budgets = ClassifyBudgets(seed_radius=seed_radius)
-    cands, chain_lengths = _path_witnesses(oracle, budgets, k_max, path_target)
+    cands, chain_lengths = _path_witnesses(oracle, ClassifyBudgets(), k_max, path_target, seed_radius)
     prefixes = []
     for k in range(k_max + 1):
         view, run = branchless_run(oracle, k, path_target, seed_radius)
@@ -422,7 +431,8 @@ def test_path_witnesses_match_lifted_prefixes(t: Tree, data):
     root = data.draw(st.integers(0, t.vertex_count - 1), label="root")
     k_max = data.draw(st.integers(0, 2), label="k_max")
     path_target = data.draw(st.integers(1, 12), label="path_target")
-    check_path_witnesses(TreeAsOracle(t, root), k_max, path_target, data.draw(st.integers(0, 6), label="seed_radius"))
+    oracle = TreeAsOracle(Tree(t.adjacency, root=root))
+    check_path_witnesses(oracle, k_max, path_target, data.draw(st.integers(0, 6), label="seed_radius"))
 
 
 @pytest.mark.parametrize("name", ["zline_pendant", "staircase", "staircase_n(2)"])
@@ -538,11 +548,12 @@ def test_min_degree3_bound():
         assert min_degree3_bound_check(ball, members)
 
     sary = explore_ball(make_fixture("sary(2)"), 5)
-    assert min_degree3_bound_check(sary, {0, 1, 2}, exception_vertex=0)
     with pytest.raises(UnsupportedStructureError):
         min_degree3_bound_check(sary, {0, 1, 2})  # the root only has degree 2
-    with pytest.raises(UnsupportedStructureError):
-        min_degree3_bound_check(path_tree(5), {1, 2}, exception_vertex=1)
+    # the dichotomy's bound side lets its ball's root have degree 2, and no less
+    assert _degree3_bound(sary, frozenset({0, 1, 2}), 0)
+    with pytest.raises(UnsupportedStructureError, match="exception vertex 0 has degree 1"):
+        _degree3_bound(path_tree(5), frozenset({0, 1}), 0)
     with pytest.raises(ValueError):
         min_degree3_bound_check(ball, set())
     with pytest.raises(ValueError):
@@ -718,13 +729,14 @@ class ScanlessOracle:
         return self.inner.neighbors(h)
 
 
-def test_refuted_by_enumerated_subset():
+def test_refuted_by_enumerated_subset(monkeypatch):
     # Bounds crafted to slip past the scan: the radius-4 enumeration still
     # finds a subset below the implied floor.
+    monkeypatch.setattr(amenability, "_SCAN_LIMIT", 1)
     with pytest.raises(DeclaredBoundsRefutedError, match="enumerated subset"):
         classify(
             ScanlessOracle(make_fixture("staircase")),
-            ClassifyBudgets(radius=10, scan_limit=1, k_max=0),
+            ClassifyBudgets(radius=10, k_max=0),
             declared=DeclaredBounds(5, 1, 1),
         )
 

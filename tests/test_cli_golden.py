@@ -50,7 +50,7 @@ def _random_tree(seed: int, n: int, root: int | None = None) -> Tree:
 
 # name -> (tree, file format); random trees come from fixed seeds
 TREES = {
-    "path9": (path_tree(9, root=4), "edges"),
+    "path9": (Tree(path_tree(9).adjacency, root=4), "edges"),
     "star6": (brute.star_tree(6), "edges"),
     "binary3": (sary_tree(2, 3), "children"),
     "rand12": (_random_tree(12, 12), "edges"),

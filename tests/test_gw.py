@@ -239,7 +239,7 @@ def test_to_tree_shape():
     t = smp.to_tree()
     assert t.vertex_count == 7
     assert t.root == 0
-    assert canonical_form(t, rooted=True) == canonical_form(sary_tree(2, 2), rooted=True)
+    assert canonical_form(t) == canonical_form(sary_tree(2, 2))
     assert len(t.neighbors(0)) == 2
     assert sorted(len(t.neighbors(v)) for v in range(7)) == [1, 1, 1, 1, 2, 3, 3]
 
@@ -666,6 +666,15 @@ def test_dichotomy_rejects_bad_d_list(monkeypatch):
         with pytest.raises(ValueError, match="d_list"):
             verify_dichotomy(QUARTER_LAW, d_list, trials=2, seed=1)
     assert drawn == []  # rejected before any sampling
+
+
+def test_ratio_slack_violation_is_the_bound_violation():
+    # the bound side writes one count under both keys: for every |A| <= 64 and
+    # 0 <= |B| <= |A|, |B|/|A| < 1/2 - [root in A]/|A| exactly when |A| > 2|B| + 2[root in A]
+    for a in range(1, 65):
+        for b in range(a + 1):
+            for root_in in (0, 1):
+                assert (Fraction(b, a) < Fraction(1, 2) - Fraction(root_in, a)) == (a > 2 * b + 2 * root_in)
 
 
 def test_dichotomy_nonamenable_side():

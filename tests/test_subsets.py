@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import arbor.subsets as subsets
 import brute
 from arbor import (
     FolnerCandidate,
@@ -70,18 +71,23 @@ def test_candidate_against_oracle(data):
     assert cand.ratio == brute.ratio(t, members)
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=10))
-def test_connected_enumeration_is_exact_and_duplicate_free(seed: int, n: int):
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=10), st.data())
+def test_connected_enumeration_is_exact_and_duplicate_free(seed: int, n: int, data):
     rng = random.Random(seed)
     t = Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
     got = list(connected_subsets(t, n))
     assert len(got) == len(set(got))
     assert set(got) == brute.connected_subsets_by_filter(t, n)
+    # a host that offers an interior narrows the pool to it
+    region = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="region")
+    got = list(connected_subsets(brute.region_host(t, region), n))
+    assert len(got) == len(set(got))
+    assert set(got) == brute.connected_subsets_by_filter(t, n, region)
 
 
-def test_connected_enumeration_respects_allowed_and_size():
+def test_connected_enumeration_respects_the_pool_and_size():
     t = path_tree(6)
-    got = set(connected_subsets(t, 2, allowed=[1, 2, 4]))
+    got = set(connected_subsets(brute.region_host(t, [1, 2, 4]), 2))
     assert got == {
         frozenset({1}),
         frozenset({2}),
@@ -90,10 +96,10 @@ def test_connected_enumeration_respects_allowed_and_size():
     }
 
 
-def test_enumeration_guard_trips():
-    t = star_tree(12)
-    with pytest.raises(SearchTooLargeError):
-        list(connected_subsets(t, 8, guard=50))
+def test_enumeration_guard_trips(monkeypatch):
+    monkeypatch.setattr(subsets, "_GUARD", 50)
+    with pytest.raises(SearchTooLargeError, match=r"\(50\)"):
+        list(connected_subsets(star_tree(12), 8))
 
 
 def _until_guard(subsets) -> tuple[list, bool]:
@@ -138,12 +144,11 @@ def test_enumeration_order_matches_reference_on_graphs_with_cycles(seed: int, n:
     st.none() | st.integers(min_value=0, max_value=10**6),
 )
 def test_enumeration_order_matches_reference_on_balls(fixture: str, radius: int, max_size: int, seed):
-    ball = explore_ball(make_fixture(fixture), radius)
-    allowed = None
+    host = explore_ball(make_fixture(fixture), radius)
     if seed is not None:
-        allowed = random.Random(seed).sample(ball.sorted_interior, len(ball.interior) // 2 + 1)
-    got = list(connected_subsets(ball, max_size, allowed=allowed))
-    assert got == list(brute.connected_subsets_by_closed_union(ball, max_size, allowed=allowed))
+        host = brute.region_host(host, random.Random(seed).sample(host.sorted_interior, len(host.interior) // 2 + 1))
+    got = list(connected_subsets(host, max_size))
+    assert got == list(brute.connected_subsets_by_closed_union(host, max_size))
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
@@ -152,7 +157,9 @@ def test_enumeration_guard_trips_at_the_reference_work_count(seed: int, max_size
     t = Tree.from_edges(brute.random_tree_edges(rng, 9), vertex_count=9)
     ref_total = len(list(brute.connected_subsets_by_closed_union(t, max_size)))
     for guard in range(ref_total + 1):
-        got = _until_guard(connected_subsets(t, max_size, guard=guard))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsets, "_GUARD", guard)
+            got = _until_guard(connected_subsets(t, max_size))
         assert got == _until_guard(brute.connected_subsets_by_closed_union(t, max_size, guard=guard))
 
 
@@ -172,11 +179,11 @@ def test_singleton_enumeration_asks_for_no_neighbors():
     ball = explore_ball(make_fixture("regular(3)"), 2)
     host = _CountingHost(ball)
     everything = range(ball.vertex_count)  # the frontier too
-    got = list(connected_subsets(host, 1, allowed=everything))
+    got = list(connected_subsets(brute.region_host(host, everything), 1))
     assert got == [frozenset((v,)) for v in everything]
     assert host.calls == 0
     with pytest.raises(IncompleteKnowledgeError):
-        list(connected_subsets(ball, 2, allowed=everything))
+        list(connected_subsets(brute.region_host(ball, everything), 2))
 
 
 def test_random_connected_subset_properties():
@@ -196,15 +203,13 @@ def test_random_connected_subset_deterministic():
     assert a == b
 
 
-def test_random_connected_subset_respects_allowed_and_start():
+def test_random_connected_subset_respects_allowed():
     t = path_tree(12)
     rng = random.Random(1)
     allowed = {3, 4, 5, 6}
     for _ in range(10):
         sub = random_connected_subset(t, 4, rng, allowed=allowed)
         assert sub <= allowed
-    sub = random_connected_subset(t, 3, rng, start=0)
-    assert 0 in sub
     with pytest.raises(ValueError):
         random_connected_subset(t, 0, rng)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -33,7 +34,7 @@ from arbor import (
     serialize_child_list,
     subdivide_tree,
 )
-from arbor.trees import bfs_layers, centers, peel, reach
+from arbor.trees import bfs_layers, peel, reach, rooted_order
 from brute import serialize_tree, star_tree
 
 
@@ -145,7 +146,6 @@ def test_single_vertex():
     assert t.vertex_count == 1
     assert t.neighbors(0) == ()
     assert len(t.neighbors(0)) == 0
-    assert centers(t) == (0,)
 
 
 def test_from_edges_isolated_padding():
@@ -171,8 +171,8 @@ def test_immutable():
 def test_equality_respects_root():
     a = path_tree(3)
     assert a == path_tree(3)
-    assert a != path_tree(3, root=0)
-    assert hash(path_tree(3, root=1)) == hash(path_tree(3, root=1))
+    assert a != Tree(a.adjacency, root=0)
+    assert hash(Tree(a.adjacency, root=1)) == hash(Tree(path_tree(3).adjacency, root=1))
 
 
 def degrees(t: Tree) -> list[int]:
@@ -238,7 +238,7 @@ def test_child_list_roundtrip(t: Tree):
     rooted = t if t.root is not None else Tree(t.adjacency, root=0)
     doc = serialize_child_list(rooted)
     back = parse_child_list(json.loads(json.dumps(doc)))
-    assert canonical_form(back, rooted=True) == canonical_form(rooted, rooted=True)
+    assert canonical_form(back) == canonical_form(rooted)
     assert back.vertex_count == rooted.vertex_count
 
 
@@ -248,11 +248,6 @@ def test_child_list_requires_root():
     with pytest.raises(NotATreeError):
         parse_child_list({"children": {}})
     assert parse_child_list({"root": 0, "children": {}}).vertex_count == 1
-
-
-@given(random_trees(min_size=2))
-def test_centers_match_eccentricity(t: Tree):
-    assert set(centers(t)) == brute.eccentricity_centers(t)
 
 
 def check_peel(adj, known):
@@ -276,35 +271,50 @@ def test_peel_on_one_and_two_vertices():
     assert list(peel(path_tree(2).adjacency, [1, 0])) == [(1, [0])]  # vertex 1 is held back
 
 
-@given(random_trees())
+@st.composite
+def rooted_trees(draw: st.DrawFn, min_size: int = 1, max_size: int = 12) -> Tree:
+    t = draw(random_trees(min_size, max_size))
+    return Tree(t.adjacency, root=draw(st.integers(min_value=0, max_value=t.vertex_count - 1)))
+
+
+@given(rooted_trees())
 def test_canonical_form_relabel_invariant(t: Tree):
     rng = random.Random(17)
     perm = list(range(t.vertex_count))
     rng.shuffle(perm)
     r = brute.relabel_tree(t, perm)
-    assert canonical_form(r, rooted=False) == canonical_form(t, rooted=False)
-    assert brute.ahu_unrooted(r) == brute.ahu_unrooted(t)
+    assert canonical_form(r) == canonical_form(t)
+    assert brute.ahu_rooted(r, r.root) == brute.ahu_rooted(t, t.root)
 
 
-@given(random_trees(min_size=2, max_size=9), random_trees(min_size=2, max_size=9))
+@given(rooted_trees(max_size=9), rooted_trees(max_size=9))
 def test_canonical_form_agrees_with_reference(a: Tree, b: Tree):
-    ours = canonical_form(a, rooted=False) == canonical_form(b, rooted=False)
-    ref = brute.ahu_unrooted(a) == brute.ahu_unrooted(b)
+    ours = canonical_form(a) == canonical_form(b)
+    ref = brute.ahu_rooted(a, a.root) == brute.ahu_rooted(b, b.root)
     assert ours == ref
 
 
-def test_canonical_form_rooted_vs_unrooted():
+def test_canonical_form_needs_a_root():
     p = path_tree(3)
-    assert canonical_form(path_tree(3, root=0), rooted=True) != canonical_form(path_tree(3, root=1), rooted=True)
+    assert canonical_form(Tree(p.adjacency, root=0)) != canonical_form(Tree(p.adjacency, root=1))
+    assert canonical_form(Tree(p.adjacency, root=0)) == canonical_form(Tree(p.adjacency, root=2))
     with pytest.raises(ValueError):
-        canonical_form(p, rooted=True)
-    # default follows the root flag
-    assert canonical_form(path_tree(3, root=0)) == canonical_form(path_tree(3, root=0), rooted=True)
-    assert canonical_form(p) == canonical_form(p, rooted=False)
+        canonical_form(p)
 
 
 def test_distinct_shapes_distinct_codes():
-    assert canonical_form(path_tree(4)) != canonical_form(star_tree(3))
+    assert canonical_form(Tree(path_tree(4).adjacency, root=1)) != canonical_form(Tree(star_tree(3).adjacency, root=0))
+
+
+@given(rooted_trees())
+def test_rooted_order_matches_brute(t: Tree):
+    order, parent = rooted_order(t.adjacency, t.root)
+    dist = brute.bfs_distances(t, t.root)
+    # brute fills its distance map in breadth-first order, in adjacency order
+    assert order == list(dist)
+    assert parent[t.root] == -1
+    for v in order[1:]:
+        assert parent[v] in t.neighbors(v) and dist[parent[v]] == dist[v] - 1
 
 
 @given(random_trees(min_size=4, max_size=10))
@@ -426,3 +436,47 @@ def test_every_public_member_of_an_export_has_a_reader():
             ):
                 unread.append(f"{export}.{name}")
     assert unread == []
+
+
+
+def _reader_trees() -> list:
+    """The syntax trees of READERS: each python file, and each python block of the README."""
+    trees = []
+    for path in READERS:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".md":
+            trees += [ast.parse(part.split("```", 1)[0]) for part in text.split("```python\n")[1:]]
+        else:
+            trees.append(ast.parse(text))
+    return trees
+
+
+def test_every_optional_parameter_of_an_export_has_a_reader():
+    # A call counts by its callee's name, bare or after a dot, and ``cls(...)``
+    # inside a class counts as a call of that class. It passes a parameter by
+    # that keyword, or by position up to the parameter's place.
+    owner = {}  # id of a cls(...) call -> the name of the class around it
+    calls = []
+    for tree in _reader_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((id(c), node.name) for c in ast.walk(node) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "cls")
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    most, keywords = {}, {}  # callee name -> most positional arguments, and keywords passed
+    for call in calls:
+        name = owner.get(id(call)) or getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        most[name] = max(most.get(name, 0), len(call.args))
+        keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unpassed = []
+    for export in arbor.__all__:
+        obj = getattr(arbor, export)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        for place, p in enumerate(inspect.signature(obj).parameters.values()):
+            if p.default is p.empty or p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
+                continue
+            by_place = p.kind is not p.KEYWORD_ONLY and place < most.get(export, 0)
+            if not by_place and p.name not in keywords.get(export, ()):
+                unpassed.append(f"{export}.{p.name}")
+    assert unpassed == []

@@ -146,7 +146,7 @@ def test_trim_depth_matches_reference(t: Tree, k: int):
     for v in range(t.vertex_count):
         step = brute.removal_step(stages, v)
         expected = step if step is not None and step <= k else None
-        assert trim_depth(TreeAsOracle(t, root=v), v, k) == expected
+        assert trim_depth(TreeAsOracle(Tree(t.adjacency, root=v)), v, k) == expected
 
 
 def test_trim_depth_edges():
@@ -216,7 +216,7 @@ def test_chain_budget_holds_wherever_the_ball_fits(t: Tree, k: int, max_vertices
             depth = brute.trim_depth_by_ball(oracle, v, k, max_vertices)
         except BudgetExhaustedError:
             continue
-        assert trim_depth(oracle, v, k, max_vertices) == depth
+        assert trim_depth(oracle, v, k) == depth
         assert shared.survives(v) == (depth is None)
 
 
@@ -229,7 +229,7 @@ def test_chain_budget_holds_wherever_the_ball_fits_on_fixtures(name: str, k: int
             depth = brute.trim_depth_by_ball(fix, h, k, max_vertices)
         except BudgetExhaustedError:
             continue
-        assert trim_depth(fix, h, k, max_vertices) == depth
+        assert trim_depth(fix, h, k) == depth
         assert shared.survives(h) == (depth is None)
 
 
@@ -264,8 +264,6 @@ def test_budgets_below_one_vertex_are_rejected(max_vertices: int):
         TrimmedView(fix, 2, max_vertices)
     with pytest.raises(ValueError, match="max_vertices"):
         explore_ball(fix, 2, max_vertices=max_vertices)
-    with pytest.raises(ValueError, match="max_vertices"):
-        trim_depth(fix, (), 2, max_vertices)
     with pytest.raises(ValueError, match="max_vertices"):
         ball_code_sequence(fix, 2, 2, max_vertices)
 
@@ -323,13 +321,13 @@ def test_trimmed_view_root_walks_the_spine(level: int):
 def test_trimmed_view_definite_emptiness():
     view = TrimmedView(TreeAsOracle(path_tree(2)), 1)
     assert view.root is None
-    deep = TrimmedView(TreeAsOracle(path_tree(9, root=4)), 4)
+    deep = TrimmedView(TreeAsOracle(Tree(path_tree(9).adjacency, root=4)), 4)
     assert deep.root == 4
-    assert TrimmedView(TreeAsOracle(path_tree(9, root=4)), 5).root == 4  # K1 persists
+    assert TrimmedView(TreeAsOracle(Tree(path_tree(9).adjacency, root=4)), 5).root == 4  # K1 persists
 
 
 def test_ball_code_sequence_stabilizes():
-    codes = ball_code_sequence(TreeAsOracle(path_tree(9, root=4)), 4, 6)
+    codes = ball_code_sequence(TreeAsOracle(Tree(path_tree(9).adjacency, root=4)), 4, 6)
     assert len(codes) == 7
     assert codes[4] == codes[5] == codes[6]
     q, p = detect_period(codes)
