@@ -25,6 +25,7 @@ from arbor import (
     sary_tree,
     verify_dichotomy,
 )
+import arbor.amenability as amenability
 import arbor.galton_watson as gw
 from arbor.galton_watson import _collapse_q, _scan_witness, parse_event
 
@@ -668,13 +669,19 @@ def test_dichotomy_rejects_bad_d_list(monkeypatch):
     assert drawn == []  # rejected before any sampling
 
 
-def test_ratio_slack_violation_is_the_bound_violation():
-    # the bound side writes one count under both keys: for every |A| <= 64 and
-    # 0 <= |B| <= |A|, |B|/|A| < 1/2 - [root in A]/|A| exactly when |A| > 2|B| + 2[root in A]
+def test_ratio_slack_violation_is_the_bound_violation(monkeypatch):
+    # for every |A| <= 64 and 0 <= |B| <= |A|,
+    # |B|/|A| < 1/2 - [root in A]/|A| exactly when |A| > 2|B| + 2[root in A]
     for a in range(1, 65):
         for b in range(a + 1):
             for root_in in (0, 1):
                 assert (Fraction(b, a) < Fraction(1, 2) - Fraction(root_in, a)) == (a > 2 * b + 2 * root_in)
+    # so the bound side writes its one count under both keys; a stub verdict makes some
+    monkeypatch.setattr(amenability, "_degree3_bound", lambda host, members, root: len(members) % 2 == 0)
+    check = verify_dichotomy(
+        GWSpec((0, 0, 0, 1)), [], trials=2, seed=4, truncate_depth=3, n_subsets=40, subset_size=6, cheeger_max_size=3,
+    ).nonamenable
+    assert check["bound_violations"] == check["ratio_slack_violations"] > 0
 
 
 def test_dichotomy_nonamenable_side():

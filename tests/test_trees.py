@@ -438,7 +438,6 @@ def test_every_public_member_of_an_export_has_a_reader():
     assert unread == []
 
 
-
 def _reader_trees() -> list:
     """The syntax trees of READERS: each python file, and each python block of the README."""
     trees = []
@@ -460,7 +459,9 @@ def test_every_optional_parameter_of_an_export_has_a_reader():
     for tree in _reader_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                owner.update((id(c), node.name) for c in ast.walk(node) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "cls")
+                for c in ast.walk(node):
+                    if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "cls":
+                        owner[id(c)] = node.name
             elif isinstance(node, ast.Call):
                 calls.append(node)
     most, keywords = {}, {}  # callee name -> most positional arguments, and keywords passed
