@@ -16,7 +16,12 @@ generation g + 1; tests/test_gw.py pins it bit for bit with a golden
 digest. monte_carlo_event and generation_growth_check draw the same streams
 for a batch of trials at once (_generations), reproducing PCG64 and
 SeedSequence by hand with the 128-bit arithmetic done in 32-bit limbs of
-numpy arrays; tests/test_gw.py checks every trial against sample().
+numpy arrays; tests/test_gw.py checks every trial against sample(). The
+dichotomy's bound side draws its random subsets for trial t from the raw
+output of PCG64(SeedSequence(entropy=s, spawn_key=(t, 65536))), replaying
+in Python ints the bounded-integer rule of Generator.integers(n)
+(_SubsetDraws); tests/test_gw.py holds every draw and every report equal
+to numpy's own.
 """
 
 from __future__ import annotations
@@ -227,9 +232,13 @@ def _rng(seed: int, spawn_key=()) -> np.random.Generator:
 
 
 # numpy's PCG64 (128-bit LCG with XSL-RR output) and the SeedSequence hash
-# that seeds it. Only the batched engine (_generations) reproduces them by
-# hand; sample() draws from numpy's own.
+# that seeds it. The batched engine (_generations) reproduces them by hand;
+# sample() draws from numpy's own. The dichotomy's subset draws
+# (_SubsetDraws) take numpy's raw PCG64 output and replay its bounded-integer
+# rule on top.
 _M32 = 0xFFFFFFFF
+_2_32 = 1 << 32
+_RAW_BLOCK = 256  # raw 64-bit outputs _SubsetDraws takes at a time
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # PCG64.jumped(1) advances by this
@@ -968,19 +977,51 @@ def _scan_forest(forest: list, n: int) -> list:
     return found
 
 
-class _GenAdapter:
-    """Just enough of the random.Random surface for subset drawing."""
+def _halves(bits: np.random.PCG64):
+    """The 32-bit halves of the raw 64-bit outputs, low half first, as numpy's next_uint32 takes them."""
+    while True:
+        for word in bits.random_raw(_RAW_BLOCK).tolist():
+            yield word & _M32
+            yield word >> 32
 
-    __slots__ = ("g",)
 
-    def __init__(self, g: np.random.Generator):
-        self.g = g
+class _SubsetDraws:
+    """Just enough of the random.Random surface for subset drawing: numpy's bounded integers, replayed.
+
+    ``randrange(n)`` equals ``int(Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=spawn_key))).integers(n))`` bit for bit, for 1 <= n <= 2**32,
+    the range numpy draws through its 32-bit path (``random_bounded_uint64``
+    in its distributions.c); any other n raises ValueError, as numpy does
+    for n < 1. n = 1 consumes nothing. Otherwise it takes the
+    next 32-bit half x of the raw output and m = x * n; while the low 32
+    bits of m fall below (2**32 - n) % n it redraws, and it returns
+    m >> 32: Lemire's multiply-shift with rejection (D. Lemire, "Fast random
+    integer generation in an interval", ACM TOMACS 29(1), 2019). The halves
+    come from blocks of ``random_raw``, which leaves the bit generator's own
+    32-bit buffer alone; the stream is fresh and serves nothing else, so
+    this adapter keeps the buffer itself and drawing ahead changes nothing.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, seed: int, spawn_key: tuple):
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+        self._next = _halves(bits).__next__
 
     def randrange(self, n: int) -> int:
-        return int(self.g.integers(n))
+        if n == 1:
+            return 0
+        if not 1 < n <= _2_32:
+            raise ValueError(f"randrange({n}) is outside 1..2**32, the bounds whose draws are replayed")
+        m = self._next() * n
+        if m & _M32 < n:  # n is a cheap upper bound for the threshold
+            threshold = (_2_32 - n) % n
+            while m & _M32 < threshold:
+                m = self._next() * n
+        return m >> 32
 
     def choice(self, seq):
-        return seq[int(self.g.integers(len(seq)))]
+        return seq[self.randrange(len(seq))]
 
 
 @dataclass(frozen=True)
@@ -1113,7 +1154,7 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
     for t in range(trials):
         smp = sample(spec, seed, truncate_depth, max_vertices, trial=t)
         ball = smp.truncate_ball(truncate_depth)
-        rng = _GenAdapter(_rng(seed, (t, 65536)))
+        rng = _SubsetDraws(seed, (t, 65536))
         bad = 0
         n_t = per_trial + (1 if t < extra else 0)
         for _ in range(n_t):
@@ -1183,7 +1224,10 @@ def verify_dichotomy(
     ratio_slack_violations equals its bound_violations: for integers,
     |B|/|A| < 1/2 - [root in A]/|A| exactly when |A| > 2|B| + 2[root in A].
     The n_subsets subsets are split over the trials as evenly as possible,
-    the first n_subsets % trials trials checking one more.
+    the first n_subsets % trials trials checking one more. Trial t draws
+    its subsets from the raw output of the stream keyed by (seed, t, 65536),
+    replaying numpy's bounded-integer rule, so each draw is the one
+    Generator.integers(n) would give on that stream.
 
     Trials run one after another; trial t draws from streams keyed by
     (seed, t), so the report depends only on the arguments. A sample stops

@@ -36,7 +36,12 @@ witness constructors, each of which rechecks what it is given. An
 inessential subtree is passed around as its members and its root, the one
 member with an outside neighbor. ``generation_of`` and ``label_of`` are the library's
 former labeling of a Galton-Watson sample's vertices by sibling tuples, the
-reference for the handles of ``GWSample.truncate_ball``.
+reference for the handles of ``GWSample.truncate_ball``. ``GeneratorDraws``
+is the library's former subset-draw adapter over numpy's own
+``Generator.integers``, the reference for the dichotomy's replayed draws.
+``SubdividedRegularWithPaths`` is a host whose certificate bounds (k, d, R)
+are known and none of them trivial, for the declared-bounds checks of
+``classify``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+
+import numpy as np
 
 from arbor import (
     FolnerCandidate,
@@ -607,3 +614,63 @@ def label_of(smp, index: int) -> tuple:
         parts.append(pos + 1)
         pos, g = parent, g - 1
     return tuple(reversed(parts))
+
+
+class GeneratorDraws:
+    """Just enough of the random.Random surface for subset drawing, from numpy's own Generator.integers."""
+
+    def __init__(self, seed: int, spawn_key: tuple):
+        self.g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
+
+    def randrange(self, n: int) -> int:
+        return int(self.g.integers(n))
+
+    def choice(self, seq):
+        return seq[int(self.g.integers(len(seq)))]
+
+
+class SubdividedRegularWithPaths:
+    """regular(b) with every edge subdivided by c vertices and a path of m vertices hung at every branch vertex.
+
+    Handles are triples. ("v", h, 0) is the branch vertex at the regular(b)
+    fixture's handle h; ("e", h, j), 1 <= j <= c, is the j-th vertex down
+    the edge from ("v", h[:-1], 0) to ("v", h, 0); ("p", h, j), 1 <= j <= m,
+    is the j-th vertex of the path hung at ("v", h, 0), a leaf at j = m.
+    Trimming eats the paths one vertex a round, so the tree is leafless
+    after k = m rounds; the subdivided regular(b) left has branchless
+    chains of c vertices, so d = max(c, 1); and the largest inessential
+    subtree is a branch vertex with its path, R = m + 1 vertices.
+    """
+
+    def __init__(self, b: int, c: int, m: int):
+        self.b, self.c, self.m = b, c, m
+        self.root = ("v", (), 0)
+
+    @property
+    def bounds(self) -> tuple:
+        return self.m, max(self.c, 1), self.m + 1
+
+    def _edge_end(self, h, j):
+        """Vertex j of the edge down to ("v", h, 0), where 0 is its top branch vertex and c + 1 its bottom one."""
+        if j == 0:
+            return ("v", h[:-1], 0)
+        return ("v", h, 0) if j == self.c + 1 else ("e", h, j)
+
+    def neighbors(self, x):
+        kind, h, j = x
+        if kind == "v":
+            out = [self._edge_end(h, self.c)] if h else []
+            out += [self._edge_end(h + (i,), 1) for i in range(self.b if not h else self.b - 1)]
+            return tuple(out + [("p", h, 1)] * (self.m > 0))
+        if kind == "e":
+            return self._edge_end(h, j - 1), self._edge_end(h, j + 1)
+        up = ("v", h, 0) if j == 1 else ("p", h, j - 1)
+        return (up, ("p", h, j + 1)) if j < self.m else (up,)
+
+    def hanging_component_sizes(self, r) -> dict:
+        """Each neighbor u of r mapped to the size of u's component in the tree minus r: a path's rest, or infinite."""
+        kind, h, j = r
+        sizes = dict.fromkeys(self.neighbors(r), math.inf)
+        if kind != "e" and j < self.m:
+            sizes[("p", h, j + 1)] = self.m - j  # a branch vertex has j = 0
+        return sizes

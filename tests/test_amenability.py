@@ -1,13 +1,17 @@
+import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import arbor.amenability as amenability
+import arbor.cli as cli
 import arbor.subsets as subsets
 import brute
 from arbor import (
@@ -739,6 +743,42 @@ def test_refuted_by_enumerated_subset(monkeypatch):
             ClassifyBudgets(radius=10, k_max=0),
             declared=DeclaredBounds(5, 1, 1),
         )
+
+
+def classify_declared(host, radius: int, k: int, d: int, R: int) -> tuple:
+    """``arbor classify`` on a test-only host with declared bounds: the exit code and the JSON document."""
+    out = io.StringIO()
+    argv = ["classify", "--fixture", "host", "--radius", str(radius),
+            "--declared-k", str(k), "--declared-d", str(d), "--declared-R", str(R)]
+    with mock.patch.object(cli, "make_fixture", lambda name: host):
+        code = cli.main(argv, stdout=out)
+    return code, json.loads(out.getvalue())
+
+
+@given(st.sampled_from([3, 4]), st.integers(0, 3), st.integers(1, 3))
+def test_certificate_holds_at_nontrivial_true_bounds_and_fails_one_below(b, c, m):
+    host = brute.SubdividedRegularWithPaths(b, c, m)
+    k, d, R = host.bounds
+    radius = 2 * (c + 1) + m + 2  # the k-fold trim keeps two levels of chains below the root
+    code, doc = classify_declared(host, radius, k, d, R)
+    assert code == 0
+    assert doc["verdict"] == "nonamenable-certified"
+    assert doc["certificate"]["lower_bound"] == str(Fraction(1, 2 * d * R))
+    lowered = [
+        ((k - 1, d, R), "after the declared stabilization", {"vertex", "removed_at"}),
+        ((k, d - 1, R), "branchless chain", {"chain"}),
+        ((k, d, R - 1), "inessential subtree", {"members", "root"}),
+    ]
+    for bounds, message, kind in lowered:
+        if min(bounds[1:]) < 1:
+            continue  # d = 1 cannot be lowered: DeclaredBounds needs d >= 1
+        code, doc = classify_declared(host, radius, *bounds)
+        assert code == 4
+        assert doc["kind"] == "declared-bounds-refuted" and message in doc["error"]
+        assert set(doc["counterexample"]) == kind
+    ball = explore_ball(host, c + 2)
+    value, _, _ = brute.cheeger_by_enumeration(ball, 5, allowed=ball.interior)
+    assert value >= Fraction(1, 2 * d * R)
 
 
 def test_jsonable_values():

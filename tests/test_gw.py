@@ -882,3 +882,87 @@ def test_dichotomy_scans_a_repeated_d_once():
     assert list(got.per_d) == [alone[d].per_d[0] for d in d_list]
     assert len({id(entry) for entry in got.per_d}) == len(d_list)  # each listing has its own dict
     assert list(got.rows) == [row for d in d_list for row in alone[d].rows]
+
+
+# Bounds for the replayed subset draws: n = 1 draws nothing, n = 2 never
+# rejects, n just past 2^31 rejects about half its draws, and 2^32 - 1 and
+# 2^32 are the top of numpy's 32-bit path (2^32 takes the half unchanged).
+DRAW_BOUNDS = st.sampled_from([1, 2, 3, 2**31 - 1, 2**31 + 1, 2**31 + 3, 3 * 2**30 + 1, 2**32 - 1, 2**32])
+
+
+@given(
+    st.integers(0, 2**66),
+    st.integers(0, 40),
+    st.integers(0, 1200),
+    st.lists(DRAW_BOUNDS | st.integers(1, 12) | st.integers(1, 2**32), min_size=1, max_size=60),
+)
+@example(0, 0, 0, [1, 2, 1, 2, 1, 1, 2])  # n = 1 between the two halves of one word
+@example(7, 3, 255, [2**32, 1, 2**32 - 1, 2**31 + 1, 2**31 + 1])  # across a block of raw output
+def test_subset_draw_replay_matches_generator_integers(seed, t, lead, bounds):
+    want = brute.GeneratorDraws(seed, (t, 65536))
+    got = gw._SubsetDraws(seed, (t, 65536))
+    # lead draws near 2^31, about half of them rejected, carry the stream past its first blocks
+    assert [got.randrange(2**31 + 1) for _ in range(lead)] == [want.randrange(2**31 + 1) for _ in range(lead)]
+    assert [got.randrange(n) for n in bounds] == [want.randrange(n) for n in bounds]
+    pool = list(range(100, 100 + min(bounds[0], 50)))
+    assert got.choice(pool) == want.choice(pool)
+
+
+def test_subset_draw_replay_rejects_bounds_outside_the_32_bit_path():
+    draws = gw._SubsetDraws(1, (0, 65536))
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            draws.randrange(n)
+        with pytest.raises(ValueError):
+            np.random.default_rng(1).integers(n)  # numpy refuses the empty range too
+    with pytest.raises(ValueError):
+        draws.choice([])
+    with pytest.raises(ValueError):
+        draws.randrange(2**32 + 1)  # numpy's 64-bit path, which subset pools never reach
+    # nothing was drawn by the refusals
+    assert draws.randrange(2**32) == brute.GeneratorDraws(1, (0, 65536)).randrange(2**32)
+
+
+@st.composite
+def bound_side_laws(draw):
+    """Offspring laws on 2..4 children with small integer weights, so the dichotomy takes its bound side."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3).filter(any))
+    return GWSpec((0, 0, *(Fraction(w, sum(weights)) for w in weights)))
+
+
+def bound_side_run(spec, seed, trials, n_subsets, subset_size, truncate_depth) -> tuple:
+    """The bound side's report, with every subset it checked in order."""
+    checked = []
+    real = amenability._degree3_bound
+
+    def recorded(host, members, root):
+        checked.append(members)
+        return real(host, members, root)
+
+    with mock.patch.object(amenability, "_degree3_bound", recorded):
+        rep = verify_dichotomy(
+            spec, [], trials, seed, truncate_depth=truncate_depth, n_subsets=n_subsets,
+            subset_size=subset_size, cheeger_max_size=3,
+        )
+    return rep.to_json(), rep.rows, checked
+
+
+@given(
+    bound_side_laws() | st.sampled_from([GWSpec((0, 0, 0, 1)), GWSpec((0, 0, "1/2", "1/2")), DOUBLING_LAW]),
+    st.integers(0, 2**40),
+    st.integers(1, 4),
+    st.integers(1, 60),
+    st.integers(1, 9),
+    st.integers(1, 4),
+)
+@example(GWSpec((0, 0, 0, 1)), 9, 3, 10, 6, 3)  # 10 subsets over 3 trials: 4, 3, 3
+@example(GWSpec((0, 0, "1/2", "1/2")), 9, 2, 41, 6, 3)
+@example(DOUBLING_LAW, 1, 1, 30, 1, 2)  # single-vertex subsets draw only their start
+@example(GWSpec((0, 0, 0, 1)), 2, 1, 200, 9, 4)  # some 1800 draws in one trial, past several blocks of raw output
+def test_bound_side_replay_matches_generator_reports(spec, seed, trials, n_subsets, subset_size, truncate_depth):
+    args = (spec, seed, trials, n_subsets, subset_size, truncate_depth)
+    got = bound_side_run(*args)
+    with mock.patch.object(gw, "_SubsetDraws", brute.GeneratorDraws):
+        want = bound_side_run(*args)
+    assert got == want
+    assert len(got[2]) == n_subsets
