@@ -661,7 +661,9 @@ class SubdividedRegularWithPaths:
         if kind == "v":
             out = [self._edge_end(h, self.c)] if h else []
             out += [self._edge_end(h + (i,), 1) for i in range(self.b if not h else self.b - 1)]
-            return tuple(out + [("p", h, 1)] * (self.m > 0))
+            if self.m:
+                out.append(("p", h, 1))
+            return tuple(out)
         if kind == "e":
             return self._edge_end(h, j - 1), self._edge_end(h, j + 1)
         up = ("v", h, 0) if j == 1 else ("p", h, j - 1)
