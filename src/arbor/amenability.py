@@ -35,8 +35,6 @@ __all__ = [
     "FolnerCandidate",
     "CheegerResult",
     "cheeger_exact",
-    "ContractionResult",
-    "contract_branchless",
     "SandwichResult",
     "sandwich_check",
     "min_degree3_bound_check",
@@ -102,9 +100,14 @@ class FolnerCandidate:
 
 @dataclass(frozen=True)
 class CheegerResult:
-    value: Fraction
+    """The subset of least ratio that ``cheeger_exact`` found, and the search's scope; ``value`` is its ratio."""
+
     argmin: FolnerCandidate
     scope: dict
+
+    @property
+    def value(self) -> Fraction:
+        return self.argmin.ratio
 
     def to_json(self) -> dict:
         return {
@@ -145,16 +148,16 @@ def cheeger_exact(host, max_size: int) -> CheegerResult:
     least = _least_by_knapsack(pool, hoods, max_size, guard)
     if least is None:  # a cycle, or too many optima to list
         least = _least_by_walk(SimpleNamespace(neighbors=hood.__getitem__), max_size, pool, guard)
-    best, best_b, best_k, count = least
+    best, count = least
     members = frozenset(best)
     boundary = frozenset(v for v in members if not members.issuperset(hood[v]))
     argmin = FolnerCandidate(members, boundary, "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
-    return CheegerResult(Fraction(best_b, best_k), argmin, scope)
+    return CheegerResult(argmin, scope)
 
 
 def _least_by_walk(host, max_size: int, pool: Sequence, guard: int) -> tuple:
-    """The best subset's members, boundary count and size, and the subset count, from the ESU walk."""
+    """The best subset's members and the subset count, from the ESU walk."""
     best = None  # members of the best subset so far, with its boundary count and size
     best_b = best_k = 0
     best_tag = None  # its repr tie-break key, built on the first tie
@@ -177,7 +180,7 @@ def _least_by_walk(host, max_size: int, pool: Sequence, guard: int) -> tuple:
                 best, best_tag = members, tag
                 continue
         best, best_b, best_k, best_tag = [pool[r] for r in sub], b, k, None
-    return best, best_b, best_k, count
+    return best, count
 
 
 _NONE = 1 << 62  # the cost of a size no subset reaches; above every boundary count
@@ -297,7 +300,7 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
     if len(found) > 1:
         tags = [repr(v) for v in pool]
         found = [min(found, key=lambda s: [tags[r] for r in sorted(s)])]
-    return [pool[r] for r in found[0]], best_b, best_k, count + n
+    return [pool[r] for r in found[0]], count + n
 
 
 _MAX_LISTED = 1 << 17  # optimal partial subsets _optima may hold at once
@@ -720,12 +723,13 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
     survives = [
         removed[v] is None and known[v] >= declared.k for v in range(ball.vertex_count)
     ]
-    safe_limit = ball.radius - declared.k - 1
+    # no depth reaches the radius when the ball is the whole tree
+    safe_limit = ball.radius - declared.k - 1 if ball.frontier else ball.radius
     deg2 = set()
     for v in range(ball.vertex_count):
         if not survives[v]:
             continue
-        if ball.frontier and ball.depths[v] > safe_limit:
+        if ball.depths[v] > safe_limit:
             continue
         if sum(1 for u in ball.tree.adjacency[v] if survives[u]) == 2:
             deg2.add(v)

@@ -501,7 +501,7 @@ def main(argv=None, stdout=None) -> int:
     except (BudgetExhaustedError, SearchTooLargeError, IncompleteKnowledgeError) as exc:
         stdout.write(json.dumps({"error": str(exc), "kind": "budget"}, sort_keys=True) + "\n")
         return _INCONCLUSIVE
-    except (ArborError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ArborError, OSError, ValueError) as exc:
         stdout.write(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True) + "\n")
         return _INPUT_ERROR
 

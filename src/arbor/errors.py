@@ -2,6 +2,24 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ArborError",
+    "InvalidVertexError",
+    "NotATreeError",
+    "UnknownFixtureError",
+    "IncompleteKnowledgeError",
+    "BudgetExhaustedError",
+    "SearchTooLargeError",
+    "DegenerateImageError",
+    "NoBranchStructureError",
+    "UnsupportedStructureError",
+    "InsufficientDepthError",
+    "DeclaredBoundsRefutedError",
+    # SandwichViolationError is left out: sandwich_check raises it only when
+    # the library's own contraction breaks its stretch bound, a defect no
+    # caller can act on beyond what catching ArborError gives.
+]
+
 
 class ArborError(Exception):
     """Base class for every library-specific error."""

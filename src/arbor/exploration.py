@@ -7,8 +7,9 @@ neighbor u of r to the size of u's component in the tree minus r
 walk. A host without it is a black box whose components are walked up to a
 budget; the fixtures and ``TreeAsOracle`` answer by a rule on r's neighbors
 (``_SizeRule``). ``explore_ball`` materializes a finite rooted ball and
-records exactly which vertices sit on the information frontier, so later
-boundary computations can refuse to guess instead of being wrong.
+records each vertex's depth; the vertices at depth exactly the radius sit on
+the information frontier, so later boundary computations can refuse to
+guess instead of being wrong.
 
 ``classify`` and ``ball_code_sequence`` put their host behind a per-call
 memo of ``neighbors``, so each handle reaches the host once per call
@@ -16,6 +17,8 @@ however many readers ask for it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import BudgetExhaustedError, IncompleteKnowledgeError, InvalidVertexError
 from .trees import Tree, rooted_order
@@ -120,33 +123,33 @@ class _NeighborMemo:
 class Ball:
     """A fully explored radius-r ball, relabeled to dense ids with the center at 0.
 
-    ``handles[v]`` is the host's handle behind id v, in the order the walk
-    that built the ball found them; ``handle_of`` reads it with a range
-    check. ``explore_ball`` and ``GWSample.truncate_ball`` build balls; the
-    ball keeps no link to its host.
+    ``handles[v]`` is the host's handle behind id v, in the order the
+    breadth-first walk that built the ball found them; ``handle_of`` reads
+    it with a range check. ``depths[v]`` is the distance of id v from the
+    center, recorded by that walk, so no caller walks it again, and it never
+    decreases with v. ``explore_ball`` and ``GWSample.truncate_ball`` build
+    balls; the ball keeps no link to its host.
 
-    ``frontier`` holds the ids at exact distance r whose neighborhoods were
-    not queried. Asking for their neighbors raises IncompleteKnowledgeError.
-    An empty frontier means the exploration exhausted the component and the
-    ball is the whole tree.
-
-    ``depths[v]`` is the distance of id v from the center, recorded by the
-    walk that built the ball, so no caller walks it again.
-
+    ``frontier`` holds the ids at depth exactly r: their neighborhoods were
+    not queried, and asking for their neighbors raises
+    IncompleteKnowledgeError. An empty frontier means the exploration
+    exhausted the component before depth r, and the ball is the whole tree.
     ``interior`` is every other id, and ``sorted_interior`` the same ids in
-    increasing order. Each is derived from ``frontier`` on its first read and
-    cached, so a ball is read-only after construction: reassigning
-    ``frontier`` (or ``tree``) would leave the caches stale.
+    increasing order. Since depths never decrease, the interior is the ids
+    below the first one at depth r, and the frontier the ids from there on.
+    All three are derived from ``depths`` on their first read and cached, so
+    a ball is read-only after construction: reassigning ``radius``,
+    ``depths`` or ``tree`` would leave the caches stale.
     """
 
-    __slots__ = ("radius", "tree", "frontier", "handles", "depths", "_interior", "_sorted_interior")
+    __slots__ = ("radius", "tree", "handles", "depths", "_frontier", "_interior", "_sorted_interior")
 
-    def __init__(self, radius: int, tree: Tree, frontier, handles, depths):
+    def __init__(self, radius: int, tree: Tree, handles, depths):
         self.radius = radius
         self.tree = tree
-        self.frontier = frozenset(frontier)
         self.handles = tuple(handles)
         self.depths = tuple(depths)
+        self._frontier: frozenset[int] | None = None
         self._interior: frozenset[int] | None = None
         self._sorted_interior: tuple[int, ...] | None = None
 
@@ -159,23 +162,30 @@ class Ball:
         return 0
 
     @property
+    def frontier(self) -> frozenset[int]:
+        if self._frontier is None:
+            self._frontier = frozenset(range(len(self.sorted_interior), len(self.depths)))
+        return self._frontier
+
+    @property
     def interior(self) -> frozenset[int]:
         if self._interior is None:
-            self._interior = frozenset(range(self.vertex_count)) - self.frontier
+            self._interior = frozenset(self.sorted_interior)
         return self._interior
 
     @property
     def sorted_interior(self) -> tuple[int, ...]:
         if self._sorted_interior is None:
-            self._sorted_interior = tuple(v for v in range(self.vertex_count) if v not in self.frontier)
+            self._sorted_interior = tuple(range(bisect_left(self.depths, self.radius)))
         return self._sorted_interior
 
     def neighbors(self, v: int):
-        if v in self.frontier:
+        ns = self.tree.neighbors(v)  # checks the range first
+        if self.depths[v] == self.radius:  # v is on the frontier
             raise IncompleteKnowledgeError(
                 f"vertex {v} is on the exploration frontier; its neighborhood is unknown"
             )
-        return self.tree.neighbors(v)
+        return ns
 
     def handle_of(self, v: int):
         """The oracle-side handle behind local id ``v``."""
@@ -228,8 +238,7 @@ def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = No
         layer = nxt
         if not layer:
             break
-    frontier = [v for v in layer if dist[v] == radius]
     # Connected, symmetric and in range by construction; a host that reports
     # a cycle or a neighbor twice adds an edge, which the count catches.
     tree = Tree._trusted(adj, root=0)
-    return Ball(radius, tree, frontier, handles, dist)
+    return Ball(radius, tree, handles, dist)

@@ -17,15 +17,7 @@ import re
 from .errors import InvalidVertexError, UnknownFixtureError
 from .exploration import _SizeRule
 
-__all__ = [
-    "RegularTree",
-    "SAryTree",
-    "ZLinePendant",
-    "ThreeRegularPlusRay",
-    "Staircase",
-    "make_fixture",
-    "list_fixtures",
-]
+__all__ = ["make_fixture", "list_fixtures"]
 
 
 class RegularTree(_SizeRule):

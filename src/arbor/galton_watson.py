@@ -46,7 +46,6 @@ __all__ = [
     "GWSpec",
     "GWSample",
     "sample",
-    "extinction_probability",
     "event_path_prob",
     "event_sary_prob",
     "MonteCarloEventResult",
@@ -267,7 +266,6 @@ def _hash_mix(x: int, y: int) -> int:
     return r ^ (r >> 16)
 
 
-@lru_cache(maxsize=32)
 def _seed_pool(seed: int) -> tuple:
     """SeedSequence's pool after the seed's words, and the hash constant reached.
 
@@ -294,7 +292,7 @@ def _seed_pool(seed: int) -> tuple:
     for w in entropy[_POOL:]:
         for dst in range(_POOL):
             pool[dst] = _hash_mix(pool[dst], hashmix(w))
-    return tuple(pool), h
+    return pool, h
 
 
 def _state_hashes() -> tuple:
@@ -343,17 +341,20 @@ class GWSample:
     """A sampled tree, stored as per-generation arrays of child counts.
 
     counts[g][j] is the number of children of the j-th generation-g vertex in
-    breadth-first order; truncated_at is the first generation whose children
-    were never drawn. ``truncate_ball`` labels each vertex by its 1-based
-    sibling tuple, the root being the empty tuple.
+    breadth-first order; ``truncated_at``, the first generation whose
+    children were never drawn, is ``len(counts)``. ``truncate_ball`` labels
+    each vertex by its 1-based sibling tuple, the root being the empty tuple.
     """
 
     spec: GWSpec
     seed: int
     trial: int
     counts: tuple
-    truncated_at: int
     budget_hit: bool
+
+    @property
+    def truncated_at(self) -> int:
+        return len(self.counts)
 
     @cached_property
     def generation_sizes(self) -> tuple:
@@ -387,21 +388,19 @@ class GWSample:
                     adj[child].append(parent)
         return Tree._trusted(adj, root=0)
 
-    def truncate(self, k: int) -> "GWSample":
-        """The sample restricted to generations 0..k."""
+    def truncate_ball(self, k: int) -> Ball:
+        """The depth-k tree as a Ball whose frontier is generation k, empty if the tree dies out first.
+
+        It is cut by ``_prefix``. A sample drawn to generation k or deeper,
+        or extinct, can be cut at k; any other raises InsufficientDepthError.
+        """
         if k < 0:
             raise ValueError("depth must be nonnegative")
-        if k >= self.truncated_at:
-            if self.extinct or k == self.truncated_at:
-                return self
+        if k > self.truncated_at and not self.extinct:
             raise InsufficientDepthError(
                 f"sampled only to generation {self.truncated_at}, cannot truncate at {k}"
             )
-        return GWSample(self.spec, self.seed, self.trial, self.counts[:k], k, False)
-
-    def truncate_ball(self, k: int) -> Ball:
-        """The depth-k tree as a Ball whose frontier is the deepest generation."""
-        t = self.truncate(k)
+        t = _prefix(self, k)
         tree = t.to_tree()
         # One pass over the generations: child j of parent p has label[p] + (j,).
         handles = [()]
@@ -409,12 +408,8 @@ class GWSample:
         for g, c in enumerate(t.counts):
             for label, n in zip(handles[off[g]:off[g + 1]], c.tolist()):
                 handles.extend([label + (j,) for j in range(1, n + 1)])
-        if t.extinct:
-            frontier = frozenset()
-        else:
-            frontier = frozenset(range(off[t.truncated_at], off[t.truncated_at + 1]))
         depths = [g for g, w in enumerate(t.generation_sizes) for _ in range(w)]
-        return Ball(k, tree, frontier, handles, depths)
+        return Ball(k, tree, handles, depths)
 
 
 def sample(
@@ -442,7 +437,7 @@ def sample(
     total = 1  # sum(sizes)
 
     def done(budget_hit: bool) -> GWSample:
-        smp = GWSample(spec, seed, trial, tuple(counts), len(counts), budget_hit)
+        smp = GWSample(spec, seed, trial, tuple(counts), budget_hit)
         smp.__dict__["generation_sizes"] = tuple(sizes)  # fills the cached_property
         return smp
 
@@ -472,7 +467,7 @@ def _prefix(smp: GWSample, h: int) -> GWSample:
     """
     if smp.truncated_at < h or (smp.truncated_at == h and not smp.budget_hit):
         return smp
-    cut = GWSample(smp.spec, smp.seed, smp.trial, smp.counts[:h], h, False)
+    cut = GWSample(smp.spec, smp.seed, smp.trial, smp.counts[:h], False)
     cut.__dict__["generation_sizes"] = smp.generation_sizes[:h + 1]
     return cut
 
@@ -487,7 +482,9 @@ _BATCH_VERTICES = 1 << 12  # vertices drawn in one numpy pass; on a 2-core box 2
 # A trial whose generation is wider than this draws it from a numpy Generator
 # set to its state: about 9 µs per generation, against 100 to 200 ns per
 # vertex in limb arithmetic. On the same box, caps of 64, 128 and 192 timed
-# alike on growth runs of wide laws, and 32 and 256 slower.
+# alike on growth runs of wide laws, and 32 and 256 slower. It must stay at
+# or below _BATCH_VERTICES: each pass of _draw_narrow takes whole trials, and
+# a trial wider than a pass would leave the pass empty and the loop stuck.
 _BATCH_WIDTH_MAX = 128
 
 
@@ -555,8 +552,7 @@ def _trial_streams(seed: int, first: int, stop: int) -> tuple:
     SeedSequence's hash constant advances once per word of the spawn key, so
     all the trial ids must split into the same number of 32-bit words.
     """
-    pool, h = _seed_pool(operator.index(seed))
-    pool = list(pool)
+    pool, h = _seed_pool(seed)
     n_words = len(_words(first))
     if len(_words(stop - 1)) != n_words:
         raise ValueError("trial ids of different word counts")
@@ -1026,12 +1022,21 @@ class _SubsetDraws:
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    side: str
+    """What ``verify_dichotomy`` found on one side of the dichotomy.
+
+    The witness side fills ``per_d``, the bound side ``nonamenable``;
+    ``side`` reads which one from whether ``nonamenable`` is None.
+    """
+
     spec_json: dict
     params: dict
     per_d: tuple
     nonamenable: dict | None
     rows: tuple
+
+    @property
+    def side(self) -> str:
+        return "amenable" if self.nonamenable is None else "nonamenable"
 
     def all_floors_hold(self) -> bool:
         if self.side == "amenable":
@@ -1248,20 +1253,19 @@ def verify_dichotomy(
         raise ValueError("need at least one trial")
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
-    side = "nonamenable" if spec.p(0) == 0 and spec.p(1) == 0 else "amenable"
     params = {
         "seed": seed,
         "trials": trials,
         "max_vertices": max_vertices,
     }
-    if side == "amenable":
+    if spec.p(0) or spec.p(1):  # the witness side
         d_list = list(d_list)
         if not d_list or min(d_list) < 1:
             raise ValueError("d_list needs at least one d, and every d must be at least 1")
         per_d, rows, rho = _amenable_side(spec, d_list, trials, seed, max_vertices)
         params["d_list"] = d_list
         params["extinction_probability"] = rho
-        return DichotomyReport(side, spec.to_json(), params, tuple(per_d), None, tuple(rows))
+        return DichotomyReport(spec.to_json(), params, tuple(per_d), None, tuple(rows))
     if truncate_depth < 1:
         raise ValueError("truncate_depth must be at least 1")
     if n_subsets < 1:
@@ -1279,4 +1283,4 @@ def verify_dichotomy(
     doc, rows = _nonamenable_side(
         spec, trials, seed, max_vertices, truncate_depth, n_subsets, subset_size, cheeger_max_size
     )
-    return DichotomyReport(side, spec.to_json(), params, (), doc, tuple(rows))
+    return DichotomyReport(spec.to_json(), params, (), doc, tuple(rows))

@@ -20,12 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import SearchTooLargeError
 from .trees import reach
 
-__all__ = [
-    "boundary_of",
-    "is_connected_in",
-    "connected_subsets",
-    "random_connected_subset",
-]
+__all__ = ["boundary_of", "connected_subsets", "random_connected_subset"]
 
 _GUARD = 10**7  # units of work an enumeration may take: subset extensions, or subsets counted
 

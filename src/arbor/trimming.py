@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
@@ -27,12 +28,10 @@ __all__ = [
     "TrimOrbit",
     "trim_orbit",
     "trim_depth",
-    "removal_steps_in_ball",
     "TrimmedView",
     "ball_code_sequence",
     "detect_period",
     "is_inessential",
-    "lift_subset_through_trims",
 ]
 
 
@@ -50,17 +49,24 @@ class TrimOrbit:
     """The trajectory of a finite tree under iterated trimming.
 
     ``removed_at[v]`` is the round at which vertex v is trimmed, or None if
-    v is still present after all ``rounds`` rounds; stage j of the orbit is
-    every v with removed_at[v] None or above j. The orbit ends with a
-    single vertex (``stabilized``), with nothing (``extinct``), or at the
-    round cap with leaves still present (``budget-exhausted``).
+    v is still present after the last round; stage j of the orbit is every
+    v with removed_at[v] None or above j. The rest is read off
+    ``removed_at``: ``rounds`` is the last round that trimmed anything, and
+    ``status`` says how the orbit ends: with a single vertex left
+    (``stabilized``), with nothing (``extinct``), or with more, which only
+    a round cap stops (``budget-exhausted``).
     """
 
     removed_at: tuple
-    rounds: int
-    status: str
-    stabilized_at: int | None = None
-    extinct_at: int | None = None
+
+    @cached_property
+    def rounds(self) -> int:
+        return max(filter(None, self.removed_at), default=0)
+
+    @cached_property
+    def status(self) -> str:
+        left = self.removed_at.count(None)
+        return "extinct" if left == 0 else "stabilized" if left == 1 else "budget-exhausted"
 
     def stage_sizes(self) -> tuple[int, ...]:
         gone = [0] * (self.rounds + 1)
@@ -86,10 +92,8 @@ class TrimOrbit:
 
     def to_json(self) -> dict:
         doc = {"stages": list(self.stage_sizes()), "status": self.status}
-        if self.stabilized_at is not None:
-            doc["stabilized_at"] = self.stabilized_at
-        if self.extinct_at is not None:
-            doc["extinct_at"] = self.extinct_at
+        if self.status != "budget-exhausted":
+            doc[self.status + "_at"] = self.rounds  # stabilized_at or extinct_at
         return doc
 
 
@@ -98,14 +102,7 @@ def trim_orbit(t: Tree, max_steps: int | None = None) -> TrimOrbit:
     if max_steps is not None and max_steps <= 0:
         raise ValueError("max_steps must be positive (or None for no bound)")
     n = t.vertex_count
-    removed = tuple(_removal_rounds(t.adjacency, [n if max_steps is None else max_steps] * n))
-    rounds = max(filter(None, removed), default=0)
-    left = removed.count(None)
-    if left == 0:
-        return TrimOrbit(removed, rounds, "extinct", extinct_at=rounds)
-    if left == 1:
-        return TrimOrbit(removed, rounds, "stabilized", stabilized_at=rounds)
-    return TrimOrbit(removed, rounds, "budget-exhausted")
+    return TrimOrbit(tuple(_removal_rounds(t.adjacency, [n if max_steps is None else max_steps] * n)))
 
 
 def trim_depth(oracle, v, k: int) -> int | None:

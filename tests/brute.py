@@ -35,8 +35,10 @@ of every component of the host minus a vertex as a ``HangingComponent``
 witness constructors, each of which rechecks what it is given. An
 inessential subtree is passed around as its members and its root, the one
 member with an outside neighbor. ``generation_of`` and ``label_of`` are the library's
-former labeling of a Galton-Watson sample's vertices by sibling tuples, the
-reference for the handles of ``GWSample.truncate_ball``. ``GeneratorDraws``
+former labeling of a Galton-Watson sample's vertices by sibling tuples; read
+on the sample cut at depth k by ``galton_watson._prefix``, the one cut
+``GWSample.truncate_ball`` makes, they are the reference for the handles of
+its depth-k ball. ``GeneratorDraws``
 is the library's former subset-draw adapter over numpy's own
 ``Generator.integers``, the reference for the dichotomy's replayed draws.
 ``SubdividedRegularWithPaths`` is a host whose certificate bounds (k, d, R)

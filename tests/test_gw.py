@@ -18,7 +18,6 @@ from arbor import (
     canonical_form,
     event_path_prob,
     event_sary_prob,
-    extinction_probability,
     generation_growth_check,
     monte_carlo_event,
     sample,
@@ -27,7 +26,7 @@ from arbor import (
 )
 import arbor.amenability as amenability
 import arbor.galton_watson as gw
-from arbor.galton_watson import _collapse_q, _scan_witness, parse_event
+from arbor.galton_watson import _collapse_q, _scan_witness, extinction_probability, parse_event
 
 QUARTER_LAW = GWSpec(("1/4", "1/4", "1/2"))
 BINARY_LAW = GWSpec(("1/2", "0", "1/2"))
@@ -247,18 +246,26 @@ def test_to_tree_shape():
 
 def test_truncate():
     smp = sample(DOUBLING_LAW, 1, 4)
-    cut = smp.truncate(2)
+    cut = gw._prefix(smp, 2)
     assert cut.vertex_count == 7
     assert cut.truncated_at == 2
     assert not cut.budget_hit
-    assert smp.truncate(4) is smp
-    with pytest.raises(InsufficientDepthError):
-        smp.truncate(5)
-    with pytest.raises(ValueError):
-        smp.truncate(-1)
+    assert gw._prefix(smp, 4) is smp
+    assert smp.truncate_ball(4).vertex_count == smp.vertex_count == 31
+    with pytest.raises(InsufficientDepthError, match="^sampled only to generation 4, cannot truncate at 5$"):
+        smp.truncate_ball(5)
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        smp.truncate_ball(-1)
 
     dead = sample(GWSpec((1,)), 3, 5)
-    assert dead.truncate(3) is dead  # nothing below an extinct sample
+    assert gw._prefix(dead, 3) is dead  # nothing below an extinct sample
+    assert dead.truncate_ball(3).vertex_count == 1
+
+    hit = sample(DOUBLING_LAW, 1, 4, max_vertices=10)  # generation 3 would pass the budget
+    assert hit.budget_hit and hit.truncated_at == 2
+    assert hit.truncate_ball(2).vertex_count == 7
+    with pytest.raises(InsufficientDepthError, match="^sampled only to generation 2, cannot truncate at 3$"):
+        hit.truncate_ball(3)
 
 
 def test_truncate_ball():
@@ -284,6 +291,8 @@ def test_truncate_ball_depths_match_bfs(spec):
             ball = smp.truncate_ball(k)
             dist = brute.bfs_distances(ball.tree, 0)
             assert ball.depths == tuple(dist[v] for v in range(ball.vertex_count))
+            assert ball.frontier == frozenset(v for v, d in enumerate(ball.depths) if d == k)
+            assert ball.sorted_interior == tuple(v for v, d in enumerate(ball.depths) if d < k)
 
 
 @pytest.mark.parametrize("spec", [QUARTER_LAW, BINARY_LAW, DOUBLING_LAW, GWSpec((1,))])
@@ -291,7 +300,7 @@ def test_truncate_ball_handles_are_labels(spec):
     for seed in range(6):
         smp = sample(spec, seed, 5)
         for k in range(min(5, smp.truncated_at) + 1):
-            cut = smp.truncate(k)
+            cut = gw._prefix(smp, k)
             assert smp.truncate_ball(k).handles == tuple(brute.label_of(cut, i) for i in range(cut.vertex_count))
 
 
@@ -966,3 +975,20 @@ def test_bound_side_replay_matches_generator_reports(spec, seed, trials, n_subse
         want = bound_side_run(*args)
     assert got == want
     assert len(got[2]) == n_subsets
+
+
+def test_bound_side_subset_draws_golden_digest():
+    """Pins the bound side's subsets bit for bit, at the benchmark's bound op: 5 trials, 300 subsets.
+
+    The reports alone would not notice a change in the draws: every subset
+    of these laws passes the bound, so its count stays the same.
+    """
+    h = hashlib.sha256()
+    for spec in (GWSpec((0, 0, 0, 1)), GWSpec((0, 0, "1/2", "1/2"))):
+        for seed in (1, 2**40 + 3):
+            # cheeger_max_size does not reach the draws; subset_size 8 and truncate_depth 4 are the defaults
+            _, _, checked = bound_side_run(spec, seed, 5, 300, 8, 4)
+            assert len(checked) == 300
+            for members in checked:
+                h.update(repr(sorted(members)).encode() + b"\n")
+    assert h.hexdigest() == "45bff045b0762d5d6e560b36130b02ea9d6772ade2fec267f7de66ca0081b18d"

@@ -125,6 +125,10 @@ def test_ball_depths_match_bfs(name: str):
         assert ball.frontier or radius == 0
         dist = brute.bfs_distances(ball.tree, 0)
         assert ball.depths == tuple(dist[v] for v in range(ball.vertex_count))
+        # the frontier is the ids at depth exactly radius, and the interior the rest
+        assert ball.frontier == frozenset(v for v, d in enumerate(ball.depths) if d == radius)
+        assert ball.sorted_interior == tuple(v for v, d in enumerate(ball.depths) if d < radius)
+        assert ball.interior == frozenset(ball.sorted_interior)
     whole = explore_ball(TreeAsOracle(Tree(path_tree(6).adjacency, root=2)), 10)
     assert whole.depths == (0, 1, 1, 2, 2, 3)
 

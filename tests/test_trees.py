@@ -384,12 +384,18 @@ def test_exports_resolve_once():
     assert len(arbor.__all__) == len(set(arbor.__all__))
     for name in arbor.__all__:
         assert hasattr(arbor, name), name
+    lists = []
     for info in pkgutil.iter_modules(arbor.__path__):
         if info.name == "__main__":  # importing it runs the CLI
             continue
         module = importlib.import_module(f"arbor.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"arbor.{info.name}.{name}"
+        if hasattr(module, "__all__"):
+            lists.append(module.__all__)
+    # the package surface is the library modules' lists joined, each one a contiguous slice
+    lists.sort(key=lambda names: arbor.__all__.index(names[0]) if names[0] in arbor.__all__ else -1)
+    assert arbor.__all__ == ["__version__", *(name for names in lists for name in names)]
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -87,16 +87,17 @@ def test_orbit_matches_reference(t: Tree):
     for m in (None, *range(1, n + 2)):
         orbit = trim_orbit(t, max_steps=m)
         if m is not None and m < last:
-            assert orbit.status == "budget-exhausted"
-            assert orbit.stabilized_at is None and orbit.extinct_at is None
+            assert orbit.status == "budget-exhausted" and orbit.rounds == m
             assert orbit.stage_sizes() == tuple(len(s) for s in stages[: m + 1])
+            assert orbit.to_json() == {"stages": list(orbit.stage_sizes()), "status": "budget-exhausted"}
             with pytest.raises(ValueError):
                 orbit.membership_at(0, m + 1)
             asked = m
         else:
-            assert orbit.status == ("stabilized" if stabilized else "extinct")
-            assert (orbit.stabilized_at if stabilized else orbit.extinct_at) == last
+            status = "stabilized" if stabilized else "extinct"
+            assert orbit.status == status and orbit.rounds == last
             assert orbit.stage_sizes() == tuple(len(s) for s in stages[: last + 1])
+            assert orbit.to_json() == {"stages": list(orbit.stage_sizes()), "status": status, f"{status}_at": last}
             asked = n + 2
         for k in range(asked + 1):
             assert stage_members(orbit, n, k) == stages[min(k, last)]
@@ -105,11 +106,13 @@ def test_orbit_matches_reference(t: Tree):
 def test_orbit_knowns():
     orbit = trim_orbit(path_tree(5))
     assert orbit.stage_sizes() == (5, 3, 1)
-    assert orbit.status == "stabilized" and orbit.stabilized_at == 2
+    assert orbit.status == "stabilized" and orbit.rounds == 2
+    assert orbit.to_json() == {"stages": [5, 3, 1], "status": "stabilized", "stabilized_at": 2}
 
     k2 = trim_orbit(path_tree(2))
     assert k2.stage_sizes() == (2, 0)
-    assert k2.status == "extinct" and k2.extinct_at == 1
+    assert k2.status == "extinct" and k2.rounds == 1
+    assert k2.to_json() == {"stages": [2, 0], "status": "extinct", "extinct_at": 1}
     assert k2.removed_at == (1, 1)
     assert stage_members(k2, 2, 1) == set()
 
