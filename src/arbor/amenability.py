@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import groupby, islice
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -83,13 +83,22 @@ class FolnerCandidate:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _sorted_members(self) -> tuple:
+        """The members in ``sorted_handles`` order, sorted on the first read."""
+        return tuple(sorted_handles(self.members))
+
     def to_json(self) -> dict:
         return jsonable(self._doc())
 
     def _doc(self) -> dict:
-        """The JSON document as library values, which ``jsonable`` or the CLI's emitter renders."""
+        """The JSON document as library values, which ``jsonable`` or the CLI's emitter renders.
+
+        The members are their ``sorted_handles`` tuple, which both write as
+        they would write the frozenset, with no sort.
+        """
         return {
-            "members": self.members,
+            "members": self._sorted_members,
             "size": self.size,
             "boundary_size": len(self.boundary),
             "ratio": self.ratio,
@@ -528,7 +537,9 @@ def min_degree3_bound_check(host, members: Iterable) -> bool:
     A must be nonempty and connected in the host; ValueError otherwise. The
     counting argument only consumes the host degrees of A's own members,
     so those are what get validated: a member of degree < 3 raises
-    UnsupportedStructureError.
+    UnsupportedStructureError. The connectivity walk reads each member's
+    neighbors once, and ``_degree3_bound`` reads them once more, for the
+    member's degree and whether it is on the boundary.
     """
     A = frozenset(members)
     if A and not is_connected_in(host, A):
@@ -542,19 +553,27 @@ def _degree3_bound(host, A: frozenset, exception_vertex) -> bool:
     The exception vertex may have degree 2; every other member needs degree
     >= 3. The dichotomy's bound side passes its ball's root, which has no
     parent. A's connectivity is the caller's to know: the public check walks
-    it, and the bound side passes subsets it has just grown.
+    it, and the bound side passes subsets it has just grown. One pass over A
+    asks ``host.neighbors`` once per member: the length of its answer is the
+    member's degree, and a neighbor outside A puts the member on the
+    boundary. The first member in A's order that fails, or whose neighbors
+    the host cannot give, decides the error.
     """
     if not A:
         raise ValueError("empty subset")
+    boundary = 0
     for v in A:
-        d = len(host.neighbors(v))
+        ns = host.neighbors(v)
+        d = len(ns)
         if v == exception_vertex:
             if d < 2:
                 raise UnsupportedStructureError(f"exception vertex {v!r} has degree {d} < 2")
         elif d < 3:
             raise UnsupportedStructureError(f"member {v!r} has degree {d} < 3")
+        if not A.issuperset(ns):
+            boundary += 1
     slack = 2 if exception_vertex in A else 0
-    return len(A) <= 2 * len(boundary_of(host, A)) + slack
+    return len(A) <= 2 * boundary + slack
 
 
 @dataclass(frozen=True)
@@ -798,7 +817,8 @@ def _ratio_keys(pairs: list) -> list:
 def _witness_order(witnesses: list) -> list:
     """Witnesses by decreasing ratio, then increasing size, then their sorted members' ``repr`` strings.
 
-    The ``repr`` key is built only inside a run of equal ratio and size.
+    The ``repr`` tie-break runs only inside a run of equal ratio and size,
+    and compares two witnesses as ``_members_cmp`` does.
     """
     ratios = _ratio_keys([(len(c.boundary), c.size) for c in witnesses])
     keys = [(-r, c.size) for r, c in zip(ratios, witnesses)]
@@ -806,9 +826,28 @@ def _witness_order(witnesses: list) -> list:
     for _, run in groupby(sorted(range(len(witnesses)), key=keys.__getitem__), key=keys.__getitem__):
         tied = [witnesses[i] for i in run]
         if len(tied) > 1:
-            tied.sort(key=lambda c: list(map(repr, sorted_handles(c.members))))
+            tied.sort(key=_BY_MEMBERS)
         out.extend(tied)
     return out
+
+
+def _members_cmp(a: FolnerCandidate, b: FolnerCandidate) -> int:
+    """-1, 0 or 1 as ``list(map(repr, ...))`` of a's sorted members is below, equal to or above b's.
+
+    The ``repr``s are taken pair by pair and the first pair that differs
+    decides; on a common prefix the shorter witness comes first, as list
+    comparison orders the two lists.
+    """
+    xs, ys = a._sorted_members, b._sorted_members
+    for x, y in zip(xs, ys):
+        if x is not y:
+            rx, ry = repr(x), repr(y)
+            if rx != ry:
+                return -1 if rx < ry else 1
+    return (len(xs) > len(ys)) - (len(xs) < len(ys))
+
+
+_BY_MEMBERS = cmp_to_key(_members_cmp)
 
 
 def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredBounds | None = None, d_target: int = 10) -> AmenabilityReport:

@@ -389,9 +389,11 @@ def cmd_fixtures(args, stdout) -> int:
 
 
 def _add_io_flags(p: argparse.ArgumentParser, fixture: bool = True, with_csv: bool = False):
-    p.add_argument("--input", help="path to a tree file (edge list or child-list JSON)")
     if fixture:
+        p.add_argument("--input", help="path to a tree file (edge list or child-list JSON)")
         p.add_argument("--fixture", help="fixture id, e.g. regular(3) or staircase_n(2)")
+    else:
+        p.add_argument("--input", help="path to an offspring-law JSON file: a 'p' list or a 'family'")
     # csv only where the command has a table to render, so argparse rejects it before any work
     formats = ("json", "csv", "text") if with_csv else ("json", "text")
     p.add_argument("--format", choices=formats, default="json")

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDepthError
+from .errors import BudgetExhaustedError, InsufficientDepthError
 from .exploration import Ball
 from .trees import Tree
 
@@ -1158,6 +1158,10 @@ def _nonamenable_side(spec, trials, seed, max_vertices, truncate_depth, n_subset
     worst = None
     for t in range(trials):
         smp = sample(spec, seed, truncate_depth, max_vertices, trial=t)
+        if smp.budget_hit:
+            raise BudgetExhaustedError(
+                f"trial {t}'s tree to depth {truncate_depth} needs more than {max_vertices} vertices"
+            )
         ball = smp.truncate_ball(truncate_depth)
         rng = _SubsetDraws(seed, (t, 65536))
         bad = 0
@@ -1237,9 +1241,11 @@ def verify_dichotomy(
     Trials run one after another; trial t draws from streams keyed by
     (seed, t), so the report depends only on the arguments. A sample stops
     before the generation that would take it past max_vertices vertices.
-    On the witness side trial t redraws from (seed, t, attempt) until its
-    tree survives to the horizon d*d + d + 1, up to 64 attempts, and counts
-    as skipped if none does. Each (trial, attempt) stream is drawn once, to
+    On the bound side a trial whose sample stops there, short of
+    truncate_depth, raises BudgetExhaustedError. On the witness side trial
+    t redraws from (seed, t, attempt) until its tree survives to the
+    horizon d*d + d + 1, up to 64 attempts, and counts as skipped if none
+    does. Each (trial, attempt) stream is drawn once, to
     the deepest horizon in d_list, and each d reads the prefix of it down to
     its own horizon, which is what a draw to that horizon would give. Every
     trial is drawn first; for each d the surviving trees cut at the same

@@ -43,7 +43,10 @@ is the library's former subset-draw adapter over numpy's own
 ``Generator.integers``, the reference for the dichotomy's replayed draws.
 ``SubdividedRegularWithPaths`` is a host whose certificate bounds (k, d, R)
 are known and none of them trivial, for the declared-bounds checks of
-``classify``.
+``classify``. ``degree3_bound_two_pass`` is the library's former degree-3
+bound, which reads each member's neighbors once for its degree and again
+through the library's ``boundary_of``; it is the reference for the one-pass
+``_degree3_bound``.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from arbor import (
     SearchTooLargeError,
     Tree,
     UnsupportedStructureError,
+    boundary_of,
     explore_ball,
 )
 from arbor.trees import reach, sorted_handles
@@ -100,6 +104,21 @@ def boundary(t, members) -> set[int]:
     """Members with at least one neighbor outside, straight from the definition."""
     mem = set(members)
     return {v for v in mem if any(u not in mem for u in t.neighbors(v))}
+
+
+def degree3_bound_two_pass(host, A: frozenset, exception_vertex) -> bool:
+    """Whether |A| <= 2|boundary(A)|, with slack 2 when ``exception_vertex`` is in A; every member's degree first."""
+    if not A:
+        raise ValueError("empty subset")
+    for v in A:
+        d = len(host.neighbors(v))
+        if v == exception_vertex:
+            if d < 2:
+                raise UnsupportedStructureError(f"exception vertex {v!r} has degree {d} < 2")
+        elif d < 3:
+            raise UnsupportedStructureError(f"member {v!r} has degree {d} < 3")
+    slack = 2 if exception_vertex in A else 0
+    return len(A) <= 2 * len(boundary_of(host, A)) + slack
 
 
 def ratio(t, members) -> Fraction:

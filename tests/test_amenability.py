@@ -41,17 +41,21 @@ from arbor import (
     subdivide_tree,
 )
 from arbor.amenability import (
+    _BY_MEMBERS,
     _FLOAT_EXACT,
     _branchless_run,
     _degree3_bound,
     _inessential_witnesses,
+    _members_cmp,
     _path_witnesses,
     _ratio_keys,
+    _witness_order,
     contract_branchless,
 )
 from arbor.errors import SandwichViolationError
 from arbor.exploration import _NeighborMemo
 from arbor.fixtures import Staircase
+from arbor.trees import sorted_handles
 from arbor.trimming import lift_subset_through_trims
 from brute import star_tree
 
@@ -562,6 +566,135 @@ def test_min_degree3_bound():
         min_degree3_bound_check(ball, set())
     with pytest.raises(ValueError):
         min_degree3_bound_check(ball, {1, 2})  # two ball branches, not connected
+
+
+def degree3_outcome(bound, host, A: frozenset, exception_vertex):
+    """What ``bound`` returns on A, or the type and message of what it raises."""
+    try:
+        return bound(host, A, exception_vertex)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def degree3_hosts(draw: st.DrawFn):
+    """A fixture ball (frontier and degree-2 members included), a GW sample ball, a random tree or a graph with cycles."""
+    kind = draw(st.sampled_from(["fixture", "gw", "tree", "graph"]))
+    if kind == "fixture":
+        name = draw(st.sampled_from(FIXTURES))
+        return explore_ball(make_fixture(name), draw(st.integers(min_value=0, max_value=4)))
+    if kind == "gw":
+        probs, deepest = draw(st.sampled_from(GW_BALL_LAWS))
+        depth = draw(st.integers(min_value=0, max_value=deepest))
+        seed = draw(st.integers(min_value=0, max_value=2**32))
+        return sample(GWSpec(probs), seed, depth).truncate_ball(depth)
+    if kind == "tree":
+        return draw(random_trees(min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    return brute.random_graph(rng, draw(st.integers(min_value=2, max_value=9)), draw(st.integers(min_value=1, max_value=12)))
+
+
+@given(degree3_hosts(), st.data())
+def test_degree3_bound_matches_two_pass(host, data):
+    vertices = range(host.vertex_count)
+    interior = getattr(host, "sorted_interior", None) or vertices
+    A = frozenset(data.draw(st.sets(st.sampled_from(interior), min_size=1, max_size=12) | st.sets(st.sampled_from(vertices), max_size=12), label="A"))
+    exception_vertex = data.draw(st.none() | st.sampled_from(vertices) | st.sampled_from(sorted(A) or [0]), label="exception")
+    expected = degree3_outcome(brute.degree3_bound_two_pass, host, A, exception_vertex)
+    assert degree3_outcome(_degree3_bound, host, A, exception_vertex) == expected
+
+
+def test_degree3_bound_matches_two_pass_on_each_outcome():
+    regular = explore_ball(make_fixture("regular(3)"), 3)
+    sary = explore_ball(make_fixture("sary(2)"), 3)
+    frontier = max(regular.frontier)
+    dense = SimpleNamespace(neighbors=lambda v: [u for u in range(5) if u != v], vertex_count=5)  # K5
+    tail = {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2, 4), 4: (3,)}  # K4 with a pendant vertex
+    k4_tail = SimpleNamespace(neighbors=tail.__getitem__, vertex_count=5)
+    cases = [
+        (regular, frozenset({0, 1, 2}), None, True),
+        (regular, frozenset({0, 1, frontier}), None, IncompleteKnowledgeError),  # a frontier member
+        (sary, frozenset({0, 1, 2}), None, UnsupportedStructureError),  # the degree-2 root, no exception
+        (sary, frozenset({0, 1, 2}), 0, True),  # the exception vertex in A
+        (sary, frozenset({1, 3, 4}), 0, True),  # the exception vertex out of A
+        (sary, frozenset({0, 1}), 1, UnsupportedStructureError),
+        (path_tree(5), frozenset({0, 1}), 0, UnsupportedStructureError),  # exception vertex of degree 1
+        (dense, frozenset(range(5)), None, False),  # no boundary at all
+        (dense, frozenset(range(5)), 0, False),
+        (k4_tail, frozenset(range(4)), 0, True),  # 4 members, 1 on the boundary, slack 2
+        (k4_tail, frozenset(range(4)), 4, False),  # no slack for an exception vertex out of A
+        (regular, frozenset(), None, ValueError),  # the empty set
+        (regular, frozenset(), 0, ValueError),
+    ]
+    for host, A, exception_vertex, kind in cases:
+        got = degree3_outcome(_degree3_bound, host, A, exception_vertex)
+        assert got == degree3_outcome(brute.degree3_bound_two_pass, host, A, exception_vertex)
+        assert got is kind if isinstance(kind, bool) else got[0] is kind
+
+
+class _SameRepr:
+    """A handle that equals only itself but writes as every other one does."""
+
+    def __repr__(self) -> str:
+        return "same"
+
+
+_SHARED = [_SameRepr(), _SameRepr()]
+_HANDLES = (
+    st.integers(min_value=-3, max_value=12)
+    | st.booleans()
+    | st.sampled_from([0.5, 1.0, -0.0])
+    | st.text(alphabet="ab'\\", max_size=3)
+    | st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+    | st.tuples(st.booleans(), st.integers(min_value=0, max_value=1))
+    | st.sampled_from(_SHARED)
+)
+
+
+@st.composite
+def tied_witnesses(draw: st.DrawFn):
+    """Witnesses over shared member pools, so runs of equal (ratio, size) and common member prefixes are common."""
+    pool = draw(st.lists(_HANDLES, min_size=1, max_size=8))
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        members = frozenset(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+        b = draw(st.integers(min_value=0, max_value=len(members)))
+        boundary = frozenset(sorted_handles(members)[:b])
+        out.append(amenability.FolnerCandidate(members, boundary, "enumerated"))
+    return out
+
+
+def repr_list(c) -> list:
+    return list(map(repr, sorted_handles(c.members)))
+
+
+@given(tied_witnesses())
+def test_members_cmp_orders_like_repr_lists(witnesses):
+    for a in witnesses:
+        assert a._sorted_members == tuple(sorted_handles(a.members))
+        assert jsonable(a._doc()) == jsonable({**a._doc(), "members": a.members})
+        for b in witnesses:
+            ka, kb = repr_list(a), repr_list(b)
+            assert _members_cmp(a, b) == (ka > kb) - (ka < kb)
+    assert sorted(witnesses, key=_BY_MEMBERS) == sorted(witnesses, key=repr_list)
+    expected = sorted(witnesses, key=lambda c: (-c.ratio, c.size, repr_list(c)))
+    assert [id(c) for c in _witness_order(witnesses)] == [id(c) for c in expected]
+
+
+def test_members_cmp_on_prefixes_and_repr_ties():
+    def cand(*members):
+        return amenability.FolnerCandidate(frozenset(members), frozenset(), "enumerated")
+
+    short, long = cand(1, 2), cand(1, 2, 3)
+    assert _members_cmp(short, long) == -1 and _members_cmp(long, short) == 1
+    # the sort is by value, the tie-break by repr: 10 sorts after 9, but "10" < "9"
+    assert _members_cmp(cand(1, 10), cand(1, 9)) == -1
+    # equal handles that write differently, and distinct handles that write alike
+    assert _members_cmp(cand((True, 0)), cand((1, 0))) == 1
+    x, y = _SHARED
+    assert _members_cmp(cand(x), cand(y)) == 0
+    ties = [cand(y), cand(x)]
+    assert _witness_order(ties) == ties
 
 
 @st.composite

@@ -416,6 +416,25 @@ def test_gw_dichotomy_vertex_budget(quarter_law):
     assert doc["kind"] == "input"
 
 
+def test_gw_dichotomy_bound_side_vertex_budget(doubling_law):
+    # the doubling law's depth-4 tree has 31 vertices
+    args = ("gw", "dichotomy", "--input", doubling_law, "--seed", "1", "--trials", "1", "--subsets", "10")
+    code, doc = run_json(*args, "--max-vertices", "31")
+    assert code == 0
+    assert doc["check"]["subsets_checked"] == 10
+    code, text = run(*args, "--max-vertices", "10")
+    assert code == 3
+    assert json.loads(text) == {"error": "trial 0's tree to depth 4 needs more than 10 vertices", "kind": "budget"}
+    assert run(*args, "--max-vertices", "30")[0] == 3
+
+
+def test_gw_input_help_names_an_offspring_law(capsys):
+    assert run("gw", "dichotomy", "--help") == (0, "")  # argparse prints help to sys.stdout
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--input INPUT path to an offspring-law JSON file: a 'p' list or a 'family'" in text
+    assert "tree file" not in text
+
+
 def test_gw_dichotomy_rejects_bad_d_list(quarter_law):
     for d_list in ("0", ",", "2,-1"):
         code, doc = run_json(

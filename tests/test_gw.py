@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import brute
 from arbor import (
+    BudgetExhaustedError,
     GWSpec,
     IncompleteKnowledgeError,
     InsufficientDepthError,
@@ -728,6 +729,12 @@ def test_dichotomy_nonamenable_side():
     )
     assert uneven.nonamenable["subsets_checked"] == 10
     assert [r[1] for r in uneven.csv_rows()[1:]] == [4, 3, 3]
+
+    # the ternary tree to depth 3 has 40 vertices; a sample stopped short of that is a spent budget
+    small = {"truncate_depth": 3, "n_subsets": 4, "subset_size": 4, "cheeger_max_size": 3}
+    assert verify_dichotomy(spec, [], trials=2, seed=1, max_vertices=40, **small).nonamenable["subsets_checked"] == 4
+    with pytest.raises(BudgetExhaustedError, match="^trial 0's tree to depth 3 needs more than 39 vertices$"):
+        verify_dichotomy(spec, [], trials=2, seed=1, max_vertices=39, **small)
     few = verify_dichotomy(
         spec, [], trials=3, seed=9, truncate_depth=3, n_subsets=1,
         subset_size=6, cheeger_max_size=4,

@@ -1,9 +1,10 @@
-"""How often classify and trim ask their host for a handle's neighbors.
+"""How often classify, trim and the degree-3 bound ask their host for a handle's neighbors.
 
-Both put the host behind a per-call memo of ``neighbors``, so a handle
-reaches the host once per call. The memo reads a fixture's component sizes
-off the neighbors it already holds, so classify's inessential scan asks
-nothing again.
+classify and trim put the host behind a per-call memo of ``neighbors``, so
+a handle reaches the host once per call. The memo reads a fixture's
+component sizes off the neighbors it already holds, so classify's
+inessential scan asks nothing again. The degree-3 bound has no memo: it
+reads each member's degree and boundary off one answer.
 """
 
 import io
@@ -21,11 +22,16 @@ from arbor import (
     InvalidVertexError,
     Tree,
     TreeAsOracle,
+    GWSpec,
     ball_code_sequence,
     classify,
     explore_ball,
     make_fixture,
+    min_degree3_bound_check,
+    random_connected_subset,
+    sample,
 )
+from arbor.amenability import _degree3_bound
 from arbor.exploration import _NeighborMemo
 
 
@@ -121,6 +127,30 @@ def test_neighbor_memo_forwards_only_what_the_host_has():
     # the public method but no size rule: the memo hands out the host's own
     sized = SimpleNamespace(neighbors=fixture.neighbors, hanging_component_sizes=fixture.hanging_component_sizes)
     assert _NeighborMemo(sized).hanging_component_sizes is sized.hanging_component_sizes
+
+
+@pytest.mark.parametrize("law, root", [((0, 0, 0, 1), None), ((0, 0, "1/2", "1/2"), 0)])
+def test_degree3_bound_asks_each_member_once(law, root):
+    # a degree loop and then boundary_of asked twice per member; the public
+    # check's connectivity walk asks once more
+    ball = sample(GWSpec(law), 3, 4).truncate_ball(4)
+    asked = Counter()
+
+    def neighbors(v):
+        asked[v] += 1
+        return ball.neighbors(v)
+
+    host = SimpleNamespace(neighbors=neighbors)
+    rng = random.Random(5)
+    for _ in range(30):
+        members = random_connected_subset(ball, 1 + rng.randrange(10), rng)
+        asked.clear()
+        assert _degree3_bound(host, members, root)
+        assert asked == Counter(members)
+        if root is None:
+            asked.clear()
+            assert min_degree3_bound_check(host, members)
+            assert asked == Counter(2 * list(members))
 
 
 HOSTS = [
