@@ -826,7 +826,7 @@ def _witness_order(witnesses: list) -> list:
     for _, run in groupby(sorted(range(len(witnesses)), key=keys.__getitem__), key=keys.__getitem__):
         tied = [witnesses[i] for i in run]
         if len(tied) > 1:
-            tied.sort(key=_BY_MEMBERS)
+            tied.sort(key=cmp_to_key(_members_cmp))
         out.extend(tied)
     return out
 
@@ -845,9 +845,6 @@ def _members_cmp(a: FolnerCandidate, b: FolnerCandidate) -> int:
             if rx != ry:
                 return -1 if rx < ry else 1
     return (len(xs) > len(ys)) - (len(xs) < len(ys))
-
-
-_BY_MEMBERS = cmp_to_key(_members_cmp)
 
 
 def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredBounds | None = None, d_target: int = 10) -> AmenabilityReport:

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
 from types import SimpleNamespace
 from unittest import mock
 
@@ -41,7 +42,6 @@ from arbor import (
     subdivide_tree,
 )
 from arbor.amenability import (
-    _BY_MEMBERS,
     _FLOAT_EXACT,
     _branchless_run,
     _degree3_bound,
@@ -668,6 +668,10 @@ def repr_list(c) -> list:
     return list(map(repr, sorted_handles(c.members)))
 
 
+def ids(cs) -> list:
+    return [id(c) for c in cs]
+
+
 @given(tied_witnesses())
 def test_members_cmp_orders_like_repr_lists(witnesses):
     for a in witnesses:
@@ -676,9 +680,9 @@ def test_members_cmp_orders_like_repr_lists(witnesses):
         for b in witnesses:
             ka, kb = repr_list(a), repr_list(b)
             assert _members_cmp(a, b) == (ka > kb) - (ka < kb)
-    assert sorted(witnesses, key=_BY_MEMBERS) == sorted(witnesses, key=repr_list)
+    assert ids(sorted(witnesses, key=cmp_to_key(_members_cmp))) == ids(sorted(witnesses, key=repr_list))
     expected = sorted(witnesses, key=lambda c: (-c.ratio, c.size, repr_list(c)))
-    assert [id(c) for c in _witness_order(witnesses)] == [id(c) for c in expected]
+    assert ids(_witness_order(witnesses)) == ids(expected)
 
 
 def test_members_cmp_on_prefixes_and_repr_ties():
