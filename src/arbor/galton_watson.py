@@ -412,6 +412,13 @@ class GWSample:
         return Ball(k, tree, handles, depths)
 
 
+# sample() sums a generation this narrow as a list: on a 2-core x86-64 box,
+# sum(c.tolist()) took 0.13 µs at width 1, 0.38 at 32 and 0.74 at 64, and
+# int(c.sum()) about 1.0 µs at any of these widths, a reduction's fixed
+# cost. The two met near width 96.
+_NARROW_SUM = 64
+
+
 def sample(
     spec: GWSpec,
     seed: int,
@@ -432,9 +439,10 @@ def sample(
     rng = _rng(seed, (trial,) if attempt is None else (trial, attempt))
     advance, random = rng.bit_generator.advance, rng.random
     searchsorted = spec._cum_table.searchsorted
+    budget = math.inf if max_vertices is None else max_vertices
     counts: list[np.ndarray] = []
     sizes = [1]
-    total = 1  # sum(sizes)
+    total = nxt = 1  # sum(sizes), and the size of the generation drawn next
 
     def done(budget_hit: bool) -> GWSample:
         smp = GWSample(spec, seed, trial, tuple(counts), budget_hit)
@@ -442,15 +450,15 @@ def sample(
         return smp
 
     for gen in range(max_generation):
-        width = sizes[-1]
-        if width == 0:
+        if not nxt:
             break
         if gen:
-            advance(_PCG_JUMP - sizes[-2])  # generation gen - 1 drew sizes[-2] doubles
+            advance(_PCG_JUMP - width)  # generation gen - 1 drew width doubles
+        width = nxt
         c = searchsorted(random(width), side="right")
-        nxt = int(c.sum())
+        nxt = sum(c.tolist()) if width <= _NARROW_SUM else int(c.sum())
         total += nxt
-        if max_vertices is not None and total > max_vertices:
+        if total > budget:
             return done(True)
         counts.append(c)
         sizes.append(nxt)
@@ -881,95 +889,99 @@ def generation_growth_check(spec: GWSpec, n: int, trials: int, seed: int) -> Gro
     return GrowthReport(n, trials, mean, target, se, within, monotone, freq, floor, ok)
 
 
-_SCAN_VERTICES = 1 << 15  # vertices scanned as one forest, bounding the scan's temporary arrays
+_ZERO = np.zeros(1, dtype=np.int64)  # put before a generation's counts, whose cumsum is then the exclusive prefix sum
+_INT64_END = 1 << 63  # _scan_forest sums in Python ints what could reach this
 
 
 def _scan_witness(samples: Sequence[GWSample], n: int) -> list:
     """Each surviving sample's smallest boundary ratio and its kind; (None, "") if nothing helps.
 
-    Samples cut at the same generation L are laid out generation by
-    generation, and trial by trial within a generation, as one forest in
-    breadth-first order, and each generation is scanned once for all of
-    them, in forests of at most _SCAN_VERTICES vertices (a larger sample
-    alone). A sample must survive, so that every generation of it is
-    nonempty. A trial's candidates are 1/D for its largest dead subtree D
-    (no descendant in generation L, so complete whatever stopped the
-    sampling) under an alive parent, 2/M for its longest run of M
-    single-child vertices, 1/R for the run of R single children down from
-    the root, whose upper end has no neighbor outside it, and the exact
-    ratio of the depth n-1 ball, which is at most r/n whenever generation n
-    has at most r vertices. The smallest wins, ties going to the earlier
-    kind in that order.
+    Samples cut at the same generation L are scanned together as one forest
+    by _scan_forest; a sample cut at generation 0 has nothing drawn below
+    the root and finds nothing. A sample must survive, so that every
+    generation of it is nonempty. A trial's candidates are 1/D for its
+    largest dead subtree D (no descendant in generation L, so complete
+    whatever stopped the sampling) under an alive parent, 2/M for its
+    longest run of M single-child vertices, 1/R for the run of R single
+    children down from the root, whose upper end has no neighbor outside
+    it, and the exact ratio of the depth n-1 ball, which is at most r/n
+    whenever generation n has at most r vertices. The smallest wins, ties
+    going to the earlier kind in that order.
     """
     out = [(None, "")] * len(samples)
     by_depth: dict = {}
     for i, smp in enumerate(samples):
         by_depth.setdefault(smp.truncated_at, []).append(i)
-    forests = []
     for L, members in by_depth.items():
-        if L == 0:
-            continue  # nothing was drawn below the root
-        forests.append([])
-        total = 0
-        for i in members:
-            if forests[-1] and total + samples[i].vertex_count > _SCAN_VERTICES:
-                forests.append([])
-                total = 0
-            forests[-1].append(i)
-            total += samples[i].vertex_count
-    for chunk in forests:
-        for i, found in zip(chunk, _scan_forest([samples[i] for i in chunk], n)):
-            out[i] = found
+        if L:
+            for i, found in zip(members, _scan_forest([samples[i] for i in members], n)):
+                out[i] = found
     return out
 
 
 def _scan_forest(forest: list, n: int) -> list:
-    """_scan_witness on samples that share truncated_at L >= 1."""
+    """_scan_witness on samples that share truncated_at L >= 1, in one bottom-up pass over the generations.
+
+    Generation g of the forest holds the trials' generation-g vertices, trial
+    after trial. With C the exclusive prefix sums of its child counts c, the
+    children of its vertex j are the vertices C[j] to C[j + 1] - 1 of
+    generation g + 1, so each generation is read through C alone, and every
+    array is one generation wide:
+    - x[j] counts the vertices in the subtrees of the generation's first j
+      vertices, less m times their descendants in generation L, m being more
+      than any subtree's size. At generation L, x[j] = (1 - m) * j; above it,
+      x[j] is row C[j] of the generation below, plus j. So x[j + 1] - x[j]
+      is vertex j's subtree size if the vertex is dead, and negative if not.
+    - run[j] is the single-child run down from vertex j: 0 unless c[j] = 1,
+      and then 1 more than run[C[j]] of the generation below. A childless
+      vertex's C[j] may lie one past that generation's end; take clips it,
+      and the factor 0 drops what it reads.
+    Per-trial maxima are taken by maximum.reduceat over each trial's first
+    vertex in the generation, and the root's run is the top generation's.
+    |x| stays below m * w + (the forest's vertex count), w being the width
+    of generation L; a forest too large for that to fit in int64 is scanned
+    in Python ints.
+    """
     k, L = len(forest), forest[0].truncated_at
     widths = np.array([smp.generation_sizes for smp in forest], dtype=np.int64)
-    # first[g*k + t] is trial t's first vertex in generation g; gen[g] is
-    # generation g's first vertex, and gen[L + 1] the vertex count.
-    first = np.zeros((L + 1) * k + 1, dtype=np.int64)
-    np.cumsum(widths.T, out=first[1:])
-    gen = first[::k].tolist()
-    counts = np.concatenate([smp.counts[g] for g in range(L) for smp in forest])
-    parent = np.repeat(np.arange(gen[L]), counts)  # parent[v - k] is the parent of vertex v >= k
-
-    # Bottom-up, each vertex's subtree size and its descendants in generation L.
-    # ufunc.at takes a slow path when its values overlap its target, hence the copies.
-    sub = np.ones(gen[L + 1], dtype=np.int64)
-    reach = np.zeros(gen[L + 1], dtype=np.int64)
-    reach[gen[L]:] = 1
-    for g in range(L, 0, -1):
-        lo, hi = gen[g], gen[g + 1]
-        np.add.at(sub, parent[lo - k:hi - k], sub[lo:hi].copy())
-        np.add.at(reach, parent[lo - k:hi - k], reach[lo:hi].copy())
-    # A dead vertex under a dead parent roots a smaller dead subtree than the
-    # parent's, so the largest dead subtree hangs from an alive vertex.
-    dead = np.where(reach > 0, 0, sub)
-    dead = np.maximum.reduceat(dead, first[:-1]).reshape(L + 1, k).max(axis=0)
-
-    # Top-down, the single-child run ending at each vertex above generation L.
-    run = (counts == 1).astype(np.int64)
-    for g in range(1, L):
-        lo, hi = gen[g], gen[g + 1]
-        run[lo:hi] *= 1 + run[parent[lo - k:hi - k]]
-    longest = np.maximum.reduceat(run, first[:L * k]).reshape(L, k).max(axis=0)
-    # The root's run is as long as the leading generations 1, 2, ... of size 1.
-    root_run = np.argmin(np.concatenate((widths[:, 1:] == 1, np.zeros((k, 1), bool)), axis=1), axis=1)
-
+    starts = np.zeros((L + 1, k), dtype=np.int64)  # starts[g]: each trial's first vertex in generation g
+    np.cumsum(widths.T[:, :-1], axis=1, out=starts[:, 1:])
+    totals = widths.sum(axis=0).tolist()
+    m = max(smp.vertex_count for smp in forest) + 1
+    j = np.arange(max(totals) + 1, dtype=np.int64 if m * totals[L] + sum(totals) < _INT64_END else object)
+    x = j[:totals[L] + 1] * (1 - m)
+    run = np.zeros(totals[L], dtype=np.int64)
+    levels = [(_ZERO, *level) for level in zip(*(smp.counts for smp in forest))]
+    dead, longest = [], []
+    for g in range(L - 1, -1, -1):
+        c = np.concatenate(levels[g])  # the generation's counts after a leading 0
+        C = c.cumsum()
+        x = x.take(C)
+        x += j[:len(C)]
+        first = starts[g]
+        # A dead vertex under a dead parent roots a smaller dead subtree than the
+        # parent's, so the largest dead subtree hangs from an alive vertex.
+        dead.append(np.maximum.reduceat(x[1:] - x[:-1], first))
+        run = run.take(C[:-1], mode="clip")
+        run += 1
+        run *= c[1:] == 1
+        longest.append(np.maximum.reduceat(run, first))
+        if g == n - 1:
+            boundary = np.add.reduceat(c[1:] != 0, first)
+    rows = [[(1, size, "dead-subtree"), (2, length, "single-child-run"), (1, root_run, "single-child-run")]
+            for size, length, root_run in zip(np.max(dead, axis=0).tolist(), np.max(longest, axis=0).tolist(),
+                                              run.tolist())]
     if L >= n:
-        boundary = np.add.reduceat(counts[:gen[n]] != 0, first[(n - 1) * k:n * k])
-        ball = widths[:, :n].sum(axis=1)
+        for row, num, den in zip(rows, boundary.tolist(), widths[:, :n].sum(axis=1).tolist()):
+            row.append((num, den, "shallow-ball"))
     found = []
-    for t in range(k):
-        candidates = [(1, dead[t], "dead-subtree"), (2, longest[t], "single-child-run"),
-                      (1, root_run[t], "single-child-run")]
-        if L >= n:
-            candidates.append((boundary[t], ball[t], "shallow-ball"))
-        # min keeps the first of equal ratios
-        ratios = [(Fraction(int(num), int(den)), kind) for num, den, kind in candidates if den]
-        found.append(min(ratios, key=operator.itemgetter(0), default=(None, "")))
+    for row in rows:
+        win = None
+        for num, den, kind in row:
+            # ratios compared by cross-multiplication; the strict < keeps the earlier kind of equal ratios
+            if den > 0 and (win is None or num * win[1] < win[0] * den):
+                win = (num, den, kind)
+        found.append((None, "") if win is None else (Fraction(win[0], win[1]), win[2]))
     return found
 
 
@@ -1248,12 +1260,12 @@ def verify_dichotomy(
     does. Each (trial, attempt) stream is drawn once, to
     the deepest horizon in d_list, and each d reads the prefix of it down to
     its own horizon, which is what a draw to that horizon would give. Every
-    trial is drawn first; for each d the surviving trees cut at the same
-    generation are then scanned together as one forest, one vectorized
-    pass per generation, for dead subtrees, single-child runs and the
-    depth n-1 ball (n = d*d). A forest holds at most 2^15 vertices, unless
-    one tree alone is larger. A d listed more than once is scanned once, and
-    its per_d entry and rows are repeated at each place it is listed.
+    trial is drawn first; for each d all surviving trees cut at the same
+    generation are then scanned together as one forest, for dead
+    subtrees, single-child runs and the depth n-1 ball (n = d*d), in one
+    bottom-up pass that reads each generation through the prefix sums of
+    its child counts. A d listed more than once is scanned once, and its
+    per_d entry and rows are repeated at each place it is listed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -46,7 +46,10 @@ are known and none of them trivial, for the declared-bounds checks of
 ``classify``. ``degree3_bound_two_pass`` is the library's former degree-3
 bound, which reads each member's neighbors once for its degree and again
 through the library's ``boundary_of``; it is the reference for the one-pass
-``_degree3_bound``.
+``_degree3_bound``. ``sample_by_loop`` is the library's former ``sample``
+loop, which reads each generation's size back from its list of sizes and
+sums every generation's counts with numpy (with the library's ``_rng``, jump
+constant and sampling table); it is the reference for ``sample``.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from arbor import (
     boundary_of,
     explore_ball,
 )
+from arbor.galton_watson import _PCG_JUMP, GWSample, _rng
 from arbor.trees import reach, sorted_handles
 
 
@@ -609,6 +613,30 @@ def scan_witness_by_bfs(t, last_generation: int, n: int) -> tuple[Fraction | Non
         return None, ""
     low = min(r for r, _ in candidates)
     return next(c for c in candidates if c[0] == low)
+
+
+def sample_by_loop(spec, seed: int, max_generation: int, max_vertices=None, trial: int = 0, attempt=None) -> GWSample:
+    """sample() as the library drew it before: the stream and budget rules, with no shortcut."""
+    rng = _rng(seed, (trial,) if attempt is None else (trial, attempt))
+    counts = []
+    sizes = [1]
+    total = 1
+    budget_hit = False
+    for gen in range(max_generation):
+        width = sizes[-1]
+        if width == 0:
+            break
+        if gen:
+            rng.bit_generator.advance(_PCG_JUMP - sizes[-2])  # generation gen - 1 drew sizes[-2] doubles
+        c = spec._cum_table.searchsorted(rng.random(width), side="right")
+        nxt = int(c.sum())
+        total += nxt
+        if max_vertices is not None and total > max_vertices:
+            budget_hit = True
+            break
+        counts.append(c)
+        sizes.append(nxt)
+    return GWSample(spec, seed, trial, tuple(counts), budget_hit)
 
 
 def generation_of(smp, index: int) -> int:

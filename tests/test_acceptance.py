@@ -198,7 +198,8 @@ def test_11_survival_side_witness_fraction_beats_floor():
     assert rep.side == "amenable"
     entry = rep.per_d[0]
     assert entry["d"] == 5
-    assert entry["floor"] == 1 - (1 - entry["collapse_event_prob"]) ** entry["r"]
+    # the library rounds the power correctly, which libm's pow need not do
+    assert entry["floor"] == 1.0 - float(Fraction(1.0 - entry["collapse_event_prob"]) ** entry["r"])
     assert entry["fraction"] > entry["floor"] - 3 * entry["std_error"]
     assert entry["floor_ok"]
     assert rep.all_floors_hold()

@@ -433,17 +433,29 @@ def test_scan_witness_matches_bfs_reference():
         (GWSpec.poisson(1.5), 3, 60),
         (DOUBLING_LAW, 3, 100),  # cut at generation 5, short of n = 9: no witness
         (QUARTER_LAW, 2, 1),  # nothing drawn below the root
-        (QUARTER_LAW, 5, 20000),  # the gw-deep shape: several forests of up to _SCAN_VERTICES vertices
+        (QUARTER_LAW, 5, 20000),  # the gw-deep shape: 12 trials, one of them cut by the budget
     ]
     budget_hits = mixed_depths = 0
     kinds = set()
+    forests = []
+    real = gw._scan_forest
+
+    def recorded(forest, n):
+        forests.append(forest)
+        return real(forest, n)
+
     for spec, d, max_vertices in cases:
         n = d * d
         samples = surviving_samples(spec, 17, 40 if max_vertices < 20000 else 12, n + d + 1, max_vertices)
         budget_hits += sum(smp.budget_hit for smp in samples)
         mixed_depths += len({smp.truncated_at for smp in samples}) > 1
-        kinds.update(kind for _, kind in assert_scan_matches_bfs(samples, n))
-    assert sum(smp.vertex_count for smp in samples) > 2 * gw._SCAN_VERTICES
+        forests.clear()
+        with mock.patch.object(gw, "_scan_forest", recorded):
+            kinds.update(kind for _, kind in assert_scan_matches_bfs(samples, n))
+    # The gw-deep case scans its 12 trials in one call per depth: the 11 that
+    # reach generation 31, 97,000 vertices in all, as one forest.
+    assert [(len(f), f[0].truncated_at) for f in forests] == [(11, 31), (1, 30)]
+    assert sum(smp.vertex_count for smp in forests[0]) > 90_000
     assert budget_hits >= 20 and mixed_depths >= 3
     assert kinds == {"", "dead-subtree", "single-child-run", "shallow-ball"}
     assert _scan_witness([], 4) == []
@@ -748,14 +760,22 @@ def test_dichotomy_nonamenable_side():
     st.integers(1, 3),
     st.integers(1, 16),
     st.integers(1, 1500),
-    st.sampled_from([None, 1, 60]),
+    st.booleans(),
 )
-# Twelve complete ternary trees of depth 7, 39360 vertices at one depth: past the real bound.
-@example(ENGINE_LAWS[4], 0, 2, 12, 4000, None)
-def test_scan_witness_matches_bfs_on_random_forests(spec, seed, d, trials, max_vertices, bound):
+# Twelve complete ternary trees of depth 7, 39360 vertices at one depth, in one forest.
+@example(ENGINE_LAWS[4], 0, 2, 12, 4000, False)
+# Six trials that reach generation 7, in one forest. The last one's generation
+# 6 ends with three childless vertices, whose children would start past the
+# end of generation 7.
+@example(QUARTER_LAW, 0, 2, 6, 60, False)
+# Budget cuts at generations 6, 8, 11 and twice at 12, beside one trial that reaches generation 13.
+@example(QUARTER_LAW, 1, 3, 6, 60, False)
+@example(QUARTER_LAW, 1, 3, 6, 60, True)
+def test_scan_witness_matches_bfs_on_random_forests(spec, seed, d, trials, max_vertices, python_ints):
+    # python_ints runs the scan's sums in Python ints, as on a forest whose sums could pass int64
     n = d * d
     samples = surviving_samples(spec, seed, trials, n + d + 1, max_vertices)
-    with mock.patch.object(gw, "_SCAN_VERTICES", bound or gw._SCAN_VERTICES):
+    with mock.patch.object(gw, "_INT64_END", 0 if python_ints else gw._INT64_END):
         assert_scan_matches_bfs(samples, n)
 
 
@@ -781,6 +801,41 @@ def test_sample_prefix_matches_shallower_sample(spec, seed, trial, attempt, deep
     h = data.draw(st.integers(0, deepest), label="h")
     deep = sample(spec, seed, deepest, max_vertices, trial=trial, attempt=attempt)
     assert_same_sample(gw._prefix(deep, h), sample(spec, seed, h, max_vertices, trial=trial, attempt=attempt))
+
+
+@given(
+    rational_laws() | st.sampled_from(ENGINE_LAWS),
+    st.integers(0, 2**40),
+    st.integers(0, 5),
+    st.none() | st.integers(0, 3),
+    st.integers(0, 10),
+    st.none() | st.integers(1, 3000),
+)
+# Poisson(4) draws generations of 64 and 261 vertices, on both sides of the
+# narrow-sum cutoff, before its budget stops a generation of about 4000.
+@example(ENGINE_LAWS[6], 37, 1, None, 8, 5000)
+# A generation of 65 vertices, just past the cutoff, on a (trial, attempt) stream.
+@example(ENGINE_LAWS[6], 34, 1, 1, 8, 5000)
+# 1 + 2 + 4 + 8 vertices meet the budget of 15 exactly, which keeps generation 3.
+@example(DOUBLING_LAW, 7, 0, None, 5, 15)
+def test_sample_matches_former_loop(spec, seed, trial, attempt, max_generation, max_vertices):
+    args = (spec, seed, max_generation, max_vertices)
+    got = sample(*args, trial=trial, attempt=attempt)
+    assert_same_sample(got, brute.sample_by_loop(*args, trial=trial, attempt=attempt))
+    assert all(c.dtype == np.int64 for c in got.counts)
+
+
+def test_sample_matches_former_loop_at_the_narrow_cutoff():
+    # The two examples above draw generations of exactly _NARROW_SUM and
+    # _NARROW_SUM + 1 vertices, and wider ones, before a budget hit.
+    widths = set()
+    for seed, attempt in ((37, None), (34, 1)):
+        smp = sample(ENGINE_LAWS[6], seed, 8, 5000, trial=1, attempt=attempt)
+        assert_same_sample(smp, brute.sample_by_loop(ENGINE_LAWS[6], seed, 8, 5000, trial=1, attempt=attempt))
+        assert smp.budget_hit
+        widths.update(smp.generation_sizes[:-1])  # the generations drawn from
+    assert {gw._NARROW_SUM, gw._NARROW_SUM + 1} <= widths
+    assert max(widths) > 4 * gw._NARROW_SUM
 
 
 def test_sample_prefix_at_extinction_and_budget_edges():
