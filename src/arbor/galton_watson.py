@@ -968,9 +968,9 @@ def _scan_forest(forest: list, n: int) -> list:
         longest.append(np.maximum.reduceat(run, first))
         if g == n - 1:
             boundary = np.add.reduceat(c[1:] != 0, first)
+    best = zip(np.max(dead, axis=0).tolist(), np.max(longest, axis=0).tolist(), run.tolist())
     rows = [[(1, size, "dead-subtree"), (2, length, "single-child-run"), (1, root_run, "single-child-run")]
-            for size, length, root_run in zip(np.max(dead, axis=0).tolist(), np.max(longest, axis=0).tolist(),
-                                              run.tolist())]
+            for size, length, root_run in best]
     if L >= n:
         for row, num, den in zip(rows, boundary.tolist(), widths[:, :n].sum(axis=1).tolist()):
             row.append((num, den, "shallow-ball"))
