@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import groupby, islice
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -25,9 +24,8 @@ from .errors import (
     SearchTooLargeError,
     UnsupportedStructureError,
 )
-from . import subsets
 from .exploration import Ball, _NeighborMemo, explore_ball
-from .subsets import _pool, _walk, boundary_of, is_connected_in
+from .subsets import boundary_of, is_connected_in
 from .trees import Tree, bfs_layers, reach, sorted_handles
 from .trimming import TrimmedView, lift_subset_through_trims, removal_steps_in_ball
 
@@ -126,20 +124,33 @@ class CheegerResult:
         }
 
 
+_GUARD = 10**7  # subsets of two or more members that one exact search may count or walk
+
+
+def _pool(host) -> Sequence:
+    """The vertices ``cheeger_exact`` searches, in increasing order; a vertex's index is its rank."""
+    if hasattr(host, "interior"):
+        return host.sorted_interior
+    return list(range(host.vertex_count))
+
+
 def cheeger_exact(host, max_size: int) -> CheegerResult:
     """Exact minimum boundary ratio over all connected subsets of at most max_size vertices.
 
-    The subsets range over the host's pool (see ``subsets``): a Ball's
-    interior, or a finite host's vertices. A host that offers ``interior``
-    and ``sorted_interior`` narrows the search to any region it likes. Each
-    pool vertex is asked for its neighbors once, up front, and the argmin's
-    boundary is read off those lists too. When the pool spans a forest, a
-    subtree knapsack (the k-cardinality tree DP) gives the least boundary
-    count and the number of connected subsets at every size, topped at each
-    vertex; ``scope["subsets_enumerated"]`` is the sum of those numbers.
-    Otherwise, or when the ties for the minimum are too many to list, the
-    ESU walk visits every subset. Either way SearchTooLargeError is raised
-    once more than ``subsets._GUARD`` subsets have two or more members.
+    The subsets range over the host's pool (``_pool``): a host that offers
+    ``interior`` and ``sorted_interior``, as a Ball does, offers its
+    interior, so it may narrow the search to any region it likes; any other
+    host offers its ids 0..vertex_count-1. A pool vertex's neighbors outside
+    the pool still count toward its boundary. Each pool vertex is asked for
+    its neighbors once, up front, and its neighbors' ranks are listed once;
+    both searches and the argmin's boundary read those lists. When the pool
+    spans a forest, a subtree knapsack (the k-cardinality tree DP) gives the
+    least boundary count and the number of connected subsets at every size,
+    topped at each vertex; ``scope["subsets_enumerated"]`` is the sum of
+    those numbers. Otherwise, or when the ties for the minimum are too many
+    to list, the ESU walk visits every subset. Either way
+    SearchTooLargeError is raised once more than ``_GUARD`` subsets have two
+    or more members.
 
     For an infinite host explored through a Ball this is a certified upper
     bound on the true infimum, since every boundary counted is exact.
@@ -151,51 +162,92 @@ def cheeger_exact(host, max_size: int) -> CheegerResult:
     pool = _pool(host)
     if not pool:
         raise ValueError("no admissible subsets: the search region is empty")
-    guard = subsets._GUARD
+    rank = {v: i for i, v in enumerate(pool)}
     hoods = [host.neighbors(v) for v in pool]
-    hood = dict(zip(pool, hoods))
-    least = _least_by_knapsack(pool, hoods, max_size, guard)
+    deg = list(map(len, hoods))
+    near = [[r for r in map(rank.get, hs) if r is not None] for hs in hoods]  # near[r]: r's neighbors' ranks
+    least = _least_by_knapsack(pool, near, deg, max_size, _GUARD)
     if least is None:  # a cycle, or too many optima to list
-        least = _least_by_walk(SimpleNamespace(neighbors=hood.__getitem__), max_size, pool, guard)
+        least = _least_by_walk(pool, near, deg, max_size, _GUARD)
     best, count = least
-    members = frozenset(best)
-    boundary = frozenset(v for v in members if not members.issuperset(hood[v]))
+    chosen = set(best)
+    members = frozenset(pool[r] for r in best)
+    boundary = frozenset(pool[r] for r in best if deg[r] > len(near[r]) or not chosen.issuperset(near[r]))
     argmin = FolnerCandidate(members, boundary, "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
     return CheegerResult(argmin, scope)
 
 
-def _least_by_walk(host, max_size: int, pool: Sequence, guard: int) -> tuple:
-    """The best subset's members and the subset count, from the ESU walk."""
-    best = None  # members of the best subset so far, with its boundary count and size
-    best_b = best_k = 0
-    best_tag = None  # its repr tie-break key, built on the first tie
-    count = 0
-    for sub, b in _walk(host, max_size, pool, guard):
-        count += 1
-        k = len(sub)
-        if best is not None:
-            # b/k against best_b/best_k, as integer cross-products
-            cmp = b * best_k - best_b * k
-            if cmp > 0 or (cmp == 0 and k > best_k):
+def _least_by_walk(pool: Sequence, near: list, deg: list, max_size: int, guard: int) -> tuple:
+    """The best subset's sorted ranks and the subset count, from the ESU walk over every subset.
+
+    ``near[r]`` lists the ranks of r's neighbors in the pool and ``deg[r]``
+    counts all its host neighbors. ESU (Wernicke 2006) anchors each subset
+    at its lowest rank and grows it only through its newest member's
+    exclusive neighbors, so none comes twice. ``inside[r]`` counts rank r's
+    neighbors in the subset, which keeps both the exclusive-neighbor test
+    and the boundary count at O(deg w) per step. Each subset of two or more
+    members is one unit of work; past ``guard`` units, SearchTooLargeError.
+    Ties go as in ``cheeger_exact``, the ``repr`` strings taken in rank order.
+    """
+    n = len(pool)
+    tags = [repr(v) for v in pool]
+    inside = [0] * n
+    in_sub = [False] * n
+    sub: list[int] = []
+    bound = work = 0
+    best, best_b, best_k, best_tag = None, 1, 0, None  # best_tag is built on the first tie
+    for anchor in range(n):
+        exts = [[anchor]]  # exts[i]: candidates still to try as member i after sub[:i]
+        while exts:
+            ext = exts[-1]
+            if not ext:
+                exts.pop()
+                if sub:  # its last member has no extension left: it leaves
+                    w = sub.pop()
+                    in_sub[w] = False
+                    if inside[w] < deg[w]:
+                        bound -= 1
+                    for u in near[w]:
+                        if in_sub[u] and inside[u] == deg[u]:
+                            bound += 1
+                        inside[u] -= 1
                 continue
-            if cmp == 0 and k == best_k:
-                members = [pool[r] for r in sub]
-                tag = tuple(repr(m) for m in sorted_handles(members))
+            w = ext.pop()
+            if sub:
+                work += 1
+                if work > guard:
+                    raise SearchTooLargeError(f"connected-subset enumeration exceeded the work budget ({guard})")
+            sub.append(w)
+            in_sub[w] = True
+            for u in near[w]:
+                inside[u] += 1
+                if in_sub[u] and inside[u] == deg[u]:
+                    bound -= 1
+            if inside[w] < deg[w]:
+                bound += 1
+            k = len(sub)
+            cmp = bound * best_k - best_b * k  # bound/k against best_b/best_k, as integer cross-products
+            if cmp < 0 or (cmp == 0 and k < best_k):
+                best, best_b, best_k, best_tag = sorted(sub), bound, k, None
+            elif cmp == 0 and k == best_k:
+                ranks = sorted(sub)
+                tag = [tags[r] for r in ranks]
                 if best_tag is None:
-                    best_tag = tuple(repr(m) for m in sorted_handles(best))
-                if tag >= best_tag:
-                    continue
-                best, best_tag = members, tag
-                continue
-        best, best_b, best_k, best_tag = [pool[r] for r in sub], b, k, None
-    return best, count
+                    best_tag = [tags[r] for r in best]
+                if tag < best_tag:
+                    best, best_tag = ranks, tag
+            if k < max_size:
+                exts.append(ext + [u for u in near[w] if u > anchor and not in_sub[u] and inside[u] == 1])
+            else:
+                exts.append([])  # full size: the next step drops w again
+    return best, work + n
 
 
 _NONE = 1 << 62  # the cost of a size no subset reaches; above every boundary count
 
 
-def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -> tuple | None:
+def _least_by_knapsack(pool: Sequence, near: list, deg: list, max_size: int, guard: int) -> tuple | None:
     """``_least_by_walk``'s answer from a subtree knapsack, or None on a cycle or too many optima.
 
     Each component of the pool is rooted at its lowest rank, and vertices
@@ -215,15 +267,13 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
     Summed, those numbers are the subset count. Every merge step adds at
     least one subset to it, so the guard also bounds the work. ``_optima``
     then lists the subsets of the least ratio at the least size, and the
-    ``repr`` tie-break picks among them. It compares ``repr`` strings in the
-    members' natural order, so the first of two joined subsets is not always
+    ``repr`` tie-break picks among them. It compares ``repr`` strings in rank
+    order, so the first of two joined subsets is not always
     the join of the firsts, and the candidates are listed whole. A top that
     is the lowest rank of its subtree, as every top of a ball is, starts all
     its subsets' tags, so of such tops only the least ``repr`` is listed.
     """
     n = len(pool)
-    rank = {v: i for i, v in enumerate(pool)}
-    near = [[r for r in map(rank.get, hs) if r is not None] for hs in hoods]
     parent = [None] * n
     order = []  # ranks, each component breadth-first from its root
     for s in range(n):
@@ -246,7 +296,7 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
     for v, r in enumerate(order):
         at[r] = v
     kids = [[at[u] for u in near[r] if u != parent[r]] for r in order]
-    outside = [len(hoods[r]) > len(near[r]) for r in order]  # a host neighbor outside the pool
+    outside = [deg[r] > len(near[r]) for r in order]  # a host neighbor outside the pool
     # on top of a subset, a vertex is on its boundary when it has an outside neighbor or a parent
     exposed = [outside[v] or parent[r] >= 0 for v, r in enumerate(order)]
     trail: list = [None] * n
@@ -309,7 +359,7 @@ def _least_by_knapsack(pool: Sequence, hoods: list, max_size: int, guard: int) -
     if len(found) > 1:
         tags = [repr(v) for v in pool]
         found = [min(found, key=lambda s: [tags[r] for r in sorted(s)])]
-    return [pool[r] for r in found[0]], count + n
+    return sorted(found[0]), count + n
 
 
 _MAX_LISTED = 1 << 17  # optimal partial subsets _optima may hold at once
@@ -781,18 +831,16 @@ def _certificate_checks(oracle, ball: Ball, budgets: ClassifyBudgets, declared: 
                 counterexample={"members": w.members, "ratio": w.ratio},
             )
     region = explore_ball(oracle, _CERT_REGION_RADIUS, max_vertices=budgets.max_vertices)
-    if region.interior:
-        result = cheeger_exact(region, _CERT_SUBSET_SIZE)
-        if result.value < floor:
-            raise DeclaredBoundsRefutedError(
-                f"an enumerated subset has ratio {result.value}, below the implied lower bound {floor}",
-                counterexample={
-                    "members": [region.handle_of(v) for v in result.argmin.members],
-                    "ratio": result.value,
-                },
-            )
-        return {"cheeger_scope": result.scope, "cheeger_floor_observed": result.value}
-    return {"cheeger_scope": None, "cheeger_floor_observed": None}
+    result = cheeger_exact(region, _CERT_SUBSET_SIZE)  # the center is always in the interior
+    if result.value < floor:
+        raise DeclaredBoundsRefutedError(
+            f"an enumerated subset has ratio {result.value}, below the implied lower bound {floor}",
+            counterexample={
+                "members": [region.handle_of(v) for v in result.argmin.members],
+                "ratio": result.value,
+            },
+        )
+    return {"cheeger_scope": result.scope, "cheeger_floor_observed": result.value}
 
 
 _FLOAT_EXACT = 1 << 26  # sizes below this order their ratios exactly as floats

@@ -116,18 +116,13 @@ class Tree:
         raise AttributeError("Tree is immutable")
 
     @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int]],
-        root: int | None = None,
-        vertex_count: int | None = None,
-    ) -> "Tree":
+    def from_edges(cls, edges: Iterable[tuple[int, int]], root: int | None = None) -> "Tree":
+        """The tree on vertices 0..n-1 with these edges, n being one past the largest id named."""
         edges = list(edges)
-        top = max((max(u, v) for u, v in edges), default=root if root is not None else 0)
-        n = vertex_count if vertex_count is not None else top + 1
+        n = 1 + max((max(u, v) for u, v in edges), default=root if root is not None else 0)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if u < 0 or v < 0:
                 raise NotATreeError(f"edge {u}-{v} is out of range")
             adj[u].append(v)
             adj[v].append(u)

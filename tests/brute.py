@@ -13,15 +13,15 @@ exhaustive search that a host with an outward branch has an inessential
 subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
 ``star_tree``, ``random_graph`` and ``serialize_tree`` build small hosts
-and tree files for the tests, and ``region_host`` narrows a host's
-enumeration pool to a chosen region through the ``interior`` protocol of a
-Ball. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
+and tree files for the tests, and ``region_host`` narrows the pool that
+``cheeger_exact`` searches to a chosen region through the ``interior``
+protocol of a Ball. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
 references for the dichotomy's collapse floor and witness scan, and
 ``peel_by_rescan``, which rescans every vertex every round, is the
 reference for the library's leaf-removal loop ``trees.peel``.
 ``connected_subsets_by_closed_union`` is the library's former subset
-enumeration, the reference for the order in which ``connected_subsets``
-yields subsets and for where its work guard trips. ``trim_depth_by_ball``
+enumeration, in the ESU order of ``cheeger_exact``'s fallback walk; tests
+that need every connected subset of a small host list them with it. ``trim_depth_by_ball``
 is the library's former per-vertex survival computation: it explores the
 vertex's radius-k ball with the library's ``explore_ball``, whose budget it
 keeps, and peels it with ``peel_by_rescan``. With ``lift_by_ball``, the
@@ -155,7 +155,7 @@ def cheeger_by_enumeration(t, max_size: int, allowed=None) -> tuple[Fraction, fr
 
 
 def connected_subsets_by_closed_union(host, max_size: int, guard: int = 10**7):
-    """The library's former connected-subset enumeration, kept as the order reference.
+    """The library's former connected-subset enumeration: every connected subset, in ESU order.
 
     The same ESU order, but each extension step rebuilds the closed
     neighborhood of the whole subset as a set union.
@@ -488,7 +488,7 @@ def relabel_tree(t, permutation) -> Tree:
 
 
 def region_host(host, region) -> SimpleNamespace:
-    """``host``'s neighbors, with the enumeration pool cut down to ``region``, as a Ball offers its interior."""
+    """``host``'s neighbors, with ``cheeger_exact``'s pool cut down to ``region``, as a Ball offers its interior."""
     interior = frozenset(region)
     return SimpleNamespace(neighbors=host.neighbors, interior=interior, sorted_interior=sorted(interior))
 

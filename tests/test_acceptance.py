@@ -20,7 +20,6 @@ from arbor import (
     TreeAsOracle,
     ball_code_sequence,
     classify,
-    connected_subsets,
     explore_ball,
     generation_growth_check,
     is_inessential,
@@ -40,7 +39,7 @@ from arbor.cli import main
 def random_tree(seed: int, max_size: int) -> Tree:
     rng = random.Random(seed)
     n = rng.randint(2, max_size)
-    return Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
+    return Tree.from_edges(brute.random_tree_edges(rng, n))
 
 
 def test_01_boundary_doubling_on_regular_trees():
@@ -63,7 +62,7 @@ def test_02_inessential_check_matches_complement_connectivity():
     for i in range(200):
         t = random_tree(1000 + i, 12)
         # proper subtrees only: the whole tree has no complement to stay connected
-        for sub in connected_subsets(t, t.vertex_count - 1):
+        for sub in brute.connected_subsets_by_closed_union(t, t.vertex_count - 1):
             if len(sub) < 2:
                 continue
             assert is_inessential(t, sub) == brute.inessential_by_components(t, sub)

@@ -8,12 +8,11 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import arbor.amenability as amenability
 import arbor.cli as cli
-import arbor.subsets as subsets
 import brute
 from arbor import (
     BudgetExhaustedError,
@@ -46,6 +45,8 @@ from arbor.amenability import (
     _branchless_run,
     _degree3_bound,
     _inessential_witnesses,
+    _least_by_knapsack,
+    _least_by_walk,
     _members_cmp,
     _path_witnesses,
     _ratio_keys,
@@ -64,7 +65,7 @@ from brute import star_tree
 def random_trees(draw: st.DrawFn, min_size: int = 2, max_size: int = 10):
     n = draw(st.integers(min_value=min_size, max_value=max_size))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
-    return Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
+    return Tree.from_edges(brute.random_tree_edges(rng, n))
 
 
 @given(random_trees(min_size=1, max_size=12), st.integers(min_value=1, max_value=6), st.data())
@@ -121,7 +122,7 @@ def test_cheeger_region_and_errors(monkeypatch):
         with pytest.raises(IncompleteKnowledgeError):
             cheeger_exact(whole, max_size)
     # every pool vertex is asked for its neighbors before any subset is counted
-    monkeypatch.setattr(subsets, "_GUARD", 0)
+    monkeypatch.setattr(amenability, "_GUARD", 0)
     with pytest.raises(IncompleteKnowledgeError):
         cheeger_exact(whole, 3)
 
@@ -197,7 +198,7 @@ def test_cheeger_work_guard_trips_past_the_subset_count(t: Tree, max_size: int, 
     multi = sum(1 for sub in brute.connected_subsets_by_filter(t, max_size, pool) if len(sub) >= 2)
     for guard in {0, max(0, multi - 1), multi, multi + 1}:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(subsets, "_GUARD", guard)
+            mp.setattr(amenability, "_GUARD", guard)
             if multi > guard:
                 with pytest.raises(SearchTooLargeError) as exc:
                     cheeger_exact(host, max_size)
@@ -224,7 +225,7 @@ def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
     cases = [(star_tree(9), 5, None), (path_tree(9), 3, None), (path_tree(12), 1, [9, 10])]
     for _ in range(30):
         n = rng.randrange(2, 12)
-        cases.append((Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n), rng.randrange(1, 6), None))
+        cases.append((Tree.from_edges(brute.random_tree_edges(rng, n)), rng.randrange(1, 6), None))
     monkeypatch.setattr(amenability, "_MAX_LISTED", 1)
     for t, max_size, region in cases:
         check_cheeger_against_brute(t, max_size, region)
@@ -265,6 +266,70 @@ def test_cheeger_asks_once_on_balls_and_on_hosts_with_cycles():
         assert host.calls == {v: 1 for v in pool}
 
 
+def _rank_lists(host) -> tuple:
+    """The search's pool, each pool vertex's neighbors in the pool as ranks, and its host degree."""
+    pool = amenability._pool(host)
+    rank = {v: i for i, v in enumerate(pool)}
+    near = [[rank[u] for u in host.neighbors(v) if u in rank] for v in pool]
+    return pool, near, [len(host.neighbors(v)) for v in pool]
+
+
+@st.composite
+def walk_hosts(draw: st.DrawFn):
+    """A random tree, fixture ball or Galton-Watson sample ball, sometimes narrowed to a region."""
+    kind = draw(st.sampled_from(["tree", "fixture ball", "gw ball"]))
+    if kind == "tree":
+        host = draw(random_trees(min_size=1, max_size=12))
+    elif kind == "fixture ball":
+        host = draw(st.sampled_from(SMALL_BALLS))
+    else:
+        probs, deepest = draw(st.sampled_from(GW_BALL_LAWS))
+        depth = draw(st.integers(1, deepest))
+        smp = sample(GWSpec(probs), draw(st.integers(0, 2**64)), depth, trial=draw(st.integers(0, 50)))
+        host = smp.truncate_ball(depth)
+    region = draw(st.none() | st.sets(st.sampled_from(amenability._pool(host)), min_size=1), label="region")
+    return host if region is None else brute.region_host(host, region)
+
+
+@given(walk_hosts(), st.integers(min_value=1, max_value=5))
+def test_walk_matches_the_knapsack(host, max_size: int):
+    args = (*_rank_lists(host), max_size, amenability._GUARD)
+    assert _least_by_walk(*args) == _least_by_knapsack(*args)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=3, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=6),
+)
+def test_walk_guard_trips_past_the_subset_count_on_graphs_with_cycles(seed: int, n: int, extra: int, max_size: int):
+    host = brute.random_graph(random.Random(seed), n, extra)
+    assume(sum(len(host.neighbors(v)) for v in range(n)) > 2 * (n - 1))  # a cycle, so the walk runs
+    multi = sum(1 for sub in brute.connected_subsets_by_filter(host, max_size) if len(sub) >= 2)
+    for guard in {0, multi // 2, multi - 1, multi, multi + 1}:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(amenability, "_GUARD", guard)
+            if multi > guard:
+                with pytest.raises(SearchTooLargeError) as exc:
+                    cheeger_exact(host, max_size)
+                assert str(exc.value) == f"connected-subset enumeration exceeded the work budget ({guard})"
+            else:
+                assert cheeger_exact(host, max_size).scope["subsets_enumerated"] == multi + n
+
+
+def test_walk_breaks_ties_by_repr_in_rank_order():
+    # On a path of ranks 0-1-2-3, {0, 1} and {2, 3} tie at ratio 1/2 and size 2. Their tags in
+    # rank order are ("'b'", "'z'") and ("'c'", "'a'"), so {0, 1} wins; sorted by repr it would lose.
+    pool, near, deg = ["b", "z", "c", "a"], [[1], [0, 2], [1, 3], [2]], [1, 2, 2, 1]
+    # A star at rank 1 whose leaf 0 has a host neighbor outside the pool. The walk meets the tied
+    # singletons, then {1, 3} at ratio 1/2, then {1, 2}, whose key is less than {1, 3}'s only.
+    star = [14, 21, 11, 17], [[1], [0, 2, 3], [1], [1]], [2, 3, 1, 1]
+    for search in (_least_by_walk, _least_by_knapsack):
+        assert search(pool, near, deg, 2, amenability._GUARD) == ([0, 1], 7)
+        assert search(*star, 2, amenability._GUARD) == ([1, 2], 7)
+
+
 def test_folner_from_inessential_single_attach():
     fix = make_fixture("staircase")
     cand = brute.folner_from_inessential(fix, *brute.make_inessential(fix, {(3, 0), (3, 1), (3, 2), (3, 3)}))
@@ -300,7 +365,7 @@ def test_inessential_witnesses_match_parts_on_staircases(n: int):
 
 
 def test_inessential_witnesses_match_parts_on_a_finite_tree():
-    t = Tree.from_edges(brute.random_tree_edges(random.Random(40), 40), vertex_count=40)
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(40), 40))
     counts = check_witness_scan(TreeAsOracle(Tree(t.adjacency, root=17)), 5, 4)
     assert counts["unwalked"] > 0 and counts["union"] > 0
 

@@ -241,6 +241,24 @@ def test_input_validation():
     assert main([], stdout=io.StringIO()) == 2  # argparse rejects no command
 
 
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        ("root.txt", "root 0 1\n0 1\n", "line 1: malformed root line"),
+        ("negative.txt", "0 1\n1 -2\n", "line 2: negative vertex id"),
+        ("lone.json", '{"root": 1, "children": {}}', "a one-vertex tree must use id 0"),
+    ],
+)
+def test_malformed_tree_files_are_input_errors(tmp_path, name: str, text: str, error: str):
+    path = tmp_path / name
+    path.write_text(text)
+    for command in ("trim", "cheeger", "classify"):
+        code, doc = run_json(command, "--input", str(path))
+        assert code == 2, command
+        assert doc["kind"] == "input"
+        assert error in doc["error"]
+
+
 def test_gw_negative_seed_is_an_input_error(quarter_law):
     code, doc = run_json(
         "gw", "events", "--input", quarter_law, "--seed", "-1", "--event", "path(1)", "--trials", "5"

@@ -45,7 +45,7 @@ LAWS = {
 
 
 def _random_tree(seed: int, n: int, root: int | None = None) -> Tree:
-    return Tree.from_edges(brute.random_tree_edges(random.Random(seed), n), root=root, vertex_count=n)
+    return Tree.from_edges(brute.random_tree_edges(random.Random(seed), n), root=root)
 
 
 # name -> (tree, file format); random trees come from fixed seeds

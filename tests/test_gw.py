@@ -706,6 +706,21 @@ def test_ratio_slack_violation_is_the_bound_violation(monkeypatch):
     assert check["bound_violations"] == check["ratio_slack_violations"] > 0
 
 
+def test_cheeger_value_under_its_floor_fails_the_bound_side(monkeypatch):
+    # a stub argmin away from the root with no boundary: ratio 0, under the floor of 1/2
+    argmin = amenability.FolnerCandidate(frozenset({1}), frozenset(), "enumerated")
+    stub = amenability.CheegerResult(argmin, {"max_size": 3, "subsets_enumerated": 1})
+    monkeypatch.setattr(amenability, "cheeger_exact", lambda ball, max_size: stub)
+    rep = verify_dichotomy(
+        GWSpec((0, 0, 0, 1)), [], trials=2, seed=9, truncate_depth=3, n_subsets=10, subset_size=4, cheeger_max_size=3,
+    )
+    assert rep.nonamenable["bound_violations"] == 0
+    assert rep.nonamenable["cheeger_values"] == ["0", "0"]
+    assert rep.nonamenable["cheeger_floor_ok"] is False
+    assert rep.nonamenable["cheeger_tightest_floor"] == "1/2"
+    assert not rep.all_floors_hold()
+
+
 def test_dichotomy_nonamenable_side():
     spec = GWSpec((0, 0, 0, 1))
     rep = verify_dichotomy(

@@ -89,7 +89,7 @@ def test_trim_asks_each_handle_once(monkeypatch):
 
 
 def test_classify_on_a_finite_tree_asks_each_handle_once_per_call():
-    t = Tree.from_edges(brute.random_tree_edges(random.Random(7), 120), vertex_count=120)
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(7), 120))
     host = counting(TreeAsOracle(Tree(t.adjacency, root=5)))
     classify(host, ClassifyBudgets(radius=6), declared=DeclaredBounds(3, 4, 200))
     assert set(host.asked.values()) == {1}
@@ -168,7 +168,7 @@ HOSTS = [
 @pytest.mark.parametrize("name", HOSTS + ["tree"])
 def test_neighbor_memo_sizes_match_the_public_ones(name: str):
     if name == "tree":
-        t = Tree.from_edges(brute.random_tree_edges(random.Random(3), 80), vertex_count=80)
+        t = Tree.from_edges(brute.random_tree_edges(random.Random(3), 80))
         host = TreeAsOracle(Tree(t.adjacency, root=9))
     else:
         host = make_fixture(name)

@@ -44,7 +44,7 @@ def walk_component(oracle, r, u, cap: int = 10_000) -> int:
 def finite_oracles(draw: st.DrawFn):
     n = draw(st.integers(min_value=2, max_value=12))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
-    t = Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
+    t = Tree.from_edges(brute.random_tree_edges(rng, n))
     return TreeAsOracle(Tree(t.adjacency, root=draw(st.integers(min_value=1, max_value=n - 1))))
 
 

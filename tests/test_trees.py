@@ -42,7 +42,7 @@ from brute import serialize_tree, star_tree
 def random_trees(draw: st.DrawFn, min_size: int = 1, max_size: int = 12) -> Tree:
     n = draw(st.integers(min_value=min_size, max_value=max_size))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
-    t = Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
+    t = Tree.from_edges(brute.random_tree_edges(rng, n))
     if draw(st.booleans()):
         t = Tree(t.adjacency, root=draw(st.integers(min_value=0, max_value=n - 1)))
     return t
@@ -148,11 +148,13 @@ def test_single_vertex():
     assert len(t.neighbors(0)) == 0
 
 
-def test_from_edges_isolated_padding():
-    t = Tree.from_edges([(0, 1)], vertex_count=2)
-    assert t.vertex_count == 2
+def test_from_edges_counts_the_vertices_its_edges_name():
+    assert Tree.from_edges([(0, 1)]).vertex_count == 2
+    assert Tree.from_edges([]).vertex_count == 1
+    with pytest.raises(NotATreeError, match="out of range"):
+        Tree.from_edges([(0, 1), (1, -1)])
     with pytest.raises(NotATreeError):
-        Tree.from_edges([(0, 1)], vertex_count=3)  # vertex 2 disconnected
+        Tree.from_edges([(0, 2)])  # vertex 1 disconnected
 
 
 def test_neighbors_sorted_and_range_checked():

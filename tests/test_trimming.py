@@ -14,7 +14,6 @@ from arbor import (
     TrimmedView,
     ball_code_sequence,
     boundary_of,
-    connected_subsets,
     detect_period,
     explore_ball,
     is_inessential,
@@ -58,7 +57,7 @@ class CountingOracle(PlainOracle):
 def random_trees(draw: st.DrawFn, min_size: int = 1, max_size: int = 12):
     n = draw(st.integers(min_value=min_size, max_value=max_size))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
-    return Tree.from_edges(brute.random_tree_edges(rng, n), vertex_count=n)
+    return Tree.from_edges(brute.random_tree_edges(rng, n))
 
 
 def stage_members(orbit, n: int, k: int) -> set[int]:
@@ -362,7 +361,7 @@ def test_detect_period_units():
 
 @given(random_trees(min_size=4, max_size=10))
 def test_inessential_agrees_with_edge_complement(t: Tree):
-    for sub in connected_subsets(t, t.vertex_count - 1):
+    for sub in brute.connected_subsets_by_closed_union(t, t.vertex_count - 1):
         if len(sub) < 2:
             continue
         fast = is_inessential(t, sub)
@@ -392,7 +391,7 @@ def test_make_inessential_and_find_root():
 @given(random_trees(min_size=3, max_size=10))
 def test_is_inessential_reads_each_member_at_most_twice(t: Tree):
     # once to check the members are connected, once for their boundary
-    for sub in connected_subsets(t, t.vertex_count - 1):
+    for sub in brute.connected_subsets_by_closed_union(t, t.vertex_count - 1):
         if len(sub) < 2:
             continue
         host = CountingOracle(t)
