@@ -92,6 +92,24 @@ def test_cheeger_matches_enumeration_on_graphs_with_cycles(seed: int, n: int, ex
     assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
 
 
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_cheeger_matches_enumeration_on_graphs_with_cycles_narrowed_to_a_region(
+    seed: int, n: int, extra: int, max_size: int, data
+):
+    # the pool's neighbors outside the region still count toward the boundary
+    host = brute.random_graph(random.Random(seed), n, extra)
+    region = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="region")
+    result = cheeger_exact(brute.region_host(host, region), max_size)
+    value, argmin, count = brute.cheeger_by_enumeration(host, max_size, region)
+    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (value, argmin, count)
+
+
 def test_cheeger_deterministic_tiebreak():
     t = path_tree(7)
     a = cheeger_exact(t, 3)
@@ -316,6 +334,21 @@ def test_walk_guard_trips_past_the_subset_count_on_graphs_with_cycles(seed: int,
                 assert str(exc.value) == f"connected-subset enumeration exceeded the work budget ({guard})"
             else:
                 assert cheeger_exact(host, max_size).scope["subsets_enumerated"] == multi + n
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
+def test_walk_guard_trips_at_the_reference_work_count(seed: int, max_size: int):
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(seed), 9))
+    lists = _rank_lists(t)
+    ref_total = len(list(brute.connected_subsets_by_closed_union(t, max_size)))
+    for guard in range(ref_total + 1):
+        try:
+            ref_count = len(list(brute.connected_subsets_by_closed_union(t, max_size, guard=guard)))
+        except SearchTooLargeError:
+            with pytest.raises(SearchTooLargeError, match=rf"\({guard}\)"):
+                _least_by_walk(*lists, max_size, guard)
+        else:
+            assert _least_by_walk(*lists, max_size, guard)[1] == ref_count
 
 
 def test_walk_breaks_ties_by_repr_in_rank_order():
