@@ -703,13 +703,17 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets, scan_li
     scan_limit vertices. A vertex whose components are all infinite or over
     component_budget is skipped unsorted. Otherwise each component within
     budget, in ``sorted_handles`` order of all of r's neighbors, is walked
-    up to the budget; a walk that disagrees with a claimed size raises
-    UnsupportedStructureError. An interior vertex's degree comes from the
-    ball, which holds all its neighbors. Each witness is a union of whole
-    components of host - r, so with r it is connected, and r, of degree
-    >= 2, is its only member with an outside neighbor. In a tree each
-    component's attach vertex is its only neighbor of r, so the attach
-    vertices are the witness's boundary.
+    up to the budget by ``_spliced_component``; a walk that disagrees with
+    a claimed size raises UnsupportedStructureError. Every component found
+    within the budget is kept for the rest of the call under its directed
+    edge (r, u), and a later walk that meets that edge takes the component
+    whole instead of walking it again, so on the staircase each spine
+    vertex's left component costs one step past the last one. An interior
+    vertex's degree comes from the ball, which holds all its neighbors.
+    Each witness is a union of whole components of host - r, so with r it
+    is connected, and r, of degree >= 2, is its only member with an outside
+    neighbor. In a tree each component's attach vertex is its only neighbor
+    of r, so the attach vertices are the witness's boundary.
     """
     scan = ball.sorted_interior
     sizes_of = getattr(oracle, "hanging_component_sizes", None)
@@ -717,6 +721,7 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets, scan_li
         scan = scan[:scan_limit]
     cap = budgets.component_budget
     adjacency, handles = ball.tree.adjacency, ball.handles
+    built: dict = {}  # built[r][u]: the component of u in host - r, once walked within the budget
     candidates = []
     for v in scan:
         if len(adjacency[v]) < 2:
@@ -731,7 +736,7 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets, scan_li
             if s is not None and s > cap:
                 continue
             # A claimed size s <= cap that is true ends this walk after s vertices.
-            comp = reach(oracle.neighbors, u, avoid=(r,), cap=cap)
+            comp = _spliced_component(oracle.neighbors, u, r, cap, built)
             if s is not None and (comp is None or len(comp) != s):
                 found = f"more than {cap}" if comp is None else len(comp)
                 raise UnsupportedStructureError(
@@ -739,7 +744,8 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets, scan_li
                     f"but a walk finds {found}"
                 )
             if comp is not None:
-                walked.append((u, frozenset(comp)))
+                built.setdefault(r, {})[u] = comp
+                walked.append((u, comp))
         pieces = [(members, (u,)) for u, members in walked]
         if 2 <= len(walked) < len(sizes):
             pieces.append((frozenset().union(*(m for _, m in walked)), [u for u, _ in walked]))
@@ -747,6 +753,46 @@ def _inessential_witnesses(oracle, ball: Ball, budgets: ClassifyBudgets, scan_li
             detail = {"root": r, "subtree_size": len(witness) + 1}
             candidates.append(FolnerCandidate(witness, frozenset(attaches), "inessential-minus-root", detail))
     return candidates
+
+
+_NO_PARTS: dict = {}  # the components kept at a vertex that has none; never written
+
+
+def _spliced_component(neighbors, u, r, cap: int, built: dict) -> frozenset | None:
+    """The component of u in host - r, or None once it has more than cap vertices.
+
+    A breadth-first walk from u that never steps onto r. At a vertex x, a
+    neighbor w whose component in host - x is already in ``built[x][w]`` is
+    taken whole: its members join in one set union and count toward cap,
+    and the walk does not step onto w. In a tree that component lies beyond
+    x, away from u and r, so it meets nothing found so far. If it meets the
+    walk, an earlier spliced component or r, the host has a cycle and
+    UnsupportedStructureError is raised, since the count would no longer
+    be the component's size.
+    """
+    seen = {u, r}
+    todo = [u]
+    limit = max(cap, 1) + 1  # seen also holds r, and u alone never exceeds cap, as in trees.reach
+    for x in todo:
+        parts = built.get(x, _NO_PARTS)
+        for w in neighbors(x):
+            if w in seen:
+                continue
+            part = parts.get(w)
+            if part is None:
+                seen.add(w)
+                todo.append(w)
+            elif seen.isdisjoint(part):
+                seen |= part
+            else:
+                raise UnsupportedStructureError(
+                    f"the component of {w!r} in the host minus {x!r} meets the walk of the component "
+                    f"of {u!r} in the host minus {r!r} or {r!r} itself, so the host is not a tree"
+                )
+        if len(seen) > limit:
+            return None
+    seen.remove(r)
+    return frozenset(seen)
 
 
 def _path_witnesses(oracle, budgets: ClassifyBudgets, k_max: int, path_target: int, seed_radius: int):

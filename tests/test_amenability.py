@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -50,13 +51,14 @@ from arbor.amenability import (
     _members_cmp,
     _path_witnesses,
     _ratio_keys,
+    _spliced_component,
     _witness_order,
     contract_branchless,
 )
 from arbor.errors import SandwichViolationError
 from arbor.exploration import _NeighborMemo
 from arbor.fixtures import Staircase
-from arbor.trees import sorted_handles
+from arbor.trees import reach, sorted_handles
 from arbor.trimming import lift_subset_through_trims
 from brute import star_tree
 
@@ -413,6 +415,106 @@ def test_inessential_witnesses_match_parts_on_random_trees(t: Tree, data):
         # no hanging_component_sizes: components are walked up to the budget
         oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
     check_witness_scan(oracle, radius, budget, scan_limit=data.draw(st.integers(1, 30), label="scan_limit"))
+
+
+@given(st.integers(1, 3), st.integers(0, 25), st.integers(1, 400), st.booleans())
+def test_inessential_witnesses_splice_components_on_staircases(n: int, radius: int, budget: int, black_box: bool):
+    # Each spine vertex's walk to the left takes the component built at the
+    # spine vertex before it whole. A black-box staircase is walked even where
+    # a component is over budget, so a splice can carry a walk past the budget.
+    oracle = make_fixture(f"staircase_n({n})")
+    if black_box:
+        oracle = SimpleNamespace(root=oracle.root, neighbors=oracle.neighbors)
+    check_witness_scan(oracle, radius, budget)
+
+
+@given(random_trees(min_size=2, max_size=150), st.data())
+def test_inessential_witnesses_splice_components_on_random_trees(t: Tree, data):
+    n = t.vertex_count
+    root = data.draw(st.integers(0, n - 1), label="root")
+    radius = data.draw(st.integers(1, n), label="radius")
+    # budgets up to n, so that some walks stay within them and some splices carry a walk past them
+    budget = data.draw(st.integers(1, n), label="component_budget")
+    oracle = TreeAsOracle(Tree(t.adjacency, root=root))
+    if data.draw(st.booleans(), label="black box"):
+        oracle = SimpleNamespace(root=root, neighbors=t.neighbors)
+    check_witness_scan(oracle, radius, budget)
+
+
+def test_spliced_component_counts_a_splice_toward_the_budget():
+    # the path 0-1-2-3-4, walked from 3 away from 4, with the component of 1
+    # in the path minus 2 already built: the walk reads 3 and 2 and takes {0, 1} whole
+    t = path_tree(5)
+    asked = []
+
+    def neighbors(v):
+        asked.append(v)
+        return t.neighbors(v)
+
+    built = {2: {1: frozenset({0, 1})}}
+    assert _spliced_component(neighbors, 3, 4, 4, built) == frozenset({0, 1, 2, 3})
+    assert asked == [3, 2]
+    assert _spliced_component(neighbors, 3, 4, 3, built) is None  # {3, 2} fit; the splice passes 3
+    # u alone never exceeds the budget, as with trees.reach
+    for cap in (0, -1):
+        assert _spliced_component(neighbors, 0, 1, cap, {}) == frozenset(reach(neighbors, 0, avoid=(1,), cap=cap))
+        assert _spliced_component(neighbors, 1, 2, cap, {}) is reach(neighbors, 1, avoid=(2,), cap=cap) is None
+
+
+class ClaimingCycleHost:
+    """A test-only host with cycles, given by adjacency lists, that claims component sizes.
+
+    The size it claims for the component of u in the host minus r is what a
+    walk finds, unless ``claims`` holds another for (r, u).
+    """
+
+    root = 0
+
+    def __init__(self, adjacency: dict, claims: dict):
+        self.adjacency, self.claims = adjacency, claims
+
+    def neighbors(self, v):
+        return self.adjacency[v]
+
+    def hanging_component_sizes(self, r):
+        return {u: self.claims.get((r, u)) or len(reach(self.neighbors, u, avoid=(r,))) for u in self.neighbors(r)}
+
+
+def test_inessential_witnesses_refuse_a_spliced_component_that_closes_a_cycle():
+    """A spliced component that meets the walk, an earlier spliced component or r raises.
+
+    In a tree the component of w in the host minus x, taken whole at x, lies
+    beyond x, so it meets nothing the walk has found. A host whose finite
+    component closes a cycle breaks that, and the scan raises
+    UnsupportedStructureError instead of counting a vertex twice.
+    """
+    # The triangle 0-1-3 with the leaf 2 at 1, as a black box. At 0 the scan
+    # keeps {1, 2, 3} for both 1 and 3; at 1 the walk from 0 meets 3, and the
+    # component kept for (0, 3) holds 1, the vertex the walk avoids.
+    triangle = {0: [1, 3], 1: [0, 2, 3], 2: [1], 3: [0, 1]}
+    host = SimpleNamespace(root=0, neighbors=triangle.__getitem__)
+    with pytest.raises(UnsupportedStructureError) as info:
+        _inessential_witnesses(host, explore_ball(host, 3), ClassifyBudgets(radius=3), 256)
+    assert str(info.value) == (
+        "the component of 3 in the host minus 0 meets the walk of the component of 0 in the host minus 1 "
+        "or 1 itself, so the host is not a tree"
+    )
+    # The triangle 0-1-2 with the path 3-4 at 0, claiming the component of 1
+    # in the host minus 0 infinite: at 0 the scan keeps {1, 2} for 2 only. At
+    # 3 the walk from 0 steps onto 1, then meets 2, whose kept component holds 1.
+    host = ClaimingCycleHost({0: [1, 2, 3], 1: [0, 2], 2: [0, 1], 3: [0, 4], 4: [3]}, {(0, 1): math.inf})
+    with pytest.raises(UnsupportedStructureError) as info:
+        _inessential_witnesses(host, explore_ball(host, 3), ClassifyBudgets(radius=3), 256)
+    assert str(info.value) == (
+        "the component of 2 in the host minus 0 meets the walk of the component of 0 in the host minus 3 "
+        "or 3 itself, so the host is not a tree"
+    )
+    # Two kept components at 0 that share a vertex, which no host's own walks
+    # can build, so the walk is handed them: the second meets the first.
+    star = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
+    built = {0: {1: frozenset({1, 5}), 2: frozenset({2, 5})}}
+    with pytest.raises(UnsupportedStructureError, match="the component of 2 in the host minus 0 meets"):
+        _spliced_component(star.__getitem__, 0, 3, 10, built)
 
 
 def test_hanging_components_with_capability():

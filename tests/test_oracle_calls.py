@@ -3,8 +3,10 @@
 classify and trim put the host behind a per-call memo of ``neighbors``, so
 a handle reaches the host once per call. The memo reads a fixture's
 component sizes off the neighbors it already holds, so classify's
-inessential scan asks nothing again. The degree-3 bound has no memo: it
-reads each member's degree and boundary off one answer.
+inessential scan asks nothing again. Behind no memo, that scan still asks
+only for the vertices it walks, and it walks no component it has already
+built in the call. The degree-3 bound has no memo: it reads each member's
+degree and boundary off one answer.
 """
 
 import io
@@ -31,7 +33,7 @@ from arbor import (
     random_connected_subset,
     sample,
 )
-from arbor.amenability import _degree3_bound
+from arbor.amenability import _SCAN_LIMIT, _degree3_bound, _inessential_witnesses
 from arbor.exploration import _NeighborMemo
 
 
@@ -107,6 +109,50 @@ def test_classify_asks_a_black_box_host_each_handle_once():
 
     classify(SimpleNamespace(root=inner.root, neighbors=neighbors), ClassifyBudgets(radius=12))
     assert set(asked.values()) == {1}
+
+
+def black_box_tree(n: int, seed: int):
+    """A random n-vertex tree rooted at 0, offering only ``neighbors``, with its calls counted in ``asked``."""
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(seed), n))
+    asked = Counter()
+
+    def neighbors(h):
+        asked[h] += 1
+        return t.neighbors(h)
+
+    return SimpleNamespace(root=0, neighbors=neighbors, asked=asked)
+
+
+def sized_tree(n: int, seed: int, recursive: bool = False):
+    """A random n-vertex tree rooted at 0, counted; ``recursive`` gives vertex v a parent below v."""
+    rng = random.Random(seed)
+    if recursive:
+        t = Tree.from_edges([(rng.randrange(v), v) for v in range(1, n)])
+    else:
+        t = Tree.from_edges(brute.random_tree_edges(rng, n))
+    return counting(TreeAsOracle(Tree(t.adjacency, root=0)))
+
+
+@pytest.mark.parametrize(
+    "make, radius, budget, reads",
+    [
+        (lambda: counting(make_fixture("staircase")), 25, 2000, 1558),
+        (lambda: counting(make_fixture("staircase_n(2)")), 20, 2000, 1993),
+        (lambda: sized_tree(140, 7), 140, 2000, 2344),
+        (lambda: sized_tree(140, 1, recursive=True), 10, 2000, 868),
+        (lambda: black_box_tree(200, 7), 200, 50, 4328),
+    ],
+    ids=["staircase", "staircase_n(2)", "tree", "recursive tree", "black-box tree"],
+)
+def test_inessential_scan_takes_components_it_built_whole(make, radius: int, budget: int, reads: int):
+    # Without a memo in front, the scan's neighbors calls are its walks plus,
+    # on a host with sizes, one call per scanned vertex. Walking every
+    # component from scratch took 4134, 4444, 12740, 10640 and 8164 calls.
+    host = make()
+    ball = explore_ball(host, radius)
+    host.asked.clear()
+    _inessential_witnesses(host, ball, ClassifyBudgets(radius=radius, component_budget=budget), _SCAN_LIMIT)
+    assert sum(host.asked.values()) == reads
 
 
 def test_ball_code_sequence_asks_each_handle_once():

@@ -86,6 +86,9 @@ COMPONENT_SIZE_ERRORS = {
     "threereg_plus_ray": [
         (("r", 0), InvalidVertexError, "handle ('r', 0) is not a vertex of this tree"),
         (("s", ()), InvalidVertexError, "handle ('s', ()) is not a vertex of this tree"),
+        (("t",), InvalidVertexError, "handle ('t',) is not a vertex of this tree"),
+        (("t", 5), InvalidVertexError, "handle ('t', 5) is not a vertex of this tree"),
+        (("t", (3,)), InvalidVertexError, "handle ('t', (3,)) has an out-of-range step"),
     ],
     "staircase": [
         ((2, 5), InvalidVertexError, "handle (2, 5) is not a vertex of this tree"),
@@ -113,6 +116,7 @@ def test_explore_ball_matches_distances():
     assert sorted(ball.handle_of(v) for v in ball.frontier) == [1, 5]
     assert ball.interior == frozenset(range(5)) - ball.frontier
     assert ball.interior is ball.interior  # built once, not rebuilt per read
+    assert repr(ball) == "Ball(radius=2, 5 vertices, frontier=2)"
     dist = brute.bfs_distances(ball.tree, 0)
     for v in range(ball.vertex_count):
         assert dist[v] == abs(ball.handle_of(v) - 3)
@@ -280,6 +284,9 @@ def test_make_fixture_parsing():
     assert repr(make_fixture(" regular(3) ")) == "RegularTree(3)"
     assert repr(make_fixture("staircase")) == "Staircase(1)"
     assert repr(make_fixture("staircase_n(4)")) == "Staircase(4)"
+    assert repr(make_fixture("sary(2)")) == "SAryTree(2)"
+    assert repr(make_fixture("zline_pendant")) == "ZLinePendant()"
+    assert repr(make_fixture("threereg_plus_ray")) == "ThreeRegularPlusRay()"
     with pytest.raises(UnknownFixtureError):
         make_fixture("nosuch")
     with pytest.raises(UnknownFixtureError):
@@ -288,6 +295,10 @@ def test_make_fixture_parsing():
         make_fixture("zline_pendant(2)")
     with pytest.raises(UnknownFixtureError):
         make_fixture("regular(1)")  # degree too small
+    with pytest.raises(UnknownFixtureError, match=r"^bad fixture arguments for 'sary': child count must be at least 1$"):
+        make_fixture("sary(0)")
+    with pytest.raises(UnknownFixtureError, match=r"^bad fixture arguments for 'staircase_n': column slope must be at least 1$"):
+        make_fixture("staircase_n(0)")
     with pytest.raises(UnknownFixtureError):
         make_fixture("regular(3")
 

@@ -177,6 +177,11 @@ def test_equality_respects_root():
     assert hash(Tree(a.adjacency, root=1)) == hash(Tree(path_tree(3).adjacency, root=1))
 
 
+def test_repr_names_the_size_and_any_root():
+    assert repr(path_tree(3)) == "Tree(3 vertices)"
+    assert repr(Tree(path_tree(3).adjacency, root=1)) == "Tree(3 vertices, root=1)"
+
+
 def degrees(t: Tree) -> list[int]:
     return [len(t.neighbors(v)) for v in range(t.vertex_count)]
 
