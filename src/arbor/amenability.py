@@ -655,6 +655,10 @@ class ClassifyBudgets:
     k_max: int | None = None
     path_target: int | None = None
 
+    def __post_init__(self):
+        if self.component_budget < 1:
+            raise ValueError("component_budget must be at least 1")
+
 
 _SCAN_LIMIT = 256  # interior vertices a black-box host is scanned at for inessential subtrees
 _SEED_RADIUS = 6  # how far from the view root a branchless run may start

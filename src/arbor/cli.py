@@ -28,13 +28,6 @@ from .errors import (
 )
 from .exploration import Ball, TreeAsOracle, explore_ball
 from .fixtures import list_fixtures, make_fixture
-from .galton_watson import (
-    GWSpec,
-    generation_growth_check,
-    monte_carlo_event,
-    sample,
-    verify_dichotomy,
-)
 from .trees import parse_child_list, parse_tree, serialize_child_list, sorted_handles
 from .trimming import ball_code_sequence, detect_period, trim_orbit
 
@@ -57,7 +50,9 @@ def _input_tree(args):
     return tree
 
 
-def _load_law(path: str) -> GWSpec:
+def _load_law(path: str):
+    from .galton_watson import GWSpec  # numpy loads with it, so only gw commands import it
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return GWSpec.from_json(doc)
@@ -299,6 +294,8 @@ def cmd_gw(args, stdout) -> int:
     if not args.input:
         raise ValueError("gw commands need --input pointing at an offspring-law JSON file")
     spec = _load_law(args.input)
+    from .galton_watson import generation_growth_check, monte_carlo_event, sample, verify_dichotomy
+
     if args.gw_command == "sample":
         smp = sample(spec, args.seed, args.depth, max_vertices=args.max_vertices, trial=args.trial)
         doc = {

@@ -129,12 +129,14 @@ class GWSpec:
         k = 0
         e = _exp(-lam)
         while mass < 1.0 - truncation:
-            p = e * _pow(lam, k) / math.factorial(k)
+            # a term leaves float range by k = 171, where k! alone passes it
+            try:
+                p = e * _pow(lam, k) / math.factorial(k)
+            except OverflowError:
+                raise ValueError("lambda too large to truncate sensibly") from None
             probs.append(p)
             mass += p
             k += 1
-            if k > 10_000:
-                raise ValueError("lambda too large to truncate sensibly")
         meta = {"name": "poisson", "lambda": lam, "mass_dropped": max(0.0, 1.0 - mass)}
         total = sum(probs)
         return cls(tuple(Fraction.from_float(p / total) for p in probs), meta)

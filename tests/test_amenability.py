@@ -1017,6 +1017,20 @@ def test_classify_rejects_thresholds_below_one():
     assert classify(fix, ClassifyBudgets(radius=6, k_max=0), d_target=1).scope["k_max"] == 0
 
 
+def test_classify_budgets_refuse_a_component_budget_below_one():
+    # a walk's first vertex never counts against the budget, so 0 and -5 used to act as 1
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="component_budget must be at least 1"):
+            ClassifyBudgets(radius=3, component_budget=budget)
+    path = TreeAsOracle(Tree(path_tree(7).adjacency, root=3))
+    host = SimpleNamespace(root=path.root, neighbors=path.neighbors)
+    report = classify(host, ClassifyBudgets(radius=3, component_budget=1))
+    assert [w.members for w in report.witnesses if w.provenance == "inessential-minus-root"] == [
+        frozenset({0}),
+        frozenset({6}),
+    ]
+
+
 def test_classify_budget_error_propagates():
     with pytest.raises(BudgetExhaustedError):
         classify(make_fixture("regular(3)"), ClassifyBudgets(radius=12, max_vertices=100))

@@ -298,6 +298,14 @@ def test_gw_requires_law_file():
     assert "offspring-law" in doc["error"]
 
 
+def test_gw_poisson_law_past_float_range_is_an_input_error(tmp_path):
+    law = tmp_path / "poisson100.json"
+    law.write_text(json.dumps({"family": "poisson", "lambda": 100}))
+    code, doc = run_json("gw", "sample", "--input", str(law), "--seed", "1", "--depth", "2")
+    assert code == 2
+    assert doc == {"error": "lambda too large to truncate sensibly", "kind": "input"}
+
+
 def test_gw_sample(doubling_law):
     code, doc = run_json(
         "gw", "sample", "--input", doubling_law, "--seed", "7", "--depth", "3"

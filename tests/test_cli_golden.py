@@ -20,11 +20,13 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import arbor
 import brute
 from arbor import Tree, path_tree, sary_tree, serialize_child_list
 from arbor.cli import main
@@ -312,6 +314,43 @@ def test_cli_output_matches_table(row, inputs, capsys, monkeypatch):
     monkeypatch.chdir(directory)  # tree outputs name their input file
     assert run(row["argv"], names) == (row["code"], row["sha256"])
     capsys.readouterr()  # argparse's usage errors go to stderr, which no row records
+
+
+# Run in a fresh interpreter: argv[1] is a JSON list of CLI argvs, the last a gw command.
+LAZY_PROBE = """
+import hashlib, io, json, sys
+import arbor, arbor.cli
+*before, gw = json.loads(sys.argv[1])
+codes = [arbor.cli.main(argv, stdout=io.StringIO()) for argv in before]
+loaded = [name for name in ("numpy", "arbor.galton_watson") if name in sys.modules]
+spec = arbor.GWSpec
+from arbor import verify_dichotomy
+same = spec is arbor.galton_watson.GWSpec and verify_dichotomy is arbor.galton_watson.verify_dichotomy
+out = io.StringIO()
+codes.append(arbor.cli.main(gw, stdout=out))
+print(json.dumps({"codes": codes, "loaded": loaded, "same": same,
+                  "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
+"""
+
+
+def test_gw_layer_and_numpy_load_on_first_use(inputs):
+    # classify, trim, cheeger and fixtures never import them; the first read of a GW name does
+    directory, names = inputs
+    row = next(row for row in load_table() if row["argv"][:2] == ["gw", "sample"])
+    argvs = [
+        ["classify", "--fixture", "staircase", "--radius", "8", "--d-target", "6"],
+        ["trim", "--fixture", "staircase"],
+        ["cheeger", "--fixture", "sary(2)", "--radius", "4"],
+        ["fixtures", "list"],
+        [names.get(a, a) for a in row["argv"]],
+    ]
+    src = str(Path(arbor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, json.dumps(argvs)], cwd=directory, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {
+        "codes": [0, 0, 0, 0, row["code"]], "loaded": [], "same": True, "sha256": row["sha256"],
+    }
 
 
 def record() -> None:

@@ -86,6 +86,13 @@ def test_spec_families_and_json():
         GWSpec.from_json({"family": "zeta", "s": 2})
 
 
+@pytest.mark.parametrize("lam, truncation", [(100.0, 1e-12), (1.5, 0.0)])
+def test_poisson_term_past_float_range_is_a_value_error(lam: float, truncation: float):
+    # lambda^k or k! leaves float range before the mass reaches 1 - truncation
+    with pytest.raises(ValueError, match="lambda too large to truncate sensibly"):
+        GWSpec.poisson(lam, truncation)
+
+
 def _assert_nearest(r: float, exact: Fraction):
     """``r`` is the float nearest ``exact``, a tie going to the neighbor whose last significand bit is 0."""
     gap = abs(Fraction(r) - exact)

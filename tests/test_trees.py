@@ -78,6 +78,25 @@ def test_rejects_empty():
         Tree([])
 
 
+def test_rejects_out_of_range_neighbor():
+    with pytest.raises(NotATreeError, match="neighbor 5 of vertex 1 is out of range"):
+        Tree([[1], [0, 5]])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: path_tree(0), "n must be at least 1"),
+        (lambda: sary_tree(0, 1), "s must be at least 1"),
+        (lambda: sary_tree(2, -1), "depth must be nonnegative"),
+    ],
+    ids=["path_tree(0)", "sary_tree(0, 1)", "sary_tree(2, -1)"],
+)
+def test_builders_reject_bad_shapes(build, error: str):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build()
+
+
 def test_rejects_bad_root():
     with pytest.raises(InvalidVertexError):
         Tree([[1], [0]], root=5)
