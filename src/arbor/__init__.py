@@ -14,8 +14,9 @@ The statistics layer, ``galton_watson``, is the only module that needs
 numpy, and the criterion for a given tree never calls it. So its part of the
 surface loads on first read: reading any of its names, or
 ``arbor.galton_watson`` itself, imports the module and binds all of its
-names here, and ``import arbor`` or a ``classify``, ``trim``, ``cheeger`` or
-``fixtures`` command does not pay for numpy.
+names here. ``dir(arbor)`` lists them without the import, and ``import
+arbor`` or a ``classify``, ``trim``, ``cheeger`` or ``fixtures`` command does
+not pay for numpy.
 """
 
 from __future__ import annotations
@@ -66,3 +67,7 @@ def __getattr__(name: str):
     module = importlib.import_module(f"{__name__}.galton_watson")
     globals().update((n, getattr(module, n)) for n in _GALTON_WATSON)
     return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), "galton_watson", *_GALTON_WATSON})

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DeclaredBoundsRefutedError,
     DegenerateImageError,
-    NoBranchStructureError,
     SandwichViolationError,
     SearchTooLargeError,
     UnsupportedStructureError,
@@ -490,9 +489,7 @@ class ContractionResult:
 
 def contract_branchless(t: Tree) -> ContractionResult:
     deg = [len(ns) for ns in t.adjacency]
-    kept = [v for v in range(t.vertex_count) if deg[v] != 2]
-    if not kept:
-        raise NoBranchStructureError("every vertex has degree 2; the tree is a bare path")
+    kept = [v for v in range(t.vertex_count) if deg[v] != 2]  # never empty: every finite tree has a leaf or a lone vertex
     vmap = {v: i for i, v in enumerate(kept)}
     adj: list[list[int]] = [[] for _ in kept]
     chains: list[tuple[int, int, tuple[int, ...]]] = []
@@ -674,7 +671,10 @@ class AmenabilityReport:
     scope: dict
 
     def best_ratio(self) -> Fraction | None:
-        return min((w.ratio for w in self.witnesses), default=None)
+        if not self.witnesses:
+            return None
+        keys = _ratio_keys([(len(w.boundary), w.size) for w in self.witnesses])
+        return self.witnesses[keys.index(min(keys))].ratio
 
     def to_json(self) -> dict:
         return jsonable(self._doc())
@@ -1004,7 +1004,7 @@ def classify(oracle, budgets: ClassifyBudgets | None = None, declared: DeclaredB
         certificate.update(cert_extra)
         return AmenabilityReport("nonamenable-certified", tuple(witnesses), certificate, scope)
 
-    best = min((w.ratio for w in witnesses), default=None)
-    if best is not None and best <= Fraction(1, d_target):
+    # _witness_order puts the least ratio last.
+    if witnesses and witnesses[-1].ratio <= Fraction(1, d_target):
         return AmenabilityReport("amenable-witnessed", tuple(witnesses), None, scope)
     return AmenabilityReport("inconclusive", tuple(witnesses), None, scope)

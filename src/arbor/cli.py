@@ -74,9 +74,22 @@ def _host_members(host, members):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# How a list writes an item of exactly these types; bool, an int subclass, is not one.
-_SCALARS = {int: int.__repr__, str: _encode_str}
-_SEQUENCES = {tuple, list}
+# Item and value types written without _render_value; bool, an int subclass, is not one.
+_STR, _INT, _SCALARS, _SEQUENCES = {str}, {int}, {int, str, float}, {tuple, list}
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+class _IntTexts(dict):
+    """Ints' texts, each written on its first lookup."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = int.__repr__(i)
+        return text
 
 
 def _render(x) -> str:
@@ -86,23 +99,33 @@ def _render(x) -> str:
     library values: tuples, frozensets (written in ``sorted_handles`` order),
     ``Fraction``s (written as ``str``) and dicts whose keys are turned into
     ``str`` before they are sorted. json's C encoder is off whenever
-    ``indent`` is set, so a list of ints and strings, such as a handle, is
-    written with one ``str.join``, and a list of handles with one per handle.
+    ``indent`` is set, so lists of scalars and dict values that are scalars
+    are written here without a call per item.
 
-    A handle is written once per call and indentation: a witness lists the
-    same handle objects as the others (classify's neighbor memo hands out
-    one object per vertex), so the memo keys each handle's text by its
-    ``id`` and the indentation's width. Not by value: ``(True, 0) == (1, 0)``
-    but the two are written differently, and list handles do not hash. Each
-    entry holds its handle, so no object the call made and dropped, such as
-    a ``jsonable`` result, can free an ``id`` for another handle to reuse.
-    The memo lives for the one call, so rendering keeps no state.
+    Three memos, each made for the call and dropped on return, so rendering
+    keeps no state:
+
+    - Handle texts. A witness lists the same handle objects as the others
+      (classify's neighbor memo hands out one object per vertex), so a list
+      whose first item is an exact tuple or list is read as a list of
+      handles, and each of its tuple and list items is written once per
+      indentation, keyed by its ``id``. Not by value: ``(True, 0) == (1, 0)``
+      but the two are written differently, and list handles do not hash.
+      The call holds each keyed handle, so no object it made and dropped,
+      such as a ``jsonable`` result, can free an ``id`` for another to reuse.
+    - Int texts, keyed by value, for list items and dict values whose type
+      is exactly ``int``: ``True == 1``, but bool is written ``true``.
+    - Key orders. A dict whose keys are all exact ``str``s reuses the sorted
+      keys and ``"key": `` prefixes built for the same key tuple. The type
+      check runs before the memo is read: a ``str`` subclass key equals and
+      hashes as its text, yet ``jsonable`` writes its ``__str__``.
     """
-    return _render_value(x, "\n", {})
+    scalars = {int: _IntTexts().__getitem__, str: _encode_str, float: _float_text}
+    return _render_value(x, "\n", ({}, [], scalars, {}))
 
 
-def _render_value(x, nl: str, memo: dict) -> str:
-    """One value; ``nl`` is the newline and indent of the line it starts on, ``memo`` the call's handle texts."""
+def _render_value(x, nl: str, memo: tuple) -> str:
+    """One value; ``nl`` is the newline and indent of the line it starts on, ``memo`` the call's memos."""
     # Exact types first: documents are made of them, and the isinstance
     # checks below and in jsonable cost more, Fraction's most (it goes
     # through ABCMeta).
@@ -130,44 +153,53 @@ def _render_value(x, nl: str, memo: dict) -> str:
     return _render_value(jsonable(x), nl, memo)
 
 
-def _render_list(items, nl: str, memo: dict) -> str:
+def _render_list(items, nl: str, memo: tuple) -> str:
     if not items:
         return "[]"
     inner = nl + "  "
-    try:
-        body = [_SCALARS[type(i)](i) for i in items]
-    except KeyError:
-        # A list of handles, such as a witness's members, with one join per
-        # handle not written before at this indentation. If an item is
-        # neither an int, a str nor a non-empty list of ints and strs, every
-        # item goes through _render_value instead.
-        sub = inner + "  "
-        sep = "," + sub
-        texts = memo.setdefault(len(inner), {})
+    handles, held, scalars, _ = memo
+    if type(items[0]) in _SEQUENCES:
+        # A list of handles, such as a witness's members: one lookup each for those written before.
+        texts = handles.setdefault(len(inner), {})
         body = []
-        try:
-            for i in items:
-                hit = texts.get(id(i))
-                if hit is not None:
-                    body.append(hit[1])
-                elif type(i) in _SEQUENCES and i:
-                    text = "[" + sub + sep.join([_SCALARS[type(j)](j) for j in i]) + inner + "]"
-                    texts[id(i)] = (i, text)
-                    body.append(text)
-                else:
-                    body.append(_SCALARS[type(i)](i))
-        except KeyError:
+        for i in items:
+            text = texts.get(id(i))
+            if text is None:
+                text = _render_value(i, inner, memo)
+                if type(i) in _SEQUENCES:
+                    texts[id(i)] = text
+                    held.append(i)
+            body.append(text)
+    else:
+        types = {*map(type, items)}
+        if types == _INT:
+            body = list(map(scalars[int], items))
+        elif types <= _SCALARS:
+            body = [scalars[type(i)](i) for i in items]
+        else:
             body = [_render_value(i, inner, memo) for i in items]
     return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
-def _render_dict(x, nl: str, memo: dict) -> str:
+def _render_dict(x, nl: str, memo: tuple) -> str:
     if not x:
         return "{}"
     inner = nl + "  "
-    # As in jsonable, keys become str before sorting: "10" precedes "2", and of 1 and "1" the last wins.
-    items = sorted({str(k): v for k, v in x.items()}.items())
-    return "{" + inner + ("," + inner).join([_encode_str(k) + ": " + _render_value(v, inner, memo) for k, v in items]) + nl + "}"
+    _, _, scalars, orders = memo
+    keys = tuple(x)
+    if {*map(type, keys)} == _STR:
+        order = orders.get(keys)
+        if order is None:
+            order = orders[keys] = [(k, _encode_str(k) + ": ") for k in sorted(keys)]
+        items = [(p, x[k]) for k, p in order]
+    else:
+        # As in jsonable, keys become str before sorting: "10" precedes "2", and of 1 and "1" the last wins.
+        items = [(_encode_str(k) + ": ", v) for k, v in sorted({str(k): v for k, v in x.items()}.items())]
+    body = []
+    for p, v in items:
+        write = scalars.get(type(v))
+        body.append(p + (write(v) if write else _render_value(v, inner, memo)))
+    return "{" + inner + ("," + inner).join(body) + nl + "}"
 
 
 def _emit(doc, code, args, stdout, text_lines, csv_rows=None) -> int:

@@ -11,7 +11,6 @@ __all__ = [
     "BudgetExhaustedError",
     "SearchTooLargeError",
     "DegenerateImageError",
-    "NoBranchStructureError",
     "UnsupportedStructureError",
     "InsufficientDepthError",
     "DeclaredBoundsRefutedError",
@@ -55,10 +54,6 @@ class DegenerateImageError(ArborError):
 
 class SandwichViolationError(ArborError):
     """A subset and its chain-contracted image break the sandwich inequalities, so the contraction is wrong."""
-
-
-class NoBranchStructureError(ArborError):
-    """Chain contraction needs at least one vertex of degree other than 2."""
 
 
 class UnsupportedStructureError(ArborError):

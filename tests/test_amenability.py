@@ -251,6 +251,31 @@ def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
         check_cheeger_against_brute(t, max_size, region)
 
 
+def test_cheeger_falls_back_when_one_product_passes_the_listing_cap(monkeypatch):
+    """A join of two lists of tied partial subsets passes the cap while the running total is still under it.
+
+    Vertex 0 carries a 6-vertex tail and two hubs, each with 6 leaves and a
+    neighbor outside the pool, so both hubs are on every boundary. At size
+    15 the optimum leaves out 6 hub leaves in any split, and joining the two
+    hubs' C(6, 3) = 20 ways each lists 400 subsets after 322 held.
+    """
+    edges = [(i, i + 1) for i in range(6)]
+    for hub in (7, 15):
+        edges += [(0, hub)] + [(hub, leaf) for leaf in range(hub + 1, hub + 8)]
+    t = Tree.from_edges(edges)
+    host = brute.region_host(t, set(range(t.vertex_count)) - {8, 16})
+    monkeypatch.setattr(amenability, "_MAX_LISTED", 350)
+    walk = mock.Mock(wraps=amenability._least_by_walk)
+    monkeypatch.setattr(amenability, "_least_by_walk", walk)
+    result = cheeger_exact(host, 15)
+    walk.assert_called_once()
+    # the ESU enumeration, since filtering all 2^21 combinations of the pool is slow
+    subsets = list(brute.connected_subsets_by_closed_union(host, 15))
+    best = min(subsets, key=lambda s: (brute.ratio(host, s), len(s), [repr(m) for m in sorted(s)]))
+    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == (Fraction(2, 15), best, len(subsets))
+    assert brute.ratio(host, best) == result.value
+
+
 class CountingHost:
     """A host that counts the neighbors calls for each vertex."""
 
@@ -948,6 +973,29 @@ def test_ratio_keys_fall_back_where_floats_tie():
     assert pairs[0][0] / pairs[0][1] == pairs[1][0] / pairs[1][1]
     assert _ratio_keys(pairs) == [Fraction(2**60 + 1, 3 * 2**60), Fraction(1, 3)]
     assert_orders_like_fractions(pairs, _ratio_keys(pairs))
+
+
+@given(st.data())
+def test_best_ratio_through_ratio_keys_is_the_least_fraction(data):
+    # ranges stand in for member and boundary sets, so sizes can pass 2^26, where the keys are Fractions
+    top = data.draw(st.sampled_from([1000, _FLOAT_EXACT, 1 << 62]), label="top")
+    pairs = data.draw(st.lists(ratio_pairs(top), max_size=6), label="pairs")
+    pairs = data.draw(st.permutations(pairs + near_ties(pairs, top, data)), label="order")
+    witnesses = tuple(amenability.FolnerCandidate(range(k), range(b), "enumerated") for b, k in pairs)
+    report = amenability.AmenabilityReport("inconclusive", witnesses, None, {})
+    assert report.best_ratio() == min((Fraction(b, k) for b, k in pairs), default=None)
+
+
+def test_best_ratio_through_ratio_keys_where_floats_tie():
+    # 1 - 1/(2^30 + 1) > 1 - 1/2^30, but the two quotients round to the same float
+    k = 1 << 30
+    report = amenability.AmenabilityReport(
+        "inconclusive",
+        tuple(amenability.FolnerCandidate(range(n), range(n - 1), "enumerated") for n in (k + 1, k)),
+        None,
+        {},
+    )
+    assert report.best_ratio() == Fraction(k - 1, k)
 
 
 def test_declared_bounds():

@@ -549,6 +549,11 @@ class _Name(str):
     pass
 
 
+class _Renamed(str):
+    def __str__(self):
+        return "zz"
+
+
 _subclassed = st.one_of(
     st.builds(_Pair, _documents, _documents),
     st.dictionaries(_keys, _documents, max_size=3).map(OrderedDict),
@@ -586,6 +591,10 @@ def _nested(depth: int):
 @example({"a": [_HANDLE, _HANDLE], "b": {"c": [_HANDLE, [0, "z"]]}})
 @example([(1, 0), (True, 0), [1, 0], (1, 0)])  # equal and hashing alike, but written differently
 @example([_Pair((i, 0), [i, 1]) for i in range(8)])  # each _Pair's jsonable lists are dropped before the next
+@example([{"a": 1, "b": 2}, {_Renamed("a"): 1, "b": 2}])  # equal key tuples, but jsonable writes the subclass "zz"
+@example([{"b": 1, "a": [2]}, {"a": {"b": 3, "a": 4}, "b": 5}])  # one key tuple in two insertion orders
+@example([[-1, 0, 10**30, -(10**30), -1], (7, 2**63, -(2**64)), {"n": -5, "big": 10**40}])
+@example({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0, "x": 1e-7, "y": 1e16})
 def test_render_matches_json_dumps_of_jsonable(doc):
     assert _render(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2)
 
@@ -593,10 +602,14 @@ def test_render_matches_json_dumps_of_jsonable(doc):
 def test_render_keeps_no_handle_text_between_calls():
     handle = [0, "z"]
     shared = (1, 2)
-    first = {"members": [handle, shared]}
-    second = {"members": [shared, handle], "inner": {"members": [handle, shared]}}
+    # an int past the small-int cache and a key built at run time, so a memo kept after the call would hold them
+    big, key = 10**30 + 1, "".join(["ke", "y"])
+    first = {"members": [handle, shared], key: [big, -1], "sizes": {key: big}}
+    held = [sys.getrefcount(x) for x in (handle, shared, big, key)]
     assert _render(first) == json.dumps(jsonable(first), sort_keys=True, indent=2)
+    assert [sys.getrefcount(x) for x in (handle, shared, big, key)] == held
     handle[0] = 5
+    second = {"members": [shared, handle], "inner": {"members": [handle, shared]}, key: [big], "sizes": {key: -1}}
     for doc in (second, first):
         assert _render(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2)
 

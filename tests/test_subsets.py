@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,13 @@ def test_random_connected_subset_properties():
         sub = random_connected_subset(t, size, rng)
         assert 1 <= len(sub) <= size
         assert brute.is_connected_subset(t, sub)
+
+
+def test_random_connected_subset_skips_a_vertex_drawn_twice():
+    # on a triangle the third vertex enters the pool from both others, so growth past it draws it twice
+    triangle = SimpleNamespace(neighbors=[(1, 2), (0, 2), (0, 1)].__getitem__, vertex_count=3)
+    for seed in range(5):
+        assert random_connected_subset(triangle, 5, random.Random(seed)) == frozenset({0, 1, 2})
 
 
 def test_random_connected_subset_deterministic():

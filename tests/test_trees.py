@@ -422,6 +422,7 @@ def test_exports_resolve_once():
     # the package surface is the library modules' lists joined, each one a contiguous slice
     lists.sort(key=lambda names: arbor.__all__.index(names[0]) if names[0] in arbor.__all__ else -1)
     assert arbor.__all__ == ["__version__", *(name for names in lists for name in names)]
+    assert {*arbor.__all__, "galton_watson"} <= set(dir(arbor))
 
 
 REPO = Path(__file__).resolve().parents[1]
