@@ -322,7 +322,7 @@ import hashlib, io, json, sys
 import arbor, arbor.cli
 *before, gw = json.loads(sys.argv[1])
 codes = [arbor.cli.main(argv, stdout=io.StringIO()) for argv in before]
-undirected = sorted({*arbor.__all__, "galton_watson"} - set(dir(arbor)))  # dir() lists the layer's names unloaded
+unlisted = sorted({*arbor.__all__, "galton_watson"} - set(dir(arbor)))  # dir() lists the layer's names unloaded
 loaded = [name for name in ("numpy", "arbor.galton_watson") if name in sys.modules]
 unbound = sorted(set(arbor.__all__) - set(vars(arbor)))
 spec = arbor.GWSpec  # binds all of the layer's names, so later reads skip the module __getattr__
@@ -331,7 +331,7 @@ from arbor import verify_dichotomy
 same = spec is arbor.galton_watson.GWSpec and verify_dichotomy is arbor.galton_watson.verify_dichotomy
 out = io.StringIO()
 codes.append(arbor.cli.main(gw, stdout=out))
-print(json.dumps({"codes": codes, "undirected": undirected, "loaded": loaded, "lazy": lazy, "same": same,
+print(json.dumps({"codes": codes, "unlisted": unlisted, "loaded": loaded, "lazy": lazy, "same": same,
                   "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
 """
 
@@ -352,7 +352,7 @@ def test_gw_layer_and_numpy_load_on_first_use(inputs):
     proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, json.dumps(argvs)], cwd=directory, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(proc.stdout) == {
-        "codes": [0, 0, 0, 0, row["code"]], "undirected": [], "loaded": [], "lazy": True, "same": True, "sha256": row["sha256"],
+        "codes": [0, 0, 0, 0, row["code"]], "unlisted": [], "loaded": [], "lazy": True, "same": True, "sha256": row["sha256"],
     }
 
 
