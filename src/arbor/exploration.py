@@ -137,21 +137,33 @@ class Ball:
     ``interior`` is every other id, and ``sorted_interior`` the same ids in
     increasing order. Since depths never decrease, the interior is the ids
     below the first one at depth r, and the frontier the ids from there on.
-    All three are derived from ``depths`` on their first read and cached, so
-    a ball is read-only after construction: reassigning ``radius``,
-    ``depths`` or ``tree`` would leave the caches stale.
+    The construction finds that first id with one bisection, so
+    ``neighbors(v)`` answers an interior id after one bound test; the three
+    views are built from it on their first read and cached.
+
+    ``random_connected_subset`` grows subsets of a ball from a table of each
+    interior id's interior neighbors, in adjacency order, which the ball
+    builds on the first draw and keeps. An id whose neighbors are all
+    interior shares its adjacency tuple, so the table costs about one list
+    slot per interior id and one short tuple per id next to the frontier.
+    A ball is read-only after construction: reassigning ``radius``,
+    ``depths`` or ``tree`` would leave the count and the caches stale.
     """
 
-    __slots__ = ("radius", "tree", "handles", "depths", "_frontier", "_interior", "_sorted_interior")
+    __slots__ = (
+        "radius", "tree", "handles", "depths", "_inner", "_frontier", "_interior", "_sorted_interior", "_hoods",
+    )
 
     def __init__(self, radius: int, tree: Tree, handles, depths):
         self.radius = radius
         self.tree = tree
         self.handles = tuple(handles)
         self.depths = tuple(depths)
+        self._inner = bisect_left(self.depths, radius)  # interior ids are 0.._inner-1
         self._frontier: frozenset[int] | None = None
         self._interior: frozenset[int] | None = None
         self._sorted_interior: tuple[int, ...] | None = None
+        self._hoods: list[tuple[int, ...]] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -164,28 +176,37 @@ class Ball:
     @property
     def frontier(self) -> frozenset[int]:
         if self._frontier is None:
-            self._frontier = frozenset(range(len(self.sorted_interior), len(self.depths)))
+            self._frontier = frozenset(range(self._inner, len(self.depths)))
         return self._frontier
 
     @property
     def interior(self) -> frozenset[int]:
         if self._interior is None:
-            self._interior = frozenset(self.sorted_interior)
+            self._interior = frozenset(range(self._inner))
         return self._interior
 
     @property
     def sorted_interior(self) -> tuple[int, ...]:
         if self._sorted_interior is None:
-            self._sorted_interior = tuple(range(bisect_left(self.depths, self.radius)))
+            self._sorted_interior = tuple(range(self._inner))
         return self._sorted_interior
 
     def neighbors(self, v: int):
-        ns = self.tree.neighbors(v)  # checks the range first
-        if self.depths[v] == self.radius:  # v is on the frontier
-            raise IncompleteKnowledgeError(
-                f"vertex {v} is on the exploration frontier; its neighborhood is unknown"
-            )
-        return ns
+        if 0 <= v < self._inner:
+            return self.tree.adjacency[v]
+        self.tree.neighbors(v)  # raises InvalidVertexError out of range
+        raise IncompleteKnowledgeError(
+            f"vertex {v} is on the exploration frontier; its neighborhood is unknown"
+        )
+
+    def _interior_hoods(self) -> list[tuple[int, ...]]:
+        """Each interior id's interior neighbors, in adjacency order; built on the first call and kept."""
+        if self._hoods is None:
+            n = self._inner
+            # A tree's lists increase, so the interior neighbors are a prefix,
+            # and slicing a whole tuple returns the tuple itself.
+            self._hoods = [ns[:bisect_left(ns, n)] for ns in self.tree.adjacency[:n]]
+        return self._hoods
 
     def handle_of(self, v: int):
         """The oracle-side handle behind local id ``v``."""

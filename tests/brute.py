@@ -46,7 +46,11 @@ are known and none of them trivial, for the declared-bounds checks of
 ``classify``. ``degree3_bound_two_pass`` is the library's former degree-3
 bound, which reads each member's neighbors once for its degree and again
 through the library's ``boundary_of``; it is the reference for the one-pass
-``_degree3_bound``. ``sample_by_loop`` is the library's former ``sample``
+``_degree3_bound``. ``random_connected_subset_by_filter`` is the library's
+former subset growth, which filters each neighbor list it reads against
+``allowed`` or the host's interior; it is the reference for
+``random_connected_subset``, which reads a Ball's kept table of interior
+neighbors. ``sample_by_loop`` is the library's former ``sample``
 loop, which reads each generation's size back from its list of sizes and
 sums every generation's counts with numpy (with the library's ``_rng``, jump
 constant and sampling table); it is the reference for ``sample``.
@@ -123,6 +127,35 @@ def degree3_bound_two_pass(host, A: frozenset, exception_vertex) -> bool:
             raise UnsupportedStructureError(f"member {v!r} has degree {d} < 3")
     slack = 2 if exception_vertex in A else 0
     return len(A) <= 2 * len(boundary_of(host, A)) + slack
+
+
+def random_connected_subset_by_filter(host, size: int, rng, allowed=None) -> frozenset:
+    """The library's former subset growth, which filters every neighbor list against the pool's limit as it reads it."""
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    if allowed is not None:
+        allowed_set = set(allowed)
+        if not allowed_set:
+            raise ValueError("allowed must not be empty")
+    else:
+        allowed_set = getattr(host, "interior", None)  # never mutated below, so no copy
+    if allowed_set:
+        start = rng.choice(sorted(allowed_set) if allowed is not None else host.sorted_interior)
+    else:
+        start = rng.randrange(host.vertex_count)
+    members = {start}
+    pool = [u for u in host.neighbors(start) if allowed_set is None or u in allowed_set]
+    while len(members) < size and pool:
+        i = rng.randrange(len(pool))
+        pool[i], pool[-1] = pool[-1], pool[i]
+        v = pool.pop()
+        if v in members:
+            continue
+        members.add(v)
+        for u in host.neighbors(v):
+            if u not in members and (allowed_set is None or u in allowed_set):
+                pool.append(u)
+    return frozenset(members)
 
 
 def ratio(t, members) -> Fraction:

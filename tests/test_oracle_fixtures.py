@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import brute
 from arbor import (
     BudgetExhaustedError,
+    GWSpec,
     IncompleteKnowledgeError,
     InvalidVertexError,
     NotATreeError,
@@ -20,6 +21,7 @@ from arbor import (
     list_fixtures,
     make_fixture,
     path_tree,
+    sample,
 )
 
 
@@ -152,6 +154,27 @@ def test_frontier_refuses_neighbor_queries():
     with pytest.raises(IncompleteKnowledgeError):
         ball.neighbors(v)
     assert len(ball.neighbors(0)) == 3
+
+
+@pytest.mark.parametrize("make_ball", [
+    lambda: explore_ball(make_fixture("regular(3)"), 3),
+    lambda: explore_ball(make_fixture("staircase"), 6),
+    lambda: explore_ball(make_fixture("regular(3)"), 0),
+    lambda: explore_ball(TreeAsOracle(path_tree(5)), 10),
+    lambda: sample(GWSpec(("1/4", "1/4", "1/2")), 2, 4).truncate_ball(4),
+    lambda: sample(GWSpec((0, 0, 1)), 1, 3).truncate_ball(0),
+], ids=["regular3", "staircase", "radius0", "exhausted", "gw", "gw_radius0"])
+def test_ball_neighbors_read_the_adjacency_of_interior_ids_alone(make_ball):
+    ball = make_ball()
+    for v in range(ball.vertex_count):
+        if v in ball.interior:
+            assert ball.neighbors(v) is ball.tree.adjacency[v]
+        else:
+            with pytest.raises(IncompleteKnowledgeError, match=f"^vertex {v} is on the exploration frontier"):
+                ball.neighbors(v)
+    for v in (-1, ball.vertex_count):
+        with pytest.raises(InvalidVertexError, match=f"^vertex {v} is out of range"):
+            ball.neighbors(v)
 
 
 def test_ball_handles_are_distinct_and_range_checked():

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -8,11 +10,17 @@ from hypothesis import strategies as st
 import brute
 from arbor import (
     FolnerCandidate,
+    GWSpec,
+    IncompleteKnowledgeError,
     Tree,
     boundary_of,
+    explore_ball,
+    make_fixture,
     path_tree,
     random_connected_subset,
+    sample,
 )
+from arbor.galton_watson import _SubsetDraws
 from arbor.subsets import is_connected_in
 from brute import star_tree
 
@@ -101,3 +109,117 @@ def test_random_connected_subset_respects_allowed():
         random_connected_subset(t, 0, rng)
     with pytest.raises(ValueError):
         random_connected_subset(path_tree(6), 1, rng, allowed=[])
+
+
+# (fixture, radius): the isoperimetry benchmark's two balls, two thin ones, and one with no interior
+FIXTURE_BALLS = [("regular(3)", 10), ("regular(4)", 8), ("staircase", 12), ("zline_pendant", 12), ("regular(3)", 0)]
+BOUND_LAWS = [(0, 0, 1), (0, 0, 0, 1), (0, 0, "1/2", "1/2"), ("1/4", "1/4", "1/2")]
+
+
+@cache
+def fixture_ball(name: str, radius: int):
+    return explore_ball(make_fixture(name), radius)
+
+
+@st.composite
+def ball_regions(draw: st.DrawFn, ball):
+    """The ids out to a drawn depth, less a few; at the ball's radius the frontier's ids are in."""
+    depth = draw(st.integers(min_value=0, max_value=ball.radius), label="depth")
+    near = [v for v, d in enumerate(ball.depths) if d <= depth]
+    return set(near) - draw(st.sets(st.sampled_from(near), max_size=8), label="dropped")
+
+
+def grown(host, size: int, rng, allowed=None):
+    """The subset ``random_connected_subset`` grows, or the type and message of what it raises."""
+    try:
+        return random_connected_subset(host, size, rng, allowed)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_same_growth(host, sizes, rng, ref, allowed=None) -> None:
+    """The library and its former growth loop grow the same subsets and leave their streams in the same state."""
+    for size in sizes:
+        got = grown(host, size, rng, allowed)
+        try:
+            want = brute.random_connected_subset_by_filter(host, size, ref, allowed)
+        except Exception as e:
+            want = type(e), str(e)
+        assert got == want
+    if isinstance(rng, random.Random):
+        assert rng.getstate() == ref.getstate()
+    else:
+        assert [rng.randrange(2**32) for _ in range(4)] == [ref.randrange(2**32) for _ in range(4)]
+
+
+@given(
+    st.sampled_from(FIXTURE_BALLS), st.integers(min_value=0, max_value=10**6),
+    st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=4), st.data(),
+)
+def test_filtered_growth_matches_on_fixture_balls(fixture, seed: int, sizes, data):
+    ball = fixture_ball(*fixture)
+    allowed = data.draw(st.none() | ball_regions(ball), label="allowed")
+    assert_same_growth(ball, sizes, random.Random(seed), random.Random(seed), allowed)
+
+
+@given(
+    st.sampled_from(BOUND_LAWS), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=5), st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
+)
+def test_filtered_growth_matches_on_gw_balls_with_replayed_draws(law, seed: int, trial: int, depth: int, sizes):
+    # the dichotomy's bound side: a truncated sample's ball, grown from the trial's replayed stream
+    ball = sample(GWSpec(law), seed, depth, trial=trial).truncate_ball(depth)
+    key = (trial, 65536)
+    assert_same_growth(ball, sizes, _SubsetDraws(seed, key), _SubsetDraws(seed, key))
+
+
+@given(
+    tree_and_subset(), st.booleans(), st.integers(min_value=0, max_value=10**6),
+    st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=4),
+)
+def test_filtered_growth_matches_on_trees(data, narrowed: bool, seed: int, sizes):
+    t, members = data
+    assert_same_growth(t, sizes, random.Random(seed), random.Random(seed), members if narrowed else None)
+
+
+@given(
+    st.sampled_from(FIXTURE_BALLS[:4]), st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=25), st.data(),
+)
+def test_filtered_growth_matches_on_hosts_offering_an_interior(fixture, seed: int, size: int, data):
+    # not a Ball, so its own interior narrows growth, not the ball's
+    ball = fixture_ball(*fixture)
+    asked = Counter()
+
+    def neighbors(v):
+        asked[v] += 1
+        return ball.neighbors(v)
+
+    host = brute.region_host(SimpleNamespace(neighbors=neighbors), data.draw(ball_regions(ball), label="region"))
+    host.vertex_count = ball.vertex_count
+    got = grown(host, size, random.Random(seed))
+    if isinstance(got, frozenset):
+        assert got <= host.interior or not host.interior  # an empty interior narrows nothing
+        assert asked == Counter(got)  # each member once, when it joins
+    assert_same_growth(host, [size], random.Random(seed), random.Random(seed))
+
+
+@pytest.mark.parametrize("make_ball", [
+    lambda: explore_ball(make_fixture("regular(3)"), 0),
+    lambda: sample(GWSpec((0, 0, 1)), 1, 3).truncate_ball(0),
+], ids=["explore_ball", "truncate_ball"])
+def test_growth_on_a_radius_0_ball_asks_its_root(make_ball):
+    with pytest.raises(IncompleteKnowledgeError, match="^vertex 0 is on the exploration frontier"):
+        random_connected_subset(make_ball(), 3, random.Random(1))
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_BALLS[:4])
+def test_a_ball_keeps_one_table_of_interior_neighbors(fixture):
+    ball = explore_ball(make_fixture(fixture[0]), fixture[1])
+    random_connected_subset(ball, 5, random.Random(0))
+    hoods = ball._interior_hoods()
+    assert hoods is ball._interior_hoods()  # built on the first draw and kept
+    adj = ball.tree.adjacency
+    assert hoods == [tuple(u for u in adj[v] if u in ball.interior) for v in ball.sorted_interior]
+    # an id with no frontier neighbor shares its adjacency tuple
+    assert all(ns is adj[v] for v, ns in enumerate(hoods) if len(ns) == len(adj[v]))
