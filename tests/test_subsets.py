@@ -129,10 +129,10 @@ def ball_regions(draw: st.DrawFn, ball):
     return set(near) - draw(st.sets(st.sampled_from(near), max_size=8), label="dropped")
 
 
-def grown(host, size: int, rng, allowed=None):
-    """The subset ``random_connected_subset`` grows, or the type and message of what it raises."""
+def grown(host, size: int, rng, allowed=None, grow=random_connected_subset):
+    """The subset ``grow`` grows, or the type and message of what it raises."""
     try:
-        return random_connected_subset(host, size, rng, allowed)
+        return grow(host, size, rng, allowed)
     except Exception as e:
         return type(e), str(e)
 
@@ -140,12 +140,8 @@ def grown(host, size: int, rng, allowed=None):
 def assert_same_growth(host, sizes, rng, ref, allowed=None) -> None:
     """The library and its former growth loop grow the same subsets and leave their streams in the same state."""
     for size in sizes:
-        got = grown(host, size, rng, allowed)
-        try:
-            want = brute.random_connected_subset_by_filter(host, size, ref, allowed)
-        except Exception as e:
-            want = type(e), str(e)
-        assert got == want
+        want = grown(host, size, ref, allowed, brute.random_connected_subset_by_filter)
+        assert grown(host, size, rng, allowed) == want
     if isinstance(rng, random.Random):
         assert rng.getstate() == ref.getstate()
     else:
