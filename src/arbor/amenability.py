@@ -23,9 +23,9 @@ from .errors import (
     SearchTooLargeError,
     UnsupportedStructureError,
 )
-from .exploration import Ball, _NeighborMemo, explore_ball
+from .exploration import Ball, _NeighborMemo, _pool_table, explore_ball
 from .subsets import boundary_of, is_connected_in
-from .trees import Tree, bfs_layers, reach, sorted_handles
+from .trees import Tree, bfs_layers, reach, rooted_order, sorted_handles
 from .trimming import TrimmedView, lift_subset_through_trims, removal_steps_in_ball
 
 __all__ = [
@@ -126,30 +126,21 @@ class CheegerResult:
 _GUARD = 10**7  # subsets of two or more members that one exact search may count or walk
 
 
-def _pool(host) -> Sequence:
-    """The vertices ``cheeger_exact`` searches, in increasing order; a vertex's index is its rank."""
-    if hasattr(host, "interior"):
-        return host.sorted_interior
-    return list(range(host.vertex_count))
-
-
 def cheeger_exact(host, max_size: int) -> CheegerResult:
     """Exact minimum boundary ratio over all connected subsets of at most max_size vertices.
 
-    The subsets range over the host's pool (``_pool``): a host that offers
-    ``interior`` and ``sorted_interior``, as a Ball does, offers its
-    interior, so it may narrow the search to any region it likes; any other
-    host offers its ids 0..vertex_count-1. A pool vertex's neighbors outside
-    the pool still count toward its boundary. Each pool vertex is asked for
-    its neighbors once, up front, and its neighbors' ranks are listed once;
-    both searches and the argmin's boundary read those lists. When the pool
-    spans a forest, a subtree knapsack (the k-cardinality tree DP) gives the
-    least boundary count and the number of connected subsets at every size,
-    topped at each vertex; ``scope["subsets_enumerated"]`` is the sum of
-    those numbers. Otherwise, or when the ties for the minimum are too many
-    to list, the ESU walk visits every subset. Either way
-    SearchTooLargeError is raised once more than ``_GUARD`` subsets have two
-    or more members.
+    The host is a Tree or an explored Ball, and the subsets range over its
+    pool: a Ball's interior, or every id of a Tree. A pool vertex's
+    neighbors on a Ball's frontier still count toward its boundary. Both
+    searches and the argmin's boundary read the host's pool table
+    (``exploration._pool_table``), where a pool vertex's index is its id;
+    any other host is a TypeError. Since the pool is one tree, a subtree
+    knapsack (the k-cardinality tree DP) gives the least boundary count and
+    the number of connected subsets at every size, topped at each vertex;
+    ``scope["subsets_enumerated"]`` is the sum of those numbers. When the
+    ties for the minimum are too many to list, the ESU walk visits every
+    subset instead. Either way SearchTooLargeError is raised once more than
+    ``_GUARD`` subsets have two or more members.
 
     For an infinite host explored through a Ball this is a certified upper
     bound on the true infimum, since every boundary counted is exact.
@@ -158,39 +149,35 @@ def cheeger_exact(host, max_size: int) -> CheegerResult:
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    pool = _pool(host)
-    if not pool:
+    near, adj = _pool_table(host)
+    if not near:
         raise ValueError("no admissible subsets: the search region is empty")
-    rank = {v: i for i, v in enumerate(pool)}
-    hoods = [host.neighbors(v) for v in pool]
-    deg = list(map(len, hoods))
-    near = [[r for r in map(rank.get, hs) if r is not None] for hs in hoods]  # near[r]: r's neighbors' ranks
-    least = _least_by_knapsack(pool, near, deg, max_size, _GUARD)
-    if least is None:  # a cycle, or too many optima to list
-        least = _least_by_walk(pool, near, deg, max_size, _GUARD)
+    deg = [len(adj[v]) for v in range(len(near))]
+    least = _least_by_knapsack(near, deg, max_size, _GUARD)
+    if least is None:  # too many optima to list
+        least = _least_by_walk(near, deg, max_size, _GUARD)
     best, count = least
     chosen = set(best)
-    members = frozenset(pool[r] for r in best)
-    boundary = frozenset(pool[r] for r in best if deg[r] > len(near[r]) or not chosen.issuperset(near[r]))
-    argmin = FolnerCandidate(members, boundary, "enumerated")
+    boundary = frozenset(v for v in best if deg[v] > len(near[v]) or not chosen.issuperset(near[v]))
+    argmin = FolnerCandidate(frozenset(best), boundary, "enumerated")
     scope = {"max_size": max_size, "subsets_enumerated": count}
     return CheegerResult(argmin, scope)
 
 
-def _least_by_walk(pool: Sequence, near: list, deg: list, max_size: int, guard: int) -> tuple:
-    """The best subset's sorted ranks and the subset count, from the ESU walk over every subset.
+def _least_by_walk(near: Sequence, deg: list, max_size: int, guard: int) -> tuple:
+    """The best subset's sorted ids and the subset count, from the ESU walk over every subset.
 
-    ``near[r]`` lists the ranks of r's neighbors in the pool and ``deg[r]``
-    counts all its host neighbors. ESU (Wernicke 2006) anchors each subset
-    at its lowest rank and grows it only through its newest member's
-    exclusive neighbors, so none comes twice. ``inside[r]`` counts rank r's
-    neighbors in the subset, which keeps both the exclusive-neighbor test
-    and the boundary count at O(deg w) per step. Each subset of two or more
-    members is one unit of work; past ``guard`` units, SearchTooLargeError.
-    Ties go as in ``cheeger_exact``, the ``repr`` strings taken in rank order.
+    The pool is ids 0..len(near)-1. ``near[r]`` lists r's neighbors in the
+    pool and ``deg[r]`` counts all its host neighbors. ESU (Wernicke 2006)
+    anchors each subset at its lowest id and grows it only through its
+    newest member's exclusive neighbors, so none comes twice. ``inside[r]``
+    counts r's neighbors in the subset, which keeps both the
+    exclusive-neighbor test and the boundary count at O(deg w) per step.
+    Each subset of two or more members is one unit of work; past ``guard``
+    units, SearchTooLargeError. Ties go as in ``cheeger_exact``.
     """
-    n = len(pool)
-    tags = [repr(v) for v in pool]
+    n = len(near)
+    tags = [repr(v) for v in range(n)]
     inside = [0] * n
     in_sub = [False] * n
     sub: list[int] = []
@@ -230,12 +217,12 @@ def _least_by_walk(pool: Sequence, near: list, deg: list, max_size: int, guard: 
             if cmp < 0 or (cmp == 0 and k < best_k):
                 best, best_b, best_k, best_tag = sorted(sub), bound, k, None
             elif cmp == 0 and k == best_k:
-                ranks = sorted(sub)
-                tag = [tags[r] for r in ranks]
+                ids = sorted(sub)
+                tag = [tags[r] for r in ids]
                 if best_tag is None:
                     best_tag = [tags[r] for r in best]
                 if tag < best_tag:
-                    best, best_tag = ranks, tag
+                    best, best_tag = ids, tag
             if k < max_size:
                 exts.append(ext + [u for u in near[w] if u > anchor and not in_sub[u] and inside[u] == 1])
             else:
@@ -246,16 +233,16 @@ def _least_by_walk(pool: Sequence, near: list, deg: list, max_size: int, guard: 
 _NONE = 1 << 62  # the cost of a size no subset reaches; above every boundary count
 
 
-def _least_by_knapsack(pool: Sequence, near: list, deg: list, max_size: int, guard: int) -> tuple | None:
-    """``_least_by_walk``'s answer from a subtree knapsack, or None on a cycle or too many optima.
+def _least_by_knapsack(near: Sequence, deg: list, max_size: int, guard: int) -> tuple | None:
+    """``_least_by_walk``'s answer from a subtree knapsack, or None when the optima are too many to list.
 
-    Each component of the pool is rooted at its lowest rank, and vertices
-    are renumbered in reverse breadth-first order, so each comes after its
-    children. A connected subset S of a forest has one top vertex, below
-    which each member takes some of its pool children. A member is on S's
-    boundary when it has a host neighbor outside the pool, a pool child
-    outside S, or a parent outside S. Each vertex v keeps per size k (at
-    most ``max_size``):
+    The pool's ids 0..len(near)-1 must form one tree, as a Tree's ids and
+    a Ball's interior do. It is rooted at 0, and vertices are renumbered in
+    reverse breadth-first order, so each comes after its children. A
+    connected subset S of a tree has one top vertex, below which each
+    member takes some of its children. A member is on S's boundary when it
+    has a host neighbor outside the pool, a child outside S, or a parent
+    outside S. Each vertex v keeps per size k (at most ``max_size``):
 
     - ``trail[v][i]``: after merging its first i children, the least count
       of boundary members below v, as a pair of lists by size: every child
@@ -266,31 +253,15 @@ def _least_by_knapsack(pool: Sequence, near: list, deg: list, max_size: int, gua
     Summed, those numbers are the subset count. Every merge step adds at
     least one subset to it, so the guard also bounds the work. ``_optima``
     then lists the subsets of the least ratio at the least size, and the
-    ``repr`` tie-break picks among them. It compares ``repr`` strings in rank
-    order, so the first of two joined subsets is not always
-    the join of the firsts, and the candidates are listed whole. A top that
-    is the lowest rank of its subtree, as every top of a ball is, starts all
-    its subsets' tags, so of such tops only the least ``repr`` is listed.
+    ``repr`` tie-break picks among them. It compares ``repr`` strings in id
+    order, so the first of two joined subsets is not always the join of the
+    firsts, and the candidates are listed whole. A top that is the lowest
+    id of its subtree, as every top of a ball is, starts all its subsets'
+    tags, so of such tops only the least ``repr`` is listed.
     """
-    n = len(pool)
-    parent = [None] * n
-    order = []  # ranks, each component breadth-first from its root
-    for s in range(n):
-        if parent[s] is not None:
-            continue
-        parent[s] = -1
-        i = len(order)
-        order.append(s)
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for u in near[v]:
-                if parent[u] is None:
-                    parent[u] = v
-                    order.append(u)
-    if sum(map(len, near)) != 2 * (n - parent.count(-1)):
-        return None
-    order.reverse()  # children first: vertex v of the tables is rank order[v]
+    n = len(near)
+    order, parent = rooted_order(near, 0)
+    order.reverse()  # children first: vertex v of the tables is id order[v]
     at = [0] * n
     for v, r in enumerate(order):
         at[r] = v
@@ -301,7 +272,7 @@ def _least_by_knapsack(pool: Sequence, near: list, deg: list, max_size: int, gua
     trail: list = [None] * n
     up: list = [None] * n
     counts: list = [None] * n
-    low = order[:]  # the least rank in each vertex's subtree
+    low = order[:]  # the least id in each vertex's subtree
     count = 0
     best_b, best_k, tops = 1, 0, []
     for v in range(n):
@@ -342,11 +313,11 @@ def _least_by_knapsack(pool: Sequence, near: list, deg: list, max_size: int, gua
                 best_b, best_k, tops = b, k, [v]
             elif cmp == 0 and k == best_k:
                 tops.append(v)
-    # A subset topped at v whose subtree holds no lower rank starts its tag with v's repr.
-    fixed = [repr(pool[order[v]]) for v in tops if low[v] == order[v]]
+    # A subset topped at v whose subtree holds no lower id starts its tag with v's repr.
+    fixed = [repr(order[v]) for v in tops if low[v] == order[v]]
     if len(fixed) > 1:
         first = min(fixed)
-        tops = [v for v in tops if low[v] != order[v] or repr(pool[order[v]]) == first]
+        tops = [v for v in tops if low[v] != order[v] or repr(order[v]) == first]
     goals = []
     for v in tops:
         A, B = trail[v][-1]
@@ -356,7 +327,7 @@ def _least_by_knapsack(pool: Sequence, near: list, deg: list, max_size: int, gua
     if found is None:
         return None
     if len(found) > 1:
-        tags = [repr(v) for v in pool]
+        tags = [repr(v) for v in range(n)]
         found = [min(found, key=lambda s: [tags[r] for r in sorted(s)])]
     return sorted(found[0]), count + n
 
@@ -365,7 +336,7 @@ _MAX_LISTED = 1 << 17  # optimal partial subsets _optima may hold at once
 
 
 def _optima(trail: list, kids: list, up: list, outside: list, order: list, goals: list) -> list | None:
-    """Every subset behind the knapsack states ``goals``, as tuples of ranks.
+    """Every subset behind the knapsack states ``goals``, as tuples of ids.
 
     A state (v, i, k, f) stands for the subsets of size k with v on top,
     within v and the subtrees of its first i children, whose least boundary
@@ -423,19 +394,15 @@ def _optima(trail: list, kids: list, up: list, outside: list, order: list, goals
                     opts.append((left, right))
                     push(right)
     held = 0
+    sets[None] = [()]  # the right part of a split that leaves child i out
     for key in sorted(splits):  # children before parents, earlier steps first
         got = sets[key] = []
         for left, right in splits[key]:
-            if right is None:
-                got += sets[left]
-                continue
             above, below = sets[left], sets[right]
-            if len(above) * len(below) > _MAX_LISTED:
+            held += len(above) * len(below)
+            if held > _MAX_LISTED:
                 return None
             got += [s + t for s in above for t in below]
-        held += len(got)
-        if held > _MAX_LISTED:
-            return None
     return [s for key in goals for s in sets[key]]
 
 
@@ -776,7 +743,7 @@ def _spliced_component(neighbors, u, r, cap: int, built: dict) -> frozenset | No
     """
     seen = {u, r}
     todo = [u]
-    limit = max(cap, 1) + 1  # seen also holds r, and u alone never exceeds cap, as in trees.reach
+    limit = max(cap, 1) + 1  # seen also holds r, and u alone never exceeds cap
     for x in todo:
         parts = built.get(x, _NO_PARTS)
         for w in neighbors(x):

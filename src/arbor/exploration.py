@@ -141,11 +141,12 @@ class Ball:
     ``neighbors(v)`` answers an interior id after one bound test; the three
     views are built from it on their first read and cached.
 
-    ``random_connected_subset`` grows subsets of a ball from a table of each
-    interior id's interior neighbors, in adjacency order, which the ball
-    builds on the first draw and keeps. An id whose neighbors are all
-    interior shares its adjacency tuple, so the table costs about one list
-    slot per interior id and one short tuple per id next to the frontier.
+    ``random_connected_subset`` and ``cheeger_exact`` search a ball's
+    interior through a table of each interior id's interior neighbors, in
+    adjacency order, which the ball builds on the first search and keeps
+    (``_pool_table``). An id whose neighbors are all interior shares its
+    adjacency tuple, so the table costs about one list slot per interior id
+    and one short tuple per id next to the frontier.
     A ball is read-only after construction: reassigning ``radius``,
     ``depths`` or ``tree`` would leave the count and the caches stale.
     """
@@ -216,6 +217,22 @@ class Ball:
 
     def __repr__(self) -> str:
         return f"Ball(radius={self.radius}, {self.vertex_count} vertices, frontier={len(self.frontier)})"
+
+
+def _pool_table(host) -> tuple:
+    """The table the searches over a tree read: each pool id's neighbors in the pool, and each id's neighbors.
+
+    A Ball's pool is its interior, ids 0..k-1 as the ids increase with
+    depth, and a Tree's is every id, so a pool vertex's index in the first
+    table is its id. A pool vertex's degree is the length of its list in
+    the second; a Ball's pool neighbors outside the pool are on the
+    frontier. Any other host is a TypeError.
+    """
+    if isinstance(host, Ball):
+        return host._interior_hoods(), host.tree.adjacency
+    if isinstance(host, Tree):
+        return host.adjacency, host.adjacency
+    raise TypeError(f"the search needs a Tree or a Ball, not {type(host).__name__}")
 
 
 def explore_ball(oracle, radius: int, center=None, max_vertices: int | None = None) -> Ball:

@@ -1030,9 +1030,6 @@ class _SubsetDraws:
                 m = self._next() * n
         return m >> 32
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 @dataclass(frozen=True)
 class DichotomyReport:

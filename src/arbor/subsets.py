@@ -1,10 +1,12 @@
 """Connected vertex subsets of a tree-like host: boundaries, connectivity, random growth.
 
-A host is anything with a ``neighbors(v)`` method. That covers finite trees,
-explored balls of infinite trees, and the lazily evaluated fixtures. Boundary
-here always means the inner boundary: members with at least one neighbor
-outside the subset. The exact search over every connected subset lives with
-its one reader, ``amenability.cheeger_exact``.
+For ``boundary_of`` and ``is_connected_in`` a host is anything with a
+``neighbors(v)`` method. That covers finite trees, explored balls of
+infinite trees, and the lazily evaluated fixtures. Boundary here always
+means the inner boundary: members with at least one neighbor outside the
+subset. ``random_connected_subset`` takes a Tree or an explored Ball and
+reads its pool table, as the exact search over every connected subset,
+``amenability.cheeger_exact``, does.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .exploration import Ball
+from .exploration import _pool_table
 from .trees import reach
 
 __all__ = ["boundary_of", "random_connected_subset"]
@@ -35,66 +37,32 @@ def is_connected_in(host, members: Iterable[int]) -> bool:
     return bool(mem) and len(reach(host.neighbors, next(iter(mem)), within=mem)) == len(mem)
 
 
-class _Hoods(dict):
-    """A host's neighbor lists, kept to ``keep`` when it is not None, each asked of the host on its first read."""
+def random_connected_subset(host, size: int, rng: random.Random) -> frozenset[int]:
+    """Grow a random connected subset of about ``size`` vertices of a Tree or an explored Ball.
 
-    __slots__ = ("neighbors", "keep")
-
-    def __init__(self, neighbors, keep):
-        self.neighbors = neighbors
-        self.keep = keep
-
-    def __missing__(self, v):
-        ns = self.neighbors(v)
-        if self.keep is not None:
-            ns = [u for u in ns if u in self.keep]
-        self[v] = ns
-        return ns
-
-
-def random_connected_subset(
-    host,
-    size: int,
-    rng: random.Random,
-    allowed: Iterable[int] | None = None,
-) -> frozenset[int]:
-    """Grow a random connected subset of about ``size`` vertices.
-
-    The start is a uniform member of ``allowed`` when it is given, else of
-    the host's interior when it offers a nonempty one, as a Ball does, else
-    of its ids 0..vertex_count-1. Growth never leaves ``allowed`` or the
-    interior. Growth picks a uniform candidate from the current neighbor
-    pool, so this does not sample uniformly over all subsets; it is a cheap
+    The subset stays in the host's pool, a Ball's interior or all of a
+    Tree's ids, read from its pool table (``exploration._pool_table``); any
+    other host is a TypeError. The start is ``rng.randrange`` of the pool's
+    size. Growth picks a uniform candidate from the current neighbor pool,
+    so this does not sample uniformly over all subsets; it is a cheap
     source of varied test inputs, nothing more. May return fewer vertices
-    if growth gets stuck.
-
-    A Ball's growth reads the table of interior neighbors the ball keeps.
-    Any other host is asked for a vertex's neighbors at most once per call,
-    when the vertex joins the subset.
+    if growth gets stuck. In a tree a vertex joins the candidates once, from
+    its one neighbor in the subset, so no draw repeats a member. A radius-0
+    ball's pool is empty, and its center raises IncompleteKnowledgeError
+    before any draw.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
-    if allowed is None and type(host) is Ball and host._inner:  # a subclass may answer neighbors its own way
-        hoods, starts = host._interior_hoods(), host.sorted_interior
-    else:
-        if allowed is not None:
-            keep = set(allowed)
-            if not keep:
-                raise ValueError("allowed must not be empty")
-            starts = sorted(keep)
-        else:
-            keep = getattr(host, "interior", None)  # never mutated below, so no copy
-            starts = host.sorted_interior if keep else None
-        hoods = _Hoods(host.neighbors, keep)
-    start = rng.choice(starts) if starts is not None else rng.randrange(host.vertex_count)
+    hoods = _pool_table(host)[0]
+    if not hoods:
+        host.neighbors(0)  # a radius-0 ball's center is on its frontier: IncompleteKnowledgeError
+    start = rng.randrange(len(hoods))
     members = {start}
     pool = list(hoods[start])
     while len(members) < size and pool:
         i = rng.randrange(len(pool))
         pool[i], pool[-1] = pool[-1], pool[i]
         v = pool.pop()
-        if v in members:
-            continue
         members.add(v)
         for u in hoods[v]:
             if u not in members:

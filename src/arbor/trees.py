@@ -154,25 +154,21 @@ class Tree:
         return f"Tree({self.vertex_count} vertices{rooted})"
 
 
-def reach(neighbors, start, within=None, avoid=(), cap=None) -> list | None:
+def reach(neighbors, start, within=None) -> list:
     """Vertices reachable from ``start``, in breadth-first order with ``start`` first.
 
-    The walk steps only onto members of ``within`` when it is given, and never
-    onto a member of ``avoid``; ``start`` itself is always included. Neighbors
-    are visited in the order ``neighbors(v)`` lists them. With ``cap``, the
-    walk stops and returns None as soon as it has found more than ``cap``
-    vertices (``start`` alone never counts as exceeding it).
+    The walk steps only onto members of ``within`` when it is given;
+    ``start`` itself is always included. Neighbors are visited in the order
+    ``neighbors(v)`` lists them.
     """
     order = [start]
-    seen = {start, *avoid}
+    seen = {start}
     for v in order:
         for u in neighbors(v):
             if u in seen or (within is not None and u not in within):
                 continue
             seen.add(u)
             order.append(u)
-            if cap is not None and len(order) > cap:
-                return None
     return order
 
 

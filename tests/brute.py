@@ -13,9 +13,7 @@ exhaustive search that a host with an outward branch has an inessential
 subtree exactly when it has a leaf. ``relabel_tree`` permutes vertex ids,
 for tests that a code or verdict does not depend on the labeling.
 ``star_tree``, ``random_graph`` and ``serialize_tree`` build small hosts
-and tree files for the tests, and ``region_host`` narrows the pool that
-``cheeger_exact`` searches to a chosen region through the ``interior``
-protocol of a Ball. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
+and tree files for the tests. ``collapse_q_by_exact_max`` and ``scan_witness_by_bfs`` are the
 references for the dichotomy's collapse floor and witness scan, and
 ``peel_by_rescan``, which rescans every vertex every round, is the
 reference for the library's leaf-removal loop ``trees.peel``.
@@ -30,7 +28,8 @@ former subset lift built on it, it is the reference for the level chain of
 witness scan of ``classify``, the reference for ``_inessential_witnesses``.
 It is built from ``hanging_components``, the library's former description
 of every component of the host minus a vertex as a ``HangingComponent``
-(with the library's ``reach`` and ``sorted_handles``), and from
+(with the library's ``sorted_handles`` and ``reach_avoiding``, its former
+capped walk), and from
 ``make_inessential`` and ``folner_from_inessential``, the library's former
 witness constructors, each of which rechecks what it is given. An
 inessential subtree is passed around as its members and its root, the one
@@ -49,8 +48,8 @@ through the library's ``boundary_of``; it is the reference for the one-pass
 ``_degree3_bound``. ``random_connected_subset_by_filter`` is the library's
 former subset growth, which filters each neighbor list it reads against
 ``allowed`` or the host's interior; it is the reference for
-``random_connected_subset``, which reads a Ball's kept table of interior
-neighbors. ``sample_by_loop`` is the library's former ``sample``
+``random_connected_subset``, which reads the pool table of a Tree or a Ball,
+and it grows the subsets of acceptance test 06 inside a chosen set. ``sample_by_loop`` is the library's former ``sample``
 loop, which reads each generation's size back from its list of sizes and
 sums every generation's counts with numpy (with the library's ``_rng``, jump
 constant and sampling table); it is the reference for ``sample``.
@@ -77,7 +76,7 @@ from arbor import (
     explore_ball,
 )
 from arbor.galton_watson import _PCG_JUMP, GWSample, _rng
-from arbor.trees import reach, sorted_handles
+from arbor.trees import sorted_handles
 
 
 def bfs_distances(t, start: int) -> dict[int, int]:
@@ -140,7 +139,8 @@ def random_connected_subset_by_filter(host, size: int, rng, allowed=None) -> fro
     else:
         allowed_set = getattr(host, "interior", None)  # never mutated below, so no copy
     if allowed_set:
-        start = rng.choice(sorted(allowed_set) if allowed is not None else host.sorted_interior)
+        starts = sorted(allowed_set) if allowed is not None else host.sorted_interior
+        start = starts[rng.randrange(len(starts))]  # rng.choice(starts), on an rng that offers only randrange
     else:
         start = rng.randrange(host.vertex_count)
     members = {start}
@@ -350,6 +350,26 @@ def trim_depth_by_ball(oracle, v, k: int, max_vertices: int | None = None) -> in
     return None
 
 
+def reach_avoiding(neighbors, start, avoid, cap=None) -> list | None:
+    """The library's former capped walk: vertices reachable from ``start`` without stepping onto ``avoid``.
+
+    Breadth-first with ``start`` first, neighbors in the order ``neighbors(v)``
+    lists them. With ``cap``, None as soon as more than ``cap`` vertices are
+    found (``start`` alone never counts as exceeding it).
+    """
+    order = [start]
+    seen = {start, avoid}
+    for v in order:
+        for u in neighbors(v):
+            if u in seen:
+                continue
+            seen.add(u)
+            order.append(u)
+            if cap is not None and len(order) > cap:
+                return None
+    return order
+
+
 @dataclass(frozen=True)
 class HangingComponent:
     """One component of host minus a vertex, as seen from that vertex."""
@@ -380,7 +400,7 @@ def hanging_components(oracle, r, max_vertices: int = 2000) -> list[HangingCompo
         elif s is not None and s > max_vertices:
             out.append(HangingComponent(u, "finite", int(s), None))
         else:
-            comp = reach(oracle.neighbors, u, avoid=(r,), cap=max_vertices)
+            comp = reach_avoiding(oracle.neighbors, u, r, max_vertices)
             if s is not None and (comp is None or len(comp) != s):
                 walked = f"more than {max_vertices}" if comp is None else len(comp)
                 raise UnsupportedStructureError(
@@ -518,12 +538,6 @@ def relabel_tree(t, permutation) -> Tree:
         adj[perm[v]] = [perm[u] for u in ns]
     root = perm[t.root] if t.root is not None else None
     return Tree(adj, root=root)
-
-
-def region_host(host, region) -> SimpleNamespace:
-    """``host``'s neighbors, with ``cheeger_exact``'s pool cut down to ``region``, as a Ball offers its interior."""
-    interior = frozenset(region)
-    return SimpleNamespace(neighbors=host.neighbors, interior=interior, sorted_interior=sorted(interior))
 
 
 def star_tree(leaf_count: int) -> Tree:
@@ -706,9 +720,6 @@ class GeneratorDraws:
 
     def randrange(self, n: int) -> int:
         return int(self.g.integers(n))
-
-    def choice(self, seq):
-        return seq[int(self.g.integers(len(seq)))]
 
 
 class SubdividedRegularWithPaths:

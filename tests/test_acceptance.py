@@ -125,7 +125,8 @@ def test_06_sandwich_inequalities_on_subdivided_ball():
     while checked < 1000:
         attempts += 1
         assert attempts < 3000
-        members = random_connected_subset(host, 1 + rng.randrange(14), rng, allowed=allowed)
+        # the library grows subsets of a Tree or a Ball only; the former loop keeps growth inside allowed
+        members = brute.random_connected_subset_by_filter(host, 1 + rng.randrange(14), rng, allowed)
         try:
             res = sandwich_check(host, members)
         except DegenerateImageError:

@@ -1,7 +1,5 @@
 import random
-from collections import Counter
 from functools import cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -13,6 +11,7 @@ from arbor import (
     GWSpec,
     IncompleteKnowledgeError,
     Tree,
+    TreeAsOracle,
     boundary_of,
     explore_ball,
     make_fixture,
@@ -84,13 +83,6 @@ def test_random_connected_subset_properties():
         assert brute.is_connected_subset(t, sub)
 
 
-def test_random_connected_subset_skips_a_vertex_drawn_twice():
-    # on a triangle the third vertex enters the pool from both others, so growth past it draws it twice
-    triangle = SimpleNamespace(neighbors=[(1, 2), (0, 2), (0, 1)].__getitem__, vertex_count=3)
-    for seed in range(5):
-        assert random_connected_subset(triangle, 5, random.Random(seed)) == frozenset({0, 1, 2})
-
-
 def test_random_connected_subset_deterministic():
     t = star_tree(9)
     a = random_connected_subset(t, 5, random.Random(42))
@@ -98,21 +90,18 @@ def test_random_connected_subset_deterministic():
     assert a == b
 
 
-def test_random_connected_subset_respects_allowed():
-    t = path_tree(12)
-    rng = random.Random(1)
-    allowed = {3, 4, 5, 6}
-    for _ in range(10):
-        sub = random_connected_subset(t, 4, rng, allowed=allowed)
-        assert sub <= allowed
-    with pytest.raises(ValueError):
-        random_connected_subset(t, 0, rng)
-    with pytest.raises(ValueError):
-        random_connected_subset(path_tree(6), 1, rng, allowed=[])
+def test_random_connected_subset_takes_a_tree_or_a_ball():
+    with pytest.raises(ValueError, match="^size must be at least 1$"):
+        random_connected_subset(path_tree(6), 0, random.Random(1))
+    for host in (TreeAsOracle(path_tree(6)), make_fixture("regular(3)"), brute.random_graph(random.Random(1), 5, 2)):
+        rng = random.Random(1)
+        with pytest.raises(TypeError, match="^the search needs a Tree or a Ball, not "):
+            random_connected_subset(host, 3, rng)
+        assert rng.getstate() == random.Random(1).getstate()  # refused before any draw
 
 
-# (fixture, radius): the isoperimetry benchmark's two balls, two thin ones, and one with no interior
-FIXTURE_BALLS = [("regular(3)", 10), ("regular(4)", 8), ("staircase", 12), ("zline_pendant", 12), ("regular(3)", 0)]
+# (fixture, radius): the isoperimetry benchmark's two balls, two thin ones, and one whose interior is its center
+FIXTURE_BALLS = [("regular(3)", 10), ("regular(4)", 8), ("staircase", 12), ("zline_pendant", 12), ("regular(3)", 1)]
 BOUND_LAWS = [(0, 0, 1), (0, 0, 0, 1), (0, 0, "1/2", "1/2"), ("1/4", "1/4", "1/2")]
 
 
@@ -121,27 +110,10 @@ def fixture_ball(name: str, radius: int):
     return explore_ball(make_fixture(name), radius)
 
 
-@st.composite
-def ball_regions(draw: st.DrawFn, ball):
-    """The ids out to a drawn depth, less a few; at the ball's radius the frontier's ids are in."""
-    depth = draw(st.integers(min_value=0, max_value=ball.radius), label="depth")
-    near = [v for v, d in enumerate(ball.depths) if d <= depth]
-    return set(near) - draw(st.sets(st.sampled_from(near), max_size=8), label="dropped")
-
-
-def grown(host, size: int, rng, allowed=None, grow=random_connected_subset):
-    """The subset ``grow`` grows, or the type and message of what it raises."""
-    try:
-        return grow(host, size, rng, allowed)
-    except Exception as e:
-        return type(e), str(e)
-
-
-def assert_same_growth(host, sizes, rng, ref, allowed=None) -> None:
+def assert_same_growth(host, sizes, rng, ref) -> None:
     """The library and its former growth loop grow the same subsets and leave their streams in the same state."""
     for size in sizes:
-        want = grown(host, size, ref, allowed, brute.random_connected_subset_by_filter)
-        assert grown(host, size, rng, allowed) == want
+        assert random_connected_subset(host, size, rng) == brute.random_connected_subset_by_filter(host, size, ref)
     if isinstance(rng, random.Random):
         assert rng.getstate() == ref.getstate()
     else:
@@ -150,17 +122,15 @@ def assert_same_growth(host, sizes, rng, ref, allowed=None) -> None:
 
 @given(
     st.sampled_from(FIXTURE_BALLS), st.integers(min_value=0, max_value=10**6),
-    st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=4), st.data(),
+    st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=4),
 )
-def test_filtered_growth_matches_on_fixture_balls(fixture, seed: int, sizes, data):
-    ball = fixture_ball(*fixture)
-    allowed = data.draw(st.none() | ball_regions(ball), label="allowed")
-    assert_same_growth(ball, sizes, random.Random(seed), random.Random(seed), allowed)
+def test_filtered_growth_matches_on_fixture_balls(fixture, seed: int, sizes):
+    assert_same_growth(fixture_ball(*fixture), sizes, random.Random(seed), random.Random(seed))
 
 
 @given(
     st.sampled_from(BOUND_LAWS), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=5), st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=5), st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
 )
 def test_filtered_growth_matches_on_gw_balls_with_replayed_draws(law, seed: int, trial: int, depth: int, sizes):
     # the dichotomy's bound side: a truncated sample's ball, grown from the trial's replayed stream
@@ -170,34 +140,12 @@ def test_filtered_growth_matches_on_gw_balls_with_replayed_draws(law, seed: int,
 
 
 @given(
-    tree_and_subset(), st.booleans(), st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
     st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=4),
 )
-def test_filtered_growth_matches_on_trees(data, narrowed: bool, seed: int, sizes):
-    t, members = data
-    assert_same_growth(t, sizes, random.Random(seed), random.Random(seed), members if narrowed else None)
-
-
-@given(
-    st.sampled_from(FIXTURE_BALLS[:4]), st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=1, max_value=25), st.data(),
-)
-def test_filtered_growth_matches_on_hosts_offering_an_interior(fixture, seed: int, size: int, data):
-    # not a Ball, so its own interior narrows growth, not the ball's
-    ball = fixture_ball(*fixture)
-    asked = Counter()
-
-    def neighbors(v):
-        asked[v] += 1
-        return ball.neighbors(v)
-
-    host = brute.region_host(SimpleNamespace(neighbors=neighbors), data.draw(ball_regions(ball), label="region"))
-    host.vertex_count = ball.vertex_count
-    got = grown(host, size, random.Random(seed))
-    if isinstance(got, frozenset):
-        assert got <= host.interior or not host.interior  # an empty interior narrows nothing
-        assert asked == Counter(got)  # each member once, when it joins
-    assert_same_growth(host, [size], random.Random(seed), random.Random(seed))
+def test_filtered_growth_matches_on_trees(n: int, seed: int, sizes):
+    t = Tree.from_edges(brute.random_tree_edges(random.Random(seed), n))
+    assert_same_growth(t, sizes, random.Random(seed), random.Random(seed))
 
 
 @pytest.mark.parametrize("make_ball", [
@@ -205,8 +153,10 @@ def test_filtered_growth_matches_on_hosts_offering_an_interior(fixture, seed: in
     lambda: sample(GWSpec((0, 0, 1)), 1, 3).truncate_ball(0),
 ], ids=["explore_ball", "truncate_ball"])
 def test_growth_on_a_radius_0_ball_asks_its_root(make_ball):
+    rng = random.Random(1)
     with pytest.raises(IncompleteKnowledgeError, match="^vertex 0 is on the exploration frontier"):
-        random_connected_subset(make_ball(), 3, random.Random(1))
+        random_connected_subset(make_ball(), 3, rng)
+    assert rng.getstate() == random.Random(1).getstate()  # the empty pool is refused before any draw
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_BALLS[:4])

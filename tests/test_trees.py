@@ -372,19 +372,6 @@ def test_reach_matches_brute(t: Tree, data):
     assert not any(u in within and u not in comp for v in comp for u in t.neighbors(v))
     assert (len(comp) == len(within)) == brute.is_connected_subset(t, within)
 
-    avoid = ()
-    if n > 1:
-        cut = data.draw(st.sampled_from([v for v in range(n) if v != start]))
-        avoid = (cut,)
-        beyond = brute.bfs_distances(t, cut)
-        # v is cut off from start exactly when cut lies on the path between them
-        cut_off = {v for v in range(n) if dist[cut] + beyond[v] == dist[v]}
-        assert set(reach(t.neighbors, start, avoid=avoid)) == set(range(n)) - cut_off
-
-    full = reach(t.neighbors, start, avoid=avoid)
-    cap = data.draw(st.integers(min_value=1, max_value=n + 1))
-    assert reach(t.neighbors, start, avoid=avoid, cap=cap) == (None if len(full) > cap else full)
-
 
 @given(random_trees(), st.data())
 def test_bfs_layers_match_brute(t: Tree, data):
