@@ -235,18 +235,21 @@ def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
 
 def test_a_bound_side_ball_builds_its_pool_table_once():
     """The dichotomy's bound side draws its subsets and runs cheeger_exact on one ball, which builds one table."""
-    built = []
+    reads = []  # (ball, whether this read builds the table)
     ball_hoods = Ball._interior_hoods
 
     def counting_hoods(ball):
-        if ball._hoods is None:
-            built.append(ball)
+        reads.append((ball, ball._hoods is None))
         return ball_hoods(ball)
 
     with mock.patch.object(Ball, "_interior_hoods", counting_hoods):
         report = verify_dichotomy(GWSpec((0, 0, 1)), [2], trials=2, seed=3, truncate_depth=5, n_subsets=40)
     assert report.nonamenable["bound_violations"] == 0
-    assert len(built) == 2 and built[0] is not built[1]  # one table per trial's ball
+    balls = list(dict.fromkeys(ball for ball, _ in reads))
+    assert len(balls) == 2  # one per trial
+    for ball in balls:
+        # 20 subset draws, then cheeger_exact, all reading the table the first draw built
+        assert [built for b, built in reads if b is ball] == [True] + [False] * 20
 
 
 def _pool_lists(host) -> tuple:
