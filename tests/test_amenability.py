@@ -113,11 +113,35 @@ def test_cheeger_takes_a_tree_or_a_ball():
     }
     with pytest.raises(ValueError, match="^max_size must be at least 1$"):
         cheeger_exact(t, 0)
-    with pytest.raises(ValueError, match="^no admissible subsets: the search region is empty$"):
-        cheeger_exact(explore_ball(make_fixture("regular(3)"), 0), 3)  # a lone center is all frontier
     for host in (TreeAsOracle(t), make_fixture("regular(3)"), brute.random_graph(random.Random(1), 5, 2)):
         with pytest.raises(TypeError, match="^the search needs a Tree or a Ball, not "):
             cheeger_exact(host, 3)
+
+
+@pytest.mark.parametrize("make_ball", [
+    lambda: explore_ball(make_fixture("regular(3)"), 0),
+    lambda: sample(GWSpec((0, 0, 1)), 1, 3).truncate_ball(0),
+], ids=["explore_ball", "truncate_ball"])
+def test_cheeger_on_a_radius_0_ball_has_no_admissible_subsets(make_ball):
+    with pytest.raises(ValueError, match="^no admissible subsets: the search region is empty$"):
+        cheeger_exact(make_ball(), 3)  # a lone center is all frontier
+
+
+@pytest.mark.parametrize("make_host", [
+    lambda: brute.relabel_tree(path_tree(9), [4, 0, 8, 1, 7, 2, 6, 3, 5]),
+    lambda: explore_ball(make_fixture("staircase"), 5),
+], ids=["tree", "ball"])
+def test_searches_read_the_pool_table_and_no_neighbors(make_host):
+    host = make_host()
+    expected = brute.cheeger_by_enumeration(host, 4, getattr(host, "sorted_interior", None))
+    refuse = mock.Mock(side_effect=AssertionError("the searches read the pool table"))
+    with mock.patch.object(Tree, "neighbors", refuse), mock.patch.object(Ball, "neighbors", refuse):
+        result = cheeger_exact(host, 4)
+        subs = [random_connected_subset(host, 4, random.Random(seed)) for seed in range(20)]
+    refuse.assert_not_called()
+    assert (result.value, result.argmin.members, result.scope["subsets_enumerated"]) == expected
+    assert result.argmin.boundary == brute.boundary(host, result.argmin.members)
+    assert all(brute.is_connected_subset(host, sub) for sub in subs)
 
 
 def test_cheeger_on_regular_ball():
@@ -231,6 +255,27 @@ def test_cheeger_falls_back_to_the_walk_past_the_listing_cap(monkeypatch):
     for host, max_size in cases:
         check_cheeger_against_brute(host, max_size)
     walk.assert_called()  # the star's C(9, 4) tied optima alone pass the cap
+
+
+def test_cheeger_falls_back_when_one_product_passes_the_listing_cap(monkeypatch):
+    """The knapsack lists every partial subset up to the cap, and past it the walk runs.
+
+    On a star with 9 leaves at max size 5 the optima are the center with 4
+    leaves. Listing them builds, for each i of 1..9 leaves taken in turn and
+    each j leaves chosen among them that 4 - j of the rest can complete,
+    C(i, j) tuples: 460 in all, the last product the 126 ways to take 4 of 9.
+    """
+    star = star_tree(9)
+    walk = mock.Mock(wraps=amenability._least_by_walk)
+    monkeypatch.setattr(amenability, "_least_by_walk", walk)
+    listed = sum(math.comb(i, j) for i in range(1, 10) for j in range(max(0, i - 5), min(i, 4) + 1))
+    assert listed == 460
+    for cap, falls_back in ((listed, False), (listed - 1, True), (math.comb(9, 4) - 1, True)):
+        monkeypatch.setattr(amenability, "_MAX_LISTED", cap)
+        walk.reset_mock()
+        check_cheeger_against_brute(star, 5)
+        assert walk.called == falls_back, cap
+    assert cheeger_exact(star, 5).argmin.members == frozenset({0, 1, 2, 3, 4})
 
 
 def test_a_bound_side_ball_builds_its_pool_table_once():

@@ -19,6 +19,7 @@ from arbor import (
     random_connected_subset,
     sample,
 )
+from arbor.exploration import _pool_table
 from arbor.galton_watson import _SubsetDraws
 from arbor.subsets import is_connected_in
 from brute import star_tree
@@ -100,6 +101,16 @@ def test_random_connected_subset_takes_a_tree_or_a_ball():
         assert rng.getstate() == random.Random(1).getstate()  # refused before any draw
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``randrange`` draws."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
 # (fixture, radius): the isoperimetry benchmark's two balls, two thin ones, and one whose interior is its center
 FIXTURE_BALLS = [("regular(3)", 10), ("regular(4)", 8), ("staircase", 12), ("zline_pendant", 12), ("regular(3)", 1)]
 BOUND_LAWS = [(0, 0, 1), (0, 0, 0, 1), (0, 0, "1/2", "1/2"), ("1/4", "1/4", "1/2")]
@@ -169,3 +180,46 @@ def test_a_ball_keeps_one_table_of_interior_neighbors(fixture):
     assert hoods == [tuple(u for u in adj[v] if u in ball.interior) for v in ball.sorted_interior]
     # an id with no frontier neighbor shares its adjacency tuple
     assert all(ns is adj[v] for v, ns in enumerate(hoods) if len(ns) == len(adj[v]))
+
+
+@given(
+    st.one_of(
+        st.sampled_from(FIXTURE_BALLS).map(lambda fixture: fixture_ball(*fixture)),
+        st.builds(
+            lambda n, seed: Tree.from_edges(brute.random_tree_edges(random.Random(seed), n)),
+            st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
+        ),
+    ),
+    st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=25),
+)
+def test_random_connected_subset_draws_once_per_member(host, seed: int, size: int):
+    rng = CountingRandom(seed)
+    sub = random_connected_subset(host, size, rng)
+    pool = getattr(host, "interior", range(host.vertex_count))
+    assert sub <= set(pool) and brute.is_connected_subset(host, sub)
+    assert len(sub) == min(size, len(pool))  # a pool is one tree, so growth stops only at the size
+    assert rng.draws == len(sub)  # the start, then one draw per member: no draw repeats a member
+
+
+POOL_HOSTS = {
+    "tree": lambda: brute.relabel_tree(path_tree(7), [3, 0, 6, 1, 5, 2, 4]),
+    "explore_ball": lambda: explore_ball(make_fixture("staircase"), 4),
+    "truncate_ball": lambda: sample(GWSpec((0, 0, 1)), 1, 3).truncate_ball(3),
+    "extinct_ball": lambda: sample(GWSpec((1,)), 1, 2).truncate_ball(2),  # all interior, no frontier
+    "radius_0_ball": lambda: explore_ball(make_fixture("regular(3)"), 0),  # no interior
+}
+
+
+@pytest.mark.parametrize("make_host", POOL_HOSTS.values(), ids=POOL_HOSTS.keys())
+def test_pool_table_lists_each_pool_ids_neighbors_in_the_pool(make_host):
+    host = make_host()
+    near, adj = _pool_table(host)
+    if isinstance(host, Tree):
+        assert near is adj is host.adjacency
+        pool = list(range(host.vertex_count))
+    else:
+        assert near is host._interior_hoods() and adj is host.tree.adjacency
+        pool = list(host.sorted_interior)
+    assert pool == list(range(len(near)))  # a pool vertex's index is its id
+    assert [set(near[v]) for v in pool] == [set(host.neighbors(v)) & set(pool) for v in pool]
+    assert [len(adj[v]) for v in pool] == [len(host.neighbors(v)) for v in pool]
